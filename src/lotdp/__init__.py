@@ -42,7 +42,6 @@ from .model import (
     SINGLE,
     Delivery,
     Instance,
-    Rational,
     Solution,
     Supplier,
     ValidationReport,

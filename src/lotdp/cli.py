@@ -6,7 +6,9 @@ the table sizes and wall time across a parameter sweep.
 
 Exit codes: 0 success, 1 bad input or a size-guard refusal, 2 infeasible
 instance, 3 solver/oracle disagreement.  The environment variable
-``LOTDP_MAX_CELLS`` caps the number of table cells any single grid may use.
+``LOTDP_MAX_CELLS`` caps the total table cells of one solve (every grid of its
+H sweep together); a solve over the cap is refused with exit code 1 before any
+table is filled.
 """
 
 from __future__ import annotations
@@ -16,16 +18,10 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .dp import AGGREGATED, DUPLICATION, SolveReport, solve, solve_multi
-from .errors import (
-    InfeasibleInstanceError,
-    InvalidInstanceError,
-    LotSizingError,
-    ResourceLimitError,
-    SchemaError,
-)
+from .errors import InfeasibleInstanceError, LotSizingError, SchemaError
 from .generate import bench_instance, random_instance
 from .model import (
     MULTI,
@@ -48,24 +44,18 @@ EXIT_MISMATCH = 3
 MAX_VERIFY_SUPPLIERS = 8
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by the subcommands after flag parsing."""
-
-    max_cells: int | None
-
-
-def _run_config() -> RunConfig:
+def _max_cells() -> int | None:
+    """The LOTDP_MAX_CELLS cap on the table cells of one solve, if set."""
     raw = os.environ.get("LOTDP_MAX_CELLS")
     if raw is None:
-        return RunConfig(max_cells=None)
+        return None
     try:
         value = int(raw)
         if value < 1:
             raise ValueError
     except ValueError:
         raise SchemaError(f"LOTDP_MAX_CELLS must be a positive integer, got {raw!r}")
-    return RunConfig(max_cells=value)
+    return value
 
 
 def _fail(message: str, code: int) -> int:
@@ -133,7 +123,7 @@ def trace_to_csv(report: SolveReport) -> str:
 
 
 def cmd_solve(args) -> int:
-    cfg = _run_config()
+    max_cells = _max_cells()
     inst = _load_instance(args.path)
     if args.mode:
         inst = replace(inst, mode=args.mode)
@@ -141,9 +131,9 @@ def cmd_solve(args) -> int:
     if code is not None:
         return code
     if inst.mode == MULTI:
-        report = solve_multi(inst, max_cells=cfg.max_cells)
+        report = solve_multi(inst, max_cells=max_cells)
     else:
-        report = solve(inst, max_cells=cfg.max_cells)
+        report = solve(inst, max_cells=max_cells)
     # audit before writing anything: the stored objective must survive an
     # independent recomputation
     if solution_cost(inst, report.solution) != report.solution.objective:
@@ -158,16 +148,16 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(inst: Instance, cfg: RunConfig) -> tuple[list[tuple[str, object]], bool]:
+def _verify_one(inst: Instance, max_cells: int | None) -> tuple[list[tuple[str, object]], bool]:
     """Run every applicable solver; return labeled objectives and agreement."""
     results: list[tuple[str, object]] = []
     if inst.mode == MULTI:
-        results.append(("aggregated", solve_multi(inst, max_cells=cfg.max_cells).solution))
+        results.append(("aggregated", solve_multi(inst, max_cells=max_cells).solution))
         results.append(
-            ("duplication", solve_multi(inst, strategy=DUPLICATION, max_cells=cfg.max_cells).solution)
+            ("duplication", solve_multi(inst, strategy=DUPLICATION, max_cells=max_cells).solution)
         )
     else:
-        results.append(("dp", solve(inst, max_cells=cfg.max_cells).solution))
+        results.append(("dp", solve(inst, max_cells=max_cells).solution))
         results.append(("structural", structural_oracle(inst)))
         if inst.n <= 3 and inst.P <= 12 and inst.c_hold <= 2:
             results.append(("grid", grid_oracle(inst, inst.n)))
@@ -184,7 +174,7 @@ def _print_mismatch(results) -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg = _run_config()
+    max_cells = _max_cells()
     if args.path is None and not args.seed_batch:
         return _fail("verify needs an instance file or --seed-batch N", EXIT_INPUT)
 
@@ -193,7 +183,7 @@ def cmd_verify(args) -> int:
         disagreements = 0
         for i in range(args.seed_batch):
             inst = random_instance(rng)
-            results, agree = _verify_one(inst, cfg)
+            results, agree = _verify_one(inst, max_cells)
             if not agree:
                 disagreements += 1
                 print(f"instance {i}: {json.dumps(instance_to_json(inst))}", file=sys.stderr)
@@ -210,7 +200,7 @@ def cmd_verify(args) -> int:
             f"verify enumerates 4**n assignments and refuses n > {MAX_VERIFY_SUPPLIERS}",
             EXIT_INPUT,
         )
-    results, agree = _verify_one(inst, cfg)
+    results, agree = _verify_one(inst, max_cells)
     for name, sol in results:
         print(f"{name}: {sol.objective}")
     if not agree:
@@ -239,7 +229,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _run_config()
+    max_cells = _max_cells()
     if args.values:
         try:
             values = [int(v) for v in args.values.split(",")]
@@ -258,7 +248,7 @@ def cmd_bench(args) -> int:
             c_hold = value
         rng = random.Random(f"{args.seed}:{n}:{P}:{c_hold}")
         inst = bench_instance(rng, n, P, c_hold)
-        report = solve(inst, max_cells=cfg.max_cells)
+        report = solve(inst, max_cells=max_cells)
         obj = report.solution.objective
         rows.append(
             f"{n},{P},{c_hold},{report.table_cells_filled},"
@@ -316,14 +306,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except InvalidInstanceError as exc:
-        return _fail(str(exc), EXIT_INPUT)
     except InfeasibleInstanceError as exc:
         return _fail(str(exc), EXIT_INFEASIBLE)
-    except ResourceLimitError as exc:
-        return _fail(str(exc), EXIT_INPUT)
     except LotSizingError as exc:
         return _fail(str(exc), EXIT_INPUT)
 

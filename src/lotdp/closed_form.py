@@ -4,7 +4,8 @@ Two small optimization problems admit exact formulas:
 
 * splitting a residual demand across a group of suppliers so that every one of
   them ends at the same marginal cost, and
-* splitting one supplier's total volume into the best number of equal batches.
+* splitting one supplier's total volume into the best number of equal batches,
+  found in O(1) with an exact integer square root.
 """
 
 from __future__ import annotations
@@ -61,6 +62,23 @@ def marginal_costs(sol: InteriorSolution, betas, lam, c_hold) -> tuple[Fraction,
     )
 
 
+def best_batch_count(A: int, Q: int, r_max: int) -> int:
+    """The batch count r in 1..r_max minimizing r*A + Q/r, for integers
+    A >= 0 and Q > 0; ties go to the smaller r.
+
+    With A > 0 the function is strictly convex in r, so its integer minimizer
+    is the floor or the ceiling of sqrt(Q/A), and isqrt(Q // A) is that floor
+    exactly.  Clamped to the window, the floor t loses to t + 1 exactly when
+    f(t+1) < f(t), i.e. t*(t+1)*A < Q.  With A = 0 more batches always help.
+    """
+    if A == 0:
+        return r_max
+    r = min(max(math.isqrt(Q // A), 1), r_max)
+    if r < r_max and r * (r + 1) * A < Q:
+        r += 1
+    return r
+
+
 def multi_delivery_cost(supplier: Supplier, volume, lam, c_hold) -> tuple[int, Fraction]:
     """Best way to buy ``volume`` units from one supplier using repeated batches.
 
@@ -77,13 +95,7 @@ def multi_delivery_cost(supplier: Supplier, volume, lam, c_hold) -> tuple[int, F
         raise VolumeBoundsError(
             f"total volume {x} outside the allowed window [{supplier.m}, {supplier.M}]"
         )
-    lam = as_rational(lam)
-    r_max = math.floor(x / supplier.m)
-    linear = supplier.beta * x
-    quad = c_hold * x * x / (2 * lam)
-    best_r, best_cost = 1, supplier.alpha + linear + quad
-    for r in range(2, r_max + 1):
-        cost = r * supplier.alpha + linear + quad / r
-        if cost < best_cost:
-            best_r, best_cost = r, cost
-    return best_r, best_cost
+    quad = c_hold * x * x / (2 * as_rational(lam))
+    # r*alpha + quad/r scaled by quad's denominator has integer coefficients
+    r = best_batch_count(supplier.alpha * quad.denominator, quad.numerator, math.floor(x / supplier.m))
+    return r, r * supplier.alpha + supplier.beta * x + quad / r

@@ -11,8 +11,17 @@ with step h = 1 / (H * c_hold * den(lam)), fills a Bellman table
     phi[k][p] = cheapest way to cover residual demand p using suppliers 1..k
 
 and backtracks the winning volumes.  Sweeping H and keeping the cheapest table
-yields the exact optimum.  Table cells hold integer numerators over one common
-denominator internally, so the sweep is exact and reasonably fast.
+yields the exact optimum.
+
+Pricing and the fill never build a Fraction.  With lam = a/b, every candidate
+cost on the grid of denominator den is an integer over B = 2*a*den**2 (single
+batches and grid-aligned splits), or over B*L in the aggregated multi-delivery
+pricing, L the lcm of the batch counts chosen.  phi stays a table of integer
+numerators over that one denominator, so ``DPTable.final`` is the only
+Fraction a table produces.
+
+A cell cap, when given, bounds the total cells of the whole sweep and is
+checked before any table is filled.
 
 Demand may also be covered by over-delivery: a batch at least as large as the
 open residual closes the plan on its own.  Single-delivery costs increase with
@@ -30,7 +39,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closed_form import multi_delivery_cost
+from .closed_form import best_batch_count, multi_delivery_cost
 from .errors import InfeasibleInstanceError, ResourceLimitError
 from .model import (
     MULTI,
@@ -79,88 +88,120 @@ def build_grid(inst: Instance, H: int) -> Grid:
 
 @dataclass
 class DPTable:
+    """One filled Bellman table.
+
+    ``phi[k][p]`` is the integer numerator, over the table-wide denominator
+    ``den``, of the cheapest way to cover residual demand index p with
+    suppliers 1..k, or None when they cannot cover it.  ``choice`` has the
+    same shape and holds SKIP or the chosen volume index.
+    """
+
     H: int
     grid: Grid
     kind: str  # "single" | "multi-aggregated" | "multi-duplication"
-    phi: list  # (n+1) x demand_points, Fraction or None for "cannot cover"
-    choice: list  # same shape; SKIP or the chosen volume index
+    phi: list  # (n+1) x demand_points, int numerators over den, or None
+    den: int
+    choice: list
     cells: int
 
     @property
     def final(self) -> Fraction | None:
         """phi(n, P): cheapest cover of the full demand, if any."""
-        return self.phi[-1][-1]
+        last = self.phi[-1][-1]
+        return None if last is None else Fraction(last, self.den)
 
 
-def _single_candidate_costs(inst: Instance, grid: Grid) -> list[list[Fraction]]:
+class CostRows(list):
+    """Candidate costs of one grid: per supplier, one integer numerator for
+    each grid volume m..M, all over the common denominator ``den``."""
+
+    def __init__(self, rows, den: int):
+        super().__init__(rows)
+        self.den = den
+
+
+def _base_denominator(lam: Fraction, den: int) -> int:
+    """B = 2 * a * den**2 for lam = a/b: with v = i/den, one batch costs
+
+        alpha + beta*v + c*v**2/(2*lam) = (alpha*B + beta*i*2*a*den + c*b*i**2) / B
+
+    and every split of i into grid batches is an integer over B as well."""
+    return 2 * lam.numerator * den * den
+
+
+def _single_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
     """Cost of one batch of each grid volume: alpha + beta*v + c*v^2/(2*lam)."""
-    out = []
-    two_lam = 2 * inst.lam
-    for pos, s in enumerate(inst.suppliers):
-        lo, hi = grid.spans[pos]
-        den = grid.denominator
-        row = []
-        for idx in range(lo, hi + 1):
-            v = Fraction(idx, den)
-            row.append(s.alpha + s.beta * v + inst.c_hold * v * v / two_lam)
-        out.append(row)
-    return out
+    B = _base_denominator(inst.lam, grid.denominator)
+    per_unit = 2 * inst.lam.numerator * grid.denominator
+    cb = inst.c_hold * inst.lam.denominator
+    rows = []
+    for (lo, hi), s in zip(grid.spans, inst.suppliers):
+        fixed, unit = s.alpha * B, s.beta * per_unit
+        rows.append([fixed + unit * i + cb * i * i for i in range(lo, hi + 1)])
+    return CostRows(rows, B)
 
 
-def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> list[list[Fraction]]:
-    """Cheapest multi-batch purchase of each grid total, batch count free."""
-    out = []
-    for pos, s in enumerate(inst.suppliers):
-        lo, hi = grid.spans[pos]
-        den = grid.denominator
+def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
+    """Cheapest multi-batch purchase of each grid total, batch count free.
+
+    With r batches the total i/den costs (r*A + beta*i*2*a*den + Q/r) / B with
+    A = alpha*B and Q = c*b*i**2 (see _base_denominator); the best r comes from
+    best_batch_count.  Rows are scaled to B*L, L the lcm of the chosen r."""
+    B = _base_denominator(inst.lam, grid.denominator)
+    per_unit = 2 * inst.lam.numerator * grid.denominator
+    cb = inst.c_hold * inst.lam.denominator
+    priced = []  # per supplier: (r, r*A + linear part, Q) for each grid total
+    counts = set()
+    for (lo, hi), s in zip(grid.spans, inst.suppliers):
+        A, unit = s.alpha * B, s.beta * per_unit
         row = []
-        for idx in range(lo, hi + 1):
-            _, cost = multi_delivery_cost(s, Fraction(idx, den), inst.lam, inst.c_hold)
-            row.append(cost)
-        out.append(row)
-    return out
+        for i in range(lo, hi + 1):
+            Q = cb * i * i
+            r = best_batch_count(A, Q, i // lo)  # lo = m*den, so r <= floor(x/m)
+            row.append((r, r * A + unit * i, Q))
+            counts.add(r)
+        priced.append(row)
+    L = math.lcm(*counts)
+    return CostRows(
+        [[head * L + Q * (L // r) for r, head, Q in row] for row in priced], B * L
+    )
 
 
 def _best_balanced_split(
     supplier: Supplier, idx: int, den: int, lam: Fraction, c_hold: int
-) -> tuple[int, Fraction]:
+) -> tuple[int, int]:
     """Cheapest split of the grid total idx/den into equal-as-possible batches
-    that themselves sit on the grid.  Returns (batch_count, cost); ties go to
-    the smaller count."""
-    m_idx = supplier.m * den
-    j_max = idx // m_idx
-    x = Fraction(idx, den)
-    linear = supplier.beta * x
-    scale = Fraction(c_hold, 2 * lam * den * den)
-    best_j, best_cost = 1, supplier.alpha + linear + scale * idx * idx
-    for j in range(2, j_max + 1):
+    that themselves sit on the grid.  Returns (batch_count, cost numerator
+    over _base_denominator); ties go to the smaller count."""
+    fixed = supplier.alpha * _base_denominator(lam, den)
+    cb = c_hold * lam.denominator
+    best_j, best = 1, fixed + cb * idx * idx
+    for j in range(2, idx // (supplier.m * den) + 1):
         q, rem = divmod(idx, j)
         sumsq = (j - rem) * q * q + rem * (q + 1) * (q + 1)
-        cost = j * supplier.alpha + linear + scale * sumsq
-        if cost < best_cost:
-            best_j, best_cost = j, cost
-    return best_j, best_cost
+        cost = j * fixed + cb * sumsq
+        if cost < best:
+            best_j, best = j, cost
+    return best_j, best + supplier.beta * 2 * lam.numerator * den * idx
 
 
-def _duplication_candidate_costs(inst: Instance, grid: Grid) -> list[list[Fraction]]:
+def _duplication_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
     """Like the aggregated costs, but every individual batch is forced onto the
     grid; this is the supplier-duplication reduction with copies sharing the
     cap, collapsed to a per-total cost."""
-    out = []
-    for pos, s in enumerate(inst.suppliers):
-        lo, hi = grid.spans[pos]
-        row = []
-        for idx in range(lo, hi + 1):
-            _, cost = _best_balanced_split(s, idx, grid.denominator, inst.lam, inst.c_hold)
-            row.append(cost)
-        out.append(row)
-    return out
+    rows = []
+    for (lo, hi), s in zip(grid.spans, inst.suppliers):
+        rows.append([
+            _best_balanced_split(s, idx, grid.denominator, inst.lam, inst.c_hold)[1]
+            for idx in range(lo, hi + 1)
+        ])
+    return CostRows(rows, _base_denominator(inst.lam, grid.denominator))
 
 
 def _fill(
     inst: Instance,
     grid: Grid,
-    costs: list[list[Fraction]],
+    costs: CostRows,
     kind: str,
     max_cells: int | None,
 ) -> DPTable:
@@ -172,20 +213,13 @@ def _fill(
             f"table for H={grid.H} needs {cells} cells, above the cap {max_cells}"
         )
 
-    # One common denominator turns every cell update into integer arithmetic.
-    den = 1
-    for row in costs:
-        for c in row:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    num_costs = [[c.numerator * (den // c.denominator) for c in row] for row in costs]
-
     prev = [None] * cols
     prev[0] = 0
     phi_rows = [prev]
     choice_rows = [[SKIP] * cols]
     for k in range(1, n + 1):
         lo, hi = grid.spans[k - 1]
-        ck = num_costs[k - 1]
+        ck = costs[k - 1]
         # suffix minima over candidate costs, for the over-delivery branch
         width = hi - lo + 1
         sufmin = [0] * width
@@ -227,10 +261,10 @@ def _fill(
         phi_rows.append(row)
         choice_rows.append(ch)
         prev = row
-    phi = [
-        [Fraction(v, den) if v is not None else None for v in row] for row in phi_rows
-    ]
-    return DPTable(H=grid.H, grid=grid, kind=kind, phi=phi, choice=choice_rows, cells=cells)
+    return DPTable(
+        H=grid.H, grid=grid, kind=kind, phi=phi_rows, den=costs.den,
+        choice=choice_rows, cells=cells,
+    )
 
 
 def solve_fixed_H(inst: Instance, H: int, *, max_cells: int | None = None) -> DPTable:
@@ -238,6 +272,7 @@ def solve_fixed_H(inst: Instance, H: int, *, max_cells: int | None = None) -> DP
 
     Single-delivery instances price each candidate volume as one batch;
     multi-delivery instances price it as the cheapest batch split.
+    ``max_cells`` caps the cells of this one table.
     """
     grid = build_grid(inst, H)
     if inst.mode == MULTI:
@@ -300,8 +335,22 @@ class SolveReport:
     kind: str
 
 
-def _sweep(inst: Instance, h_values, build_table) -> SolveReport:
+def _sweep_cells(inst: Instance, h_values: range) -> int:
+    """Cells of every table the sweep fills, from the grid definition alone:
+    (n+1) rows of P*H*c_hold*den(lam) + 1 columns per hypothesis H."""
+    step = inst.c_hold * inst.lam.denominator
+    return (inst.n + 1) * sum(inst.P * H * step + 1 for H in h_values)
+
+
+def _sweep(inst: Instance, h_values: range, build_table, max_cells: int | None) -> SolveReport:
     t_start = time.perf_counter()
+    if max_cells is not None:
+        total = _sweep_cells(inst, h_values)
+        if total > max_cells:
+            raise ResourceLimitError(
+                f"the sweep over H={h_values[0]}..{h_values[-1]} needs {total} "
+                f"table cells, above the cap {max_cells}"
+            )
     traces = []
     best_table = None
     best_val = None
@@ -331,13 +380,15 @@ def _sweep(inst: Instance, h_values, build_table) -> SolveReport:
 
 
 def solve(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
-    """Exact optimum of a single-delivery instance via the H sweep."""
+    """Exact optimum of a single-delivery instance via the H sweep.
+
+    ``max_cells`` caps the total table cells of the whole sweep; a sweep over
+    the cap raises ResourceLimitError before any table is filled.
+    """
     require_valid(inst)
     if inst.mode != SINGLE:
         raise ValueError("solve expects a single-delivery instance; use solve_multi")
-    return _sweep(
-        inst, range(1, inst.n + 1), lambda H: solve_fixed_H(inst, H, max_cells=max_cells)
-    )
+    return _sweep(inst, range(1, inst.n + 1), lambda H: solve_fixed_H(inst, H), max_cells)
 
 
 def multi_h_limit(inst: Instance) -> int:
@@ -356,17 +407,21 @@ def solve_multi(
     batch split; ``duplication`` forces every batch onto the grid, mirroring
     the reduction that clones each supplier floor(P/m) times.  Both are exact;
     the second is kept as a structurally different cross-check.
+
+    ``max_cells`` caps the total table cells of the whole sweep, H = 1 ..
+    multi_h_limit; a sweep over the cap raises ResourceLimitError before any
+    table is filled.
     """
     require_valid(inst)
     if inst.mode != MULTI:
         raise ValueError("solve_multi expects a multi-delivery instance; use solve")
     if strategy == AGGREGATED:
-        build = lambda H: solve_fixed_H(inst, H, max_cells=max_cells)
+        build = lambda H: solve_fixed_H(inst, H)
     elif strategy == DUPLICATION:
         def build(H):
             grid = build_grid(inst, H)
             costs = _duplication_candidate_costs(inst, grid)
-            return _fill(inst, grid, costs, "multi-duplication", max_cells)
+            return _fill(inst, grid, costs, "multi-duplication", None)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _sweep(inst, range(1, multi_h_limit(inst) + 1), build)
+    return _sweep(inst, range(1, multi_h_limit(inst) + 1), build, max_cells)

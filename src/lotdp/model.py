@@ -26,8 +26,6 @@ from .errors import (
     VolumeBoundsError,
 )
 
-Rational = Fraction
-
 SINGLE = "single"
 MULTI = "multi"
 

@@ -22,6 +22,7 @@ from lotdp import (
     solve_multi,
     structural_oracle,
 )
+from lotdp import dp
 
 
 def test_grid_points():
@@ -120,6 +121,25 @@ def test_table_shape_and_monotonicity(golden):
 def test_cell_budget_is_enforced(golden):
     with pytest.raises(ResourceLimitError):
         solve(golden, max_cells=10)
+
+
+def test_cell_budget_covers_the_whole_sweep(golden):
+    # tables for H = 1, 2 have 3 * 11 and 3 * 21 cells
+    assert solve(golden, max_cells=96).table_cells_filled == 96
+    with pytest.raises(ResourceLimitError):
+        solve(golden, max_cells=95)
+
+
+def test_cell_budget_refuses_before_filling_any_table(monkeypatch):
+    # each table up to H=60 fits the cap on its own, but the sweep runs to H=120
+    inst = Instance(suppliers=(Supplier(1, 1, 1, 60),) * 2, P=60, mode=MULTI)
+    assert multi_h_limit(inst) == 120
+    fills = []
+    monkeypatch.setattr(dp, "_fill", lambda *args: fills.append(args))
+    for strategy in (AGGREGATED, DUPLICATION):
+        with pytest.raises(ResourceLimitError, match="cells"):
+            solve_multi(inst, strategy=strategy, max_cells=10_803)
+    assert fills == []
 
 
 def test_mode_mismatch_is_rejected(golden):

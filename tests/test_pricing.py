@@ -1,0 +1,206 @@
+"""Integer candidate pricing against the plain Fraction formulas it replaced.
+
+The references below price every grid volume with Fraction arithmetic, try
+every batch count in a loop, and fill the Bellman table in the most direct
+way; the fast path must reproduce their costs, batch counts, phi values and
+choices exactly.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lotdp import MULTI, SINGLE, Instance, Supplier, build_grid, multi_delivery_cost
+from lotdp.closed_form import best_batch_count
+from lotdp.dp import (
+    SKIP,
+    _aggregated_candidate_costs,
+    _duplication_candidate_costs,
+    _fill,
+    _single_candidate_costs,
+)
+
+# --- references ---------------------------------------------------------------
+
+
+def ref_single_cost(s, v, lam, c_hold):
+    return s.alpha + s.beta * v + c_hold * v * v / (2 * lam)
+
+
+def ref_multi_delivery_cost(s, x, lam, c_hold):
+    """Every batch count 1..floor(x/m); ties go to the smaller count."""
+    r_max = x // s.m
+    linear = s.beta * x
+    quad = c_hold * x * x / (2 * lam)
+    best_r, best_cost = 1, s.alpha + linear + quad
+    for r in range(2, r_max + 1):
+        cost = r * s.alpha + linear + quad / r
+        if cost < best_cost:
+            best_r, best_cost = r, cost
+    return best_r, best_cost
+
+
+def ref_balanced_split_cost(s, idx, den, lam, c_hold):
+    x = F(idx, den)
+    scale = F(c_hold, 2 * lam * den * den)
+    best = s.alpha + s.beta * x + scale * idx * idx
+    for j in range(2, idx // (s.m * den) + 1):
+        q, rem = divmod(idx, j)
+        sumsq = (j - rem) * q * q + rem * (q + 1) * (q + 1)
+        best = min(best, j * s.alpha + s.beta * x + scale * sumsq)
+    return best
+
+
+def ref_costs(inst, grid, kind):
+    den = grid.denominator
+    rows = []
+    for (lo, hi), s in zip(grid.spans, inst.suppliers):
+        if kind == SINGLE:
+            row = [ref_single_cost(s, F(i, den), inst.lam, inst.c_hold) for i in range(lo, hi + 1)]
+        elif kind == "multi-aggregated":
+            row = [
+                ref_multi_delivery_cost(s, F(i, den), inst.lam, inst.c_hold)[1]
+                for i in range(lo, hi + 1)
+            ]
+        else:
+            row = [
+                ref_balanced_split_cost(s, i, den, inst.lam, inst.c_hold)
+                for i in range(lo, hi + 1)
+            ]
+        rows.append(row)
+    return rows
+
+
+def ref_fill(grid, costs):
+    """phi[k][p] = min(skip, cost(i) + phi[k-1][p-i] for i <= p, cost(i) for
+    i > p), volumes tried in ascending order and replaced only when strictly
+    cheaper: skipping beats using, and the smaller volume wins a tie."""
+    cols = grid.demand_points
+    prev = [F(0)] + [None] * (cols - 1)
+    phi, choice = [prev], [[SKIP] * cols]
+    for (lo, hi), row_costs in zip(grid.spans, costs):
+        row, ch = [], []
+        for p in range(cols):
+            best, arg = prev[p], SKIP
+            for i in range(lo, hi + 1):
+                rest = prev[p - i] if i <= p else prev[0]
+                if rest is not None and (best is None or row_costs[i - lo] + rest < best):
+                    best, arg = row_costs[i - lo] + rest, i
+            row.append(best)
+            ch.append(arg)
+        phi.append(row)
+        choice.append(ch)
+        prev = row
+    return phi, choice
+
+
+BUILDERS = {
+    SINGLE: _single_candidate_costs,
+    "multi-aggregated": _aggregated_candidate_costs,
+    "multi-duplication": _duplication_candidate_costs,
+}
+
+# --- strategies ---------------------------------------------------------------
+
+# non-integer intensities and holding rates above 1 both enter the denominator
+lams = st.builds(F, st.integers(1, 5), st.integers(1, 4))
+
+
+@st.composite
+def suppliers(draw, bound_max=8):
+    m = draw(st.integers(1, 4))
+    return Supplier(
+        alpha=draw(st.sampled_from([0, 0, 1, 2, 5, 13])),
+        beta=draw(st.integers(0, 9)),
+        m=m,
+        M=draw(st.integers(m, bound_max)),
+    )
+
+
+@st.composite
+def instances(draw, n_max=3, bound_max=8, b_max=4, c_max=3):
+    sups = tuple(draw(st.lists(suppliers(bound_max), min_size=1, max_size=n_max)))
+    cap = sum(s.M for s in sups)
+    return Instance(
+        suppliers=sups,
+        P=draw(st.integers(0, cap)),
+        lam=draw(st.builds(F, st.integers(1, 5), st.integers(1, b_max))),
+        c_hold=draw(st.integers(1, c_max)),
+    )
+
+
+# --- batch count ----------------------------------------------------------------
+
+
+def brute_batch_count(A, Q, r_max):
+    return min(range(1, r_max + 1), key=lambda r: (r * A + F(Q, r), r))
+
+
+@given(A=st.integers(0, 50), Q=st.integers(1, 5000), r_max=st.integers(1, 40))
+def test_batch_count_matches_enumeration(A, Q, r_max):
+    assert best_batch_count(A, Q, r_max) == brute_batch_count(A, Q, r_max)
+
+
+@given(A=st.integers(1, 50), r=st.integers(1, 30), r_max=st.integers(1, 40))
+def test_batch_count_breaks_exact_ties_toward_fewer_batches(A, r, r_max):
+    # r*A + Q/r == (r+1)*A + Q/(r+1) exactly when Q = r*(r+1)*A
+    Q = r * (r + 1) * A
+    got = best_batch_count(A, Q, r_max)
+    assert got == brute_batch_count(A, Q, r_max) == min(r, r_max)
+
+
+@given(
+    s=suppliers(bound_max=30),
+    num=st.integers(0, 10_000),
+    den=st.integers(1, 12),
+    lam=lams,
+    c_hold=st.integers(1, 4),
+)
+def test_multi_delivery_cost_matches_the_batch_loop(s, num, den, lam, c_hold):
+    # any rational total in the window [m, M], including totals below 2m (r_max = 1)
+    x = s.m + F(num % ((s.M - s.m) * den + 1), den)
+    assert multi_delivery_cost(s, x, lam, c_hold) == ref_multi_delivery_cost(s, x, lam, c_hold)
+
+
+def test_multi_delivery_cost_ties_and_single_batch_windows():
+    for s, x in [
+        (Supplier(1, 0, 1, 5), 2),  # r=1 and r=2 both cost 3
+        (Supplier(3, 1, 1, 9), 6),  # r=2 and r=3 both cost 15 + 6
+        (Supplier(0, 3, 4, 8), F(15, 2)),  # r_max = 1, alpha = 0
+        (Supplier(2, 0, 3, 5), 5),  # r_max = 1
+    ]:
+        assert multi_delivery_cost(s, x, 1, 1) == ref_multi_delivery_cost(s, x, 1, 1)
+    assert multi_delivery_cost(Supplier(3, 1, 1, 9), 6, 1, 1) == (2, 21)
+
+
+# --- candidate costs ------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(bound_max=10), H=st.integers(1, 3), kind=st.sampled_from(sorted(BUILDERS)))
+def test_integer_numerators_equal_the_fraction_costs(inst, H, kind):
+    grid = build_grid(inst, H)
+    costs = BUILDERS[kind](inst, grid)
+    assert all(isinstance(c, int) for row in costs for c in row)
+    assert [[F(c, costs.den) for c in row] for row in costs] == ref_costs(inst, grid, kind)
+
+
+# --- whole tables ---------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    inst=instances(n_max=3, bound_max=5, b_max=3, c_max=2),
+    H=st.integers(1, 2),
+    kind=st.sampled_from(sorted(BUILDERS)),
+)
+def test_tables_match_the_reference_fill(inst, H, kind):
+    if kind != SINGLE:
+        inst = Instance(inst.suppliers, inst.P, inst.lam, inst.c_hold, MULTI)
+    grid = build_grid(inst, H)
+    table = _fill(inst, grid, BUILDERS[kind](inst, grid), kind, None)
+    phi, choice = ref_fill(grid, ref_costs(inst, grid, kind))
+    assert [[None if v is None else F(v, table.den) for v in row] for row in table.phi] == phi
+    assert table.choice == choice
+    assert table.final == phi[-1][-1]
