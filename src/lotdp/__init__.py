@@ -14,8 +14,6 @@ from .closed_form import (
     multi_delivery_cost,
 )
 from .dp import (
-    AGGREGATED,
-    DUPLICATION,
     DPTable,
     Grid,
     HTrace,
@@ -60,7 +58,7 @@ from .model import (
     solution_to_json,
     validate_instance,
 )
-from .oracle import BoundaryAssignment, grid_oracle, structural_oracle
+from .oracle import duplication_oracle, grid_oracle, structural_oracle
 from .schedule import (
     Timeline,
     TimelineEvent,

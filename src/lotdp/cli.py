@@ -20,7 +20,7 @@ import random
 import sys
 from dataclasses import replace
 
-from .dp import AGGREGATED, DUPLICATION, SolveReport, solve, solve_multi
+from .dp import SolveReport, solve, solve_multi
 from .errors import InfeasibleInstanceError, LotSizingError, SchemaError
 from .generate import bench_instance, random_instance
 from .model import (
@@ -30,11 +30,11 @@ from .model import (
     instance_from_json,
     instance_to_json,
     rational_to_json,
+    require_valid,
     solution_cost,
     solution_to_json,
-    validate_instance,
 )
-from .oracle import grid_oracle, structural_oracle
+from .oracle import duplication_oracle, grid_oracle, structural_oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -72,18 +72,6 @@ def _load_instance(path: str) -> Instance:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     return instance_from_json(raw)
-
-
-def _check_instance(inst: Instance) -> int | None:
-    """Map validation problems to an exit code, or None when the instance is fine."""
-    report = validate_instance(inst)
-    if report.ok:
-        return None
-    if report.infeasible_demand and len(report.violations) == 1:
-        return _fail(report.violations[0].message, EXIT_INFEASIBLE)
-    for v in report.violations:
-        print(f"error: {v.message}", file=sys.stderr)
-    return EXIT_INPUT
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -127,9 +115,6 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args.path)
     if args.mode:
         inst = replace(inst, mode=args.mode)
-    code = _check_instance(inst)
-    if code is not None:
-        return code
     if inst.mode == MULTI:
         report = solve_multi(inst, max_cells=max_cells)
     else:
@@ -153,9 +138,7 @@ def _verify_one(inst: Instance, max_cells: int | None) -> tuple[list[tuple[str, 
     results: list[tuple[str, object]] = []
     if inst.mode == MULTI:
         results.append(("aggregated", solve_multi(inst, max_cells=max_cells).solution))
-        results.append(
-            ("duplication", solve_multi(inst, strategy=DUPLICATION, max_cells=max_cells).solution)
-        )
+        results.append(("duplication", duplication_oracle(inst, max_cells=max_cells)))
     else:
         results.append(("dp", solve(inst, max_cells=max_cells).solution))
         results.append(("structural", structural_oracle(inst)))
@@ -192,9 +175,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if disagreements == 0 else EXIT_MISMATCH
 
     inst = _load_instance(args.path)
-    code = _check_instance(inst)
-    if code is not None:
-        return code
+    require_valid(inst)  # before the size refusal, so bad data names its own fault
     if inst.n > MAX_VERIFY_SUPPLIERS:
         return _fail(
             f"verify enumerates 4**n assignments and refuses n > {MAX_VERIFY_SUPPLIERS}",

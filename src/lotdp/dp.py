@@ -15,10 +15,9 @@ yields the exact optimum.
 
 Pricing and the fill never build a Fraction.  With lam = a/b, every candidate
 cost on the grid of denominator den is an integer over B = 2*a*den**2 (single
-batches and grid-aligned splits), or over B*L in the aggregated multi-delivery
-pricing, L the lcm of the batch counts chosen.  phi stays a table of integer
-numerators over that one denominator, so ``DPTable.final`` is the only
-Fraction a table produces.
+batches), or over B*L in the aggregated multi-delivery pricing, L the lcm of
+the batch counts chosen.  phi stays a table of integer numerators over that
+one denominator, so ``DPTable.final`` is the only Fraction a table produces.
 
 A cell cap, when given, bounds the total cells of the whole sweep and is
 checked before any table is filled.
@@ -46,31 +45,19 @@ from .model import (
     SINGLE,
     Instance,
     Solution,
-    Supplier,
     make_solution,
     require_valid,
 )
 
 SKIP = -1
 
-AGGREGATED = "aggregated"
-DUPLICATION = "duplication"
-
 
 @dataclass(frozen=True)
 class Grid:
     H: int
-    step: Fraction
     denominator: int  # volumes are index / denominator
     demand_points: int  # residual-demand indices run 0 .. P*denominator
     spans: tuple[tuple[int, int], ...]  # per supplier: (m*denominator, M*denominator)
-
-    def volume(self, index: int) -> Fraction:
-        return Fraction(index, self.denominator)
-
-    def candidates(self, supplier_pos: int) -> range:
-        lo, hi = self.spans[supplier_pos]
-        return range(lo, hi + 1)
 
 
 def build_grid(inst: Instance, H: int) -> Grid:
@@ -79,7 +66,6 @@ def build_grid(inst: Instance, H: int) -> Grid:
     den = H * inst.c_hold * inst.lam.denominator
     return Grid(
         H=H,
-        step=Fraction(1, den),
         denominator=den,
         demand_points=inst.P * den + 1,
         spans=tuple((s.m * den, s.M * den) for s in inst.suppliers),
@@ -98,7 +84,7 @@ class DPTable:
 
     H: int
     grid: Grid
-    kind: str  # "single" | "multi-aggregated" | "multi-duplication"
+    kind: str  # "single" | "multi-aggregated", or a cross-check's own label
     phi: list  # (n+1) x demand_points, int numerators over den, or None
     den: int
     choice: list
@@ -165,37 +151,6 @@ def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
     return CostRows(
         [[head * L + Q * (L // r) for r, head, Q in row] for row in priced], B * L
     )
-
-
-def _best_balanced_split(
-    supplier: Supplier, idx: int, den: int, lam: Fraction, c_hold: int
-) -> tuple[int, int]:
-    """Cheapest split of the grid total idx/den into equal-as-possible batches
-    that themselves sit on the grid.  Returns (batch_count, cost numerator
-    over _base_denominator); ties go to the smaller count."""
-    fixed = supplier.alpha * _base_denominator(lam, den)
-    cb = c_hold * lam.denominator
-    best_j, best = 1, fixed + cb * idx * idx
-    for j in range(2, idx // (supplier.m * den) + 1):
-        q, rem = divmod(idx, j)
-        sumsq = (j - rem) * q * q + rem * (q + 1) * (q + 1)
-        cost = j * fixed + cb * sumsq
-        if cost < best:
-            best_j, best = j, cost
-    return best_j, best + supplier.beta * 2 * lam.numerator * den * idx
-
-
-def _duplication_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
-    """Like the aggregated costs, but every individual batch is forced onto the
-    grid; this is the supplier-duplication reduction with copies sharing the
-    cap, collapsed to a per-total cost."""
-    rows = []
-    for (lo, hi), s in zip(grid.spans, inst.suppliers):
-        rows.append([
-            _best_balanced_split(s, idx, grid.denominator, inst.lam, inst.c_hold)[1]
-            for idx in range(lo, hi + 1)
-        ])
-    return CostRows(rows, _base_denominator(inst.lam, grid.denominator))
 
 
 def _fill(
@@ -280,8 +235,9 @@ def solve_fixed_H(inst: Instance, H: int, *, max_cells: int | None = None) -> DP
     return _fill(inst, grid, _single_candidate_costs(inst, grid), SINGLE, max_cells)
 
 
-def backtrack(table: DPTable, inst: Instance) -> Solution:
-    """Recover the winning volumes of a filled table.
+def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
+    """Walk the choice table from phi(n, P) down: (supplier, volume index) for
+    every supplier the winning plan uses, in supplier order.
 
     Raises InfeasibleInstanceError when the table carries no feasible plan.
     """
@@ -289,28 +245,29 @@ def backtrack(table: DPTable, inst: Instance) -> Solution:
         raise InfeasibleInstanceError(
             f"no feasible plan exists on the H={table.H} grid"
         )
-    den = table.grid.denominator
-    chosen: dict[int, int] = {}
+    chosen = []
     p = table.grid.demand_points - 1
     for k in range(inst.n, 0, -1):
         c = table.choice[k][p]
         if c == SKIP:
             continue
-        chosen[k] = c
+        chosen.append((k, c))
         p = p - c if c < p else 0
+    return chosen[::-1]
+
+
+def backtrack(table: DPTable, inst: Instance) -> Solution:
+    """Recover the winning volumes of a filled table.
+
+    Raises InfeasibleInstanceError when the table carries no feasible plan.
+    """
+    den = table.grid.denominator
     deliveries: list[tuple[int, Fraction]] = []
-    for k in sorted(chosen):
-        idx = chosen[k]
-        s = inst.suppliers[k - 1]
+    for k, idx in _chosen_indices(table, inst):
         vol = Fraction(idx, den)
         if table.kind == "multi-aggregated":
-            r, _ = multi_delivery_cost(s, vol, inst.lam, inst.c_hold)
+            r, _ = multi_delivery_cost(inst.suppliers[k - 1], vol, inst.lam, inst.c_hold)
             deliveries.extend((k, vol / r) for _ in range(r))
-        elif table.kind == "multi-duplication":
-            j, _ = _best_balanced_split(s, idx, den, inst.lam, inst.c_hold)
-            q, rem = divmod(idx, j)
-            deliveries.extend((k, Fraction(q + 1, den)) for _ in range(rem))
-            deliveries.extend((k, Fraction(q, den)) for _ in range(j - rem))
         else:
             deliveries.append((k, vol))
     return make_solution(inst, deliveries)
@@ -327,12 +284,18 @@ class HTrace:
 @dataclass(frozen=True)
 class SolveReport:
     best_H: int
-    per_H_objectives: tuple[tuple[int, Fraction | None], ...]
     solution: Solution
     elapsed_seconds: float
-    table_cells_filled: int
     trace: tuple[HTrace, ...]
     kind: str
+
+    @property
+    def per_H_objectives(self) -> tuple[tuple[int, Fraction | None], ...]:
+        return tuple((t.H, t.objective) for t in self.trace)
+
+    @property
+    def table_cells_filled(self) -> int:
+        return sum(t.cells for t in self.trace)
 
 
 def _sweep_cells(inst: Instance, h_values: range) -> int:
@@ -342,21 +305,27 @@ def _sweep_cells(inst: Instance, h_values: range) -> int:
     return (inst.n + 1) * sum(inst.P * H * step + 1 for H in h_values)
 
 
-def _sweep(inst: Instance, h_values: range, build_table, max_cells: int | None) -> SolveReport:
+def _require_sweep_budget(inst: Instance, h_values: range, max_cells: int | None) -> None:
+    """Refuse a sweep whose tables would hold more than max_cells cells in all."""
+    if max_cells is None:
+        return
+    total = _sweep_cells(inst, h_values)
+    if total > max_cells:
+        raise ResourceLimitError(
+            f"the sweep over H={h_values[0]}..{h_values[-1]} needs {total} "
+            f"table cells, above the cap {max_cells}"
+        )
+
+
+def _sweep(inst: Instance, h_values: range, max_cells: int | None) -> SolveReport:
     t_start = time.perf_counter()
-    if max_cells is not None:
-        total = _sweep_cells(inst, h_values)
-        if total > max_cells:
-            raise ResourceLimitError(
-                f"the sweep over H={h_values[0]}..{h_values[-1]} needs {total} "
-                f"table cells, above the cap {max_cells}"
-            )
+    _require_sweep_budget(inst, h_values, max_cells)
     traces = []
     best_table = None
     best_val = None
     for H in h_values:
         t0 = time.perf_counter()
-        table = build_table(H)
+        table = solve_fixed_H(inst, H)
         micros = int((time.perf_counter() - t0) * 1_000_000)
         val = table.final
         traces.append(HTrace(H, val, table.cells, micros))
@@ -370,10 +339,8 @@ def _sweep(inst: Instance, h_values: range, build_table, max_cells: int | None) 
     assert solution.objective == best_val  # recomputed from scratch in make_solution
     return SolveReport(
         best_H=best_table.H,
-        per_H_objectives=tuple((t.H, t.objective) for t in traces),
         solution=solution,
         elapsed_seconds=time.perf_counter() - t_start,
-        table_cells_filled=sum(t.cells for t in traces),
         trace=tuple(traces),
         kind=best_table.kind,
     )
@@ -388,7 +355,7 @@ def solve(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
     require_valid(inst)
     if inst.mode != SINGLE:
         raise ValueError("solve expects a single-delivery instance; use solve_multi")
-    return _sweep(inst, range(1, inst.n + 1), lambda H: solve_fixed_H(inst, H), max_cells)
+    return _sweep(inst, range(1, inst.n + 1), max_cells)
 
 
 def multi_h_limit(inst: Instance) -> int:
@@ -398,30 +365,15 @@ def multi_h_limit(inst: Instance) -> int:
     return max(1, sum(inst.P // s.m for s in inst.suppliers))
 
 
-def solve_multi(
-    inst: Instance, *, strategy: str = AGGREGATED, max_cells: int | None = None
-) -> SolveReport:
+def solve_multi(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
     """Exact optimum when suppliers may deliver repeatedly.
 
-    ``aggregated`` (the default) prices each grid total with the closed-form
-    batch split; ``duplication`` forces every batch onto the grid, mirroring
-    the reduction that clones each supplier floor(P/m) times.  Both are exact;
-    the second is kept as a structurally different cross-check.
-
-    ``max_cells`` caps the total table cells of the whole sweep, H = 1 ..
-    multi_h_limit; a sweep over the cap raises ResourceLimitError before any
-    table is filled.
+    Each grid total is priced with the closed-form equal-batch split, and the
+    sweep runs over H = 1 .. multi_h_limit.  ``max_cells`` caps the total table
+    cells of the whole sweep; a sweep over the cap raises ResourceLimitError
+    before any table is filled.
     """
     require_valid(inst)
     if inst.mode != MULTI:
         raise ValueError("solve_multi expects a multi-delivery instance; use solve")
-    if strategy == AGGREGATED:
-        build = lambda H: solve_fixed_H(inst, H)
-    elif strategy == DUPLICATION:
-        def build(H):
-            grid = build_grid(inst, H)
-            costs = _duplication_candidate_costs(inst, grid)
-            return _fill(inst, grid, costs, "multi-duplication", None)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return _sweep(inst, range(1, multi_h_limit(inst) + 1), build, max_cells)
+    return _sweep(inst, range(1, multi_h_limit(inst) + 1), max_cells)

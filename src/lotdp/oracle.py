@@ -1,21 +1,26 @@
-"""Independent brute-force solvers used to cross-check the dynamic program.
+"""Independent solvers used to cross-check the dynamic program.
 
-Both are exponential and meant for small instances only; neither shares any
-table machinery with :mod:`lotdp.dp`.
+The two single-delivery oracles are exponential brute force, meant for small
+instances only, and share no table machinery with :mod:`lotdp.dp`.  The
+multi-delivery duplication oracle shares the grid, the cell guard, the Bellman
+fill and the choice-table walk of :mod:`lotdp.dp`, but not its pricing: every
+batch is forced onto the grid instead of priced by the closed-form split.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import dp
 from .closed_form import lemma1_solution
-from .errors import ResourceLimitError
+from .errors import InfeasibleInstanceError, ResourceLimitError
 from .model import (
+    MULTI,
     SINGLE,
     Instance,
     Solution,
+    Supplier,
     delivery_cost,
     holding_cost,
     make_solution,
@@ -24,14 +29,6 @@ from .model import (
 
 ZERO, AT_MIN, AT_MAX, INTERIOR = "zero", "at_m", "at_M", "interior"
 LABELS = (ZERO, AT_MIN, AT_MAX, INTERIOR)
-
-
-@dataclass(frozen=True)
-class BoundaryAssignment:
-    """One guess of where each supplier's volume sits: switched off, pinned at
-    a window edge, or strictly inside the window."""
-
-    labels: tuple[str, ...]
 
 
 def _require_single(inst: Instance, caller: str) -> None:
@@ -170,3 +167,68 @@ def grid_oracle(
 
     search(0, Fraction(0), Fraction(0))
     return make_solution(inst, [(i + 1, v) for i, v in enumerate(best_volumes)])
+
+
+def _best_balanced_split(
+    supplier: Supplier, idx: int, den: int, lam: Fraction, c_hold: int
+) -> tuple[int, int]:
+    """Cheapest split of the grid total idx/den into equal-as-possible batches
+    that themselves sit on the grid.  Returns (batch_count, cost numerator
+    over dp._base_denominator); ties go to the smaller count."""
+    fixed = supplier.alpha * dp._base_denominator(lam, den)
+    cb = c_hold * lam.denominator
+    best_j, best = 1, fixed + cb * idx * idx
+    for j in range(2, idx // (supplier.m * den) + 1):
+        q, rem = divmod(idx, j)
+        sumsq = (j - rem) * q * q + rem * (q + 1) * (q + 1)
+        cost = j * fixed + cb * sumsq
+        if cost < best:
+            best_j, best = j, cost
+    return best_j, best + supplier.beta * 2 * lam.numerator * den * idx
+
+
+def _duplication_candidate_costs(inst: Instance, grid: dp.Grid) -> dp.CostRows:
+    """Cheapest purchase of each grid total when every individual batch must
+    sit on the grid: the supplier-duplication reduction, with copies sharing
+    the cap, collapsed to a per-total cost."""
+    rows = []
+    for (lo, hi), s in zip(grid.spans, inst.suppliers):
+        rows.append([
+            _best_balanced_split(s, idx, grid.denominator, inst.lam, inst.c_hold)[1]
+            for idx in range(lo, hi + 1)
+        ])
+    return dp.CostRows(rows, dp._base_denominator(inst.lam, grid.denominator))
+
+
+def duplication_oracle(inst: Instance, *, max_cells: int | None = None) -> Solution:
+    """Exact multi-delivery optimum by the supplier-duplication reduction.
+
+    Each supplier is cloned floor(P/m) times and every clone ships one batch
+    on the grid; collapsed per supplier, a grid total costs its cheapest
+    equal-as-possible split into grid batches.  The H sweep, the tie rule
+    (the finest among equally cheap grids wins) and ``max_cells`` (a cap on
+    the total cells of the sweep, checked before any table is filled) are
+    those of :func:`lotdp.dp.solve_multi`.
+    """
+    require_valid(inst)
+    if inst.mode != MULTI:
+        raise ValueError("duplication_oracle handles multi-delivery instances only")
+    h_values = range(1, dp.multi_h_limit(inst) + 1)
+    dp._require_sweep_budget(inst, h_values, max_cells)
+    best = None
+    for H in h_values:
+        grid = dp.build_grid(inst, H)
+        costs = _duplication_candidate_costs(inst, grid)
+        table = dp._fill(inst, grid, costs, "multi-duplication", None)
+        if table.final is not None and (best is None or table.final <= best.final):
+            best = table
+    if best is None:
+        raise InfeasibleInstanceError("no grid admits a feasible plan")
+    den = best.grid.denominator
+    deliveries = []
+    for k, idx in dp._chosen_indices(best, inst):
+        j, _ = _best_balanced_split(inst.suppliers[k - 1], idx, den, inst.lam, inst.c_hold)
+        q, rem = divmod(idx, j)
+        deliveries.extend((k, Fraction(q + 1, den)) for _ in range(rem))
+        deliveries.extend((k, Fraction(q, den)) for _ in range(j - rem))
+    return make_solution(inst, deliveries)

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from lotdp import (
-    AGGREGATED,
-    DUPLICATION,
     MULTI,
     Instance,
     Supplier,
     bench_instance,
     build_schedule,
+    duplication_oracle,
     grid_oracle,
     holding_cost,
     holding_integral,
@@ -135,7 +134,7 @@ def test_criterion_6_schedule_integral_matches_batch_formula(sweep):
 
 
 def _estimated_multi_work(inst: Instance) -> int:
-    """Rough inner-loop count of one strategy's H sweep, used to resample
+    """Rough inner-loop count of one multi-delivery H sweep, used to resample
     instances whose grids would be needlessly slow to cross-check twice."""
     total = 0
     for H in range(1, multi_h_limit(inst) + 1):
@@ -146,7 +145,7 @@ def _estimated_multi_work(inst: Instance) -> int:
 
 
 def test_criterion_7_multi_delivery_strategies_agree():
-    with criterion(7, "aggregated and duplication strategies agree, 50 instances"):
+    with criterion(7, "multi-delivery DP and duplication oracle agree, 50 instances"):
         rng = random.Random(7_000)
         done = attempts = 0
         while done < 50:
@@ -155,8 +154,8 @@ def test_criterion_7_multi_delivery_strategies_agree():
             inst = random_instance(rng, n_max=3, p_max=12, c_max=2, mode=MULTI)
             if _estimated_multi_work(inst) > 1_500_000:
                 continue
-            a = solve_multi(inst, strategy=AGGREGATED).solution.objective
-            b = solve_multi(inst, strategy=DUPLICATION).solution.objective
+            a = solve_multi(inst).solution.objective
+            b = duplication_oracle(inst).objective
             assert a == b
             done += 1
 

@@ -6,8 +6,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from lotdp import Instance, Supplier, instance_to_json, structural_oracle
-from lotdp import cli
+from lotdp import (
+    MULTI,
+    Instance,
+    Supplier,
+    duplication_oracle,
+    instance_to_json,
+    structural_oracle,
+)
+from lotdp import cli, model
 
 
 def write_instance(path, inst):
@@ -18,6 +25,13 @@ def write_instance(path, inst):
 @pytest.fixture
 def golden_file(golden, tmp_path):
     return write_instance(tmp_path / "golden.json", golden)
+
+
+@pytest.fixture
+def multi_file(tmp_path):
+    # the cheapest plan ships the total of 6 as four batches of 3/2
+    inst = Instance(suppliers=(Supplier(1, 0, 1, 10),), P=6, mode=MULTI)
+    return write_instance(tmp_path / "multi.json", inst)
 
 
 class TestSolve:
@@ -85,6 +99,23 @@ class TestSolve:
         assert cli.main(["solve", path]) == 1
         assert "supplier" in capsys.readouterr().err
 
+    def test_every_violation_on_one_error_line(self, tmp_path, capsys):
+        inst = Instance(suppliers=(Supplier(-1, 1, 3, 2),), P=1)
+        path = write_instance(tmp_path / "bad.json", inst)
+        assert cli.main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "fixed cost" in err and "; " in err and "exceeds maximum" in err
+
+    def test_validates_the_instance_once(self, golden_file, capsys, monkeypatch):
+        calls = []
+        validate = model.validate_instance
+        monkeypatch.setattr(
+            model, "validate_instance", lambda inst: calls.append(inst) or validate(inst)
+        )
+        assert cli.main(["solve", golden_file]) == 0
+        assert len(calls) == 1
+
     def test_cell_budget_env_var(self, golden_file, capsys, monkeypatch):
         monkeypatch.setenv("LOTDP_MAX_CELLS", "10")
         assert cli.main(["solve", golden_file]) == 1
@@ -124,6 +155,22 @@ class TestVerify:
         monkeypatch.setattr(cli, "structural_oracle", skewed)
         assert cli.main(["verify", golden_file]) == 3
         assert "disagreement" in capsys.readouterr().err
+
+    def test_multi_mode_agreement(self, multi_file, capsys):
+        assert cli.main(["verify", multi_file]) == 0
+        out = capsys.readouterr().out
+        for line in ("aggregated: 17/2", "duplication: 17/2", "agreement: yes"):
+            assert line in out
+
+    def test_multi_mode_disagreement_exits_3(self, multi_file, capsys, monkeypatch):
+        def skewed(inst, **kwargs):
+            sol = duplication_oracle(inst, **kwargs)
+            return replace(sol, objective=sol.objective + 1)
+
+        monkeypatch.setattr(cli, "duplication_oracle", skewed)
+        assert cli.main(["verify", multi_file]) == 3
+        err = capsys.readouterr().err
+        assert "disagreement" in err and "duplication: objective 19/2" in err
 
 
 class TestGen:

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lotdp import (
-    AGGREGATED,
-    DUPLICATION,
     MULTI,
     InfeasibleInstanceError,
     Instance,
     ResourceLimitError,
     Supplier,
     build_grid,
+    duplication_oracle,
     multi_h_limit,
     random_instance,
     solve,
@@ -28,9 +27,10 @@ from lotdp import dp
 def test_grid_points():
     inst = Instance(suppliers=(Supplier(0, 1, 2, 3),), P=5, c_hold=2)
     grid = build_grid(inst, 2)
-    assert grid.step == F(1, 4)
+    assert grid.denominator == 4
     assert grid.demand_points == 5 * 4 + 1
-    volumes = [grid.volume(i) for i in grid.candidates(0)]
+    (lo, hi), = grid.spans
+    volumes = [F(i, grid.denominator) for i in range(lo, hi + 1)]
     assert volumes == [2, F(9, 4), F(5, 2), F(11, 4), 3]
 
 
@@ -136,9 +136,9 @@ def test_cell_budget_refuses_before_filling_any_table(monkeypatch):
     assert multi_h_limit(inst) == 120
     fills = []
     monkeypatch.setattr(dp, "_fill", lambda *args: fills.append(args))
-    for strategy in (AGGREGATED, DUPLICATION):
+    for run in (solve_multi, duplication_oracle):
         with pytest.raises(ResourceLimitError, match="cells"):
-            solve_multi(inst, strategy=strategy, max_cells=10_803)
+            run(inst, max_cells=10_803)
     assert fills == []
 
 
@@ -188,17 +188,16 @@ class TestMultiDelivery:
         # batches of 2 costs 6, while any single batch covering the demand
         # costs at least 25/2
         inst = Instance(suppliers=(Supplier(0, 0, 2, 6),), P=5, mode=MULTI)
-        for strategy in (AGGREGATED, DUPLICATION):
-            report = solve_multi(inst, strategy=strategy)
-            assert report.solution.objective == 6
-            assert sum(d.volume for d in report.solution.deliveries) == 6
+        for sol in (solve_multi(inst).solution, duplication_oracle(inst)):
+            assert sol.objective == 6
+            assert sum(d.volume for d in sol.deliveries) == 6
 
     def test_strategies_agree_on_random_instances(self):
         rng = random.Random(7)
         for _ in range(20):
             inst = random_instance(rng, n_max=2, p_max=8, bound_max=6, mode=MULTI)
-            a = solve_multi(inst, strategy=AGGREGATED).solution.objective
-            b = solve_multi(inst, strategy=DUPLICATION).solution.objective
+            a = solve_multi(inst).solution.objective
+            b = duplication_oracle(inst).objective
             assert a == b
 
     def test_reduces_to_single_mode_when_batches_cannot_split(self):

@@ -13,13 +13,8 @@ from hypothesis import strategies as st
 
 from lotdp import MULTI, SINGLE, Instance, Supplier, build_grid, multi_delivery_cost
 from lotdp.closed_form import best_batch_count
-from lotdp.dp import (
-    SKIP,
-    _aggregated_candidate_costs,
-    _duplication_candidate_costs,
-    _fill,
-    _single_candidate_costs,
-)
+from lotdp.dp import SKIP, _aggregated_candidate_costs, _fill, _single_candidate_costs
+from lotdp.oracle import _duplication_candidate_costs
 
 # --- references ---------------------------------------------------------------
 
