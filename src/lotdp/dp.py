@@ -19,6 +19,20 @@ batches), or over B*L in the aggregated multi-delivery pricing, L the lcm of
 the batch counts chosen.  phi stays a table of integer numerators over that
 one denominator, so ``DPTable.final`` is the only Fraction a table produces.
 
+The interior branch of the fill, phi[k-1][p - v] + cost(v) minimized over the
+window volumes v <= p, is a min-plus convolution with the supplier's cost row.
+A single batch costs alpha + beta*v + c*v**2/(2*lam), convex in v; an
+aggregated row is a minimum over batch counts of such convex pieces.  The fill
+therefore cuts each cost row into maximal convex runs (second differences
+>= 0).  On one run the matrix phi[k-1][q] + cost(p - q) is Monge, so the
+cheapest q of residual p never decreases with p, and divide and conquer over
+those monotone argmins (Galil & Park 1992) finds every residual's best
+candidate in O((cols + width) * log cols) per run instead of O(cols * width)
+per supplier.  The tie-breaks of a plain ascending scan survive: each run
+keeps its rightmost argmin (the smallest volume), runs are taken in ascending
+volume order, and a cell starts at the skip value and changes only when
+strictly beaten, so skipping beats using and the smaller volume wins a tie.
+
 A cell cap, when given, bounds the total cells of the whole sweep and is
 checked before any table is filled.
 
@@ -37,6 +51,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .closed_form import best_batch_count, multi_delivery_cost
 from .errors import InfeasibleInstanceError, ResourceLimitError
@@ -153,6 +168,70 @@ def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
     )
 
 
+def _convex_runs(row: list) -> list[tuple[int, int]]:
+    """Cut a cost row into maximal convex runs, in order: (first, last) index
+    pairs that partition the row, each with no negative second difference.
+
+    A single-batch row is one run (its second difference is 2*c*b > 0).  An
+    aggregated or split-priced row is a minimum of convex pieces and breaks
+    where the best piece changes."""
+    runs = []
+    start = 0
+    for j in range(1, len(row) - 1):
+        if j > start and row[j - 1] - 2 * row[j] + row[j + 1] < 0:
+            runs.append((start, j))
+            start = j + 1
+    runs.append((start, len(row) - 1))
+    return runs
+
+
+def _run_minima(rprev, reach, w, va, row, ch):
+    """Lower ``row``/``ch`` with one convex run of volumes: w[v - va] is the
+    cost of volume index v for v = va..vb, vb = va + len(w) - 1.
+
+    Residual p may take q = p - v in max(0, p - vb) .. min(p - va, reach), with
+    reach the last covered index of the previous row and ``rprev`` that row
+    reversed.  w convex makes prev[q] + w[p - q] Monge on this band, so the
+    rightmost argmin q never decreases with p.  Divide and conquer uses that:
+    level by level the stride between solved residuals halves, and each new
+    residual scans only the q between the argmins of its two solved
+    neighbours: O((cols + width) * log cols) work for the run instead of
+    O(cols * width).  A tie goes to the largest q, the smallest volume, and
+    ``row[p]`` changes only when strictly beaten, so whatever is already there
+    (skipping, or a run of smaller volumes) keeps a tie."""
+    end = len(rprev) - 1  # the last residual
+    span = len(w) - 1  # vb - va
+    # residual t = 1..count is p = va + t - 1; none when va is above the demand
+    count = min(end - va, reach + span) + 1
+    size = 1
+    while size <= count:
+        size <<= 1
+    opt = [reach] * (size + 1)  # rightmost argmin q per residual; sentinels at 0 and past count
+    opt[0] = 0
+    h = size >> 1
+    while h:
+        for t in range(h, count + 1, 2 * h):
+            i = t - 1  # p - va; volume p - q costs w[i - q]
+            ql = opt[t - h]
+            if i - span > ql:
+                ql = i - span
+            qr = opt[t + h]
+            if i < qr:
+                qr = i
+            if ql == qr:
+                val = rprev[end - qr] + w[i - qr]
+            else:
+                # candidates in descending q, so index() finds the largest q of a tie
+                vals = list(map(add, rprev[end - qr:end - ql + 1], w[i - qr:i - ql + 1]))
+                val = min(vals)
+                qr -= vals.index(val)
+            opt[t] = qr
+            p = va + i
+            if row[p] is None or val < row[p]:
+                row[p], ch[p] = val, p - qr
+        h >>= 1
+
+
 def _fill(
     inst: Instance,
     grid: Grid,
@@ -184,30 +263,24 @@ def _fill(
             if ck[j] <= best_c:
                 best_c, best_i = ck[j], lo + j
             sufmin[j], sufarg[j] = best_c, best_i
-        row = [None] * cols
+        # interior branch: the cheapest volume v <= p on top of prev[p - v],
+        # convex run by convex run in ascending volume order
+        reach = cols - 1
+        while prev[reach] is None:  # covered residuals are a prefix (asserted below)
+            reach -= 1
+        rprev = prev[::-1]
+        row = prev[:]  # skip supplier k unless strictly beaten below
         ch = [SKIP] * cols
+        for a, b in _convex_runs(ck):
+            _run_minima(rprev, reach, ck[a:b + 1], lo + a, row, ch)
+        # over-delivery: a batch above p closes the plan at p
+        for p in range(min(hi, cols)):
+            j = p + 1 - lo if p >= lo else 0
+            val = sufmin[j] + prev[0]
+            if row[p] is None or val < row[p]:
+                row[p], ch[p] = val, sufarg[j]
         for p in range(cols):
-            best = prev[p]
-            bidx = SKIP
-            hi_p = hi if hi <= p else p
-            if lo <= hi_p:
-                base = p - lo
-                for j in range(hi_p - lo + 1):
-                    s = prev[base - j]
-                    if s is None:
-                        continue
-                    val = ck[j] + s
-                    if best is None or val < best:
-                        best, bidx = val, lo + j
-            start = p + 1 if p + 1 > lo else lo
-            if start <= hi:
-                j = start - lo
-                val = sufmin[j] + prev[0]
-                if best is None or val < best:
-                    best, bidx = val, sufarg[j]
-            row[p] = best
-            ch[p] = bidx
-            assert best is None or prev[p] is None or best <= prev[p]
+            assert row[p] is None or prev[p] is None or row[p] <= prev[p]
             if p:
                 if row[p - 1] is None:
                     assert row[p] is None
@@ -283,6 +356,14 @@ class HTrace:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of one H sweep.
+
+    ``elapsed_seconds`` is the wall time from the cell-budget check through
+    pricing and filling every table, backtracking the winner and
+    ``make_solution`` (which recomputes the objective and checks the plan's
+    feasibility).  Validating the instance happens before and is not included.
+    """
+
     best_H: int
     solution: Solution
     elapsed_seconds: float

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from lotdp import MULTI, SINGLE, Instance, Supplier, build_grid, multi_delivery_cost
 from lotdp.closed_form import best_batch_count
-from lotdp.dp import SKIP, _aggregated_candidate_costs, _fill, _single_candidate_costs
+from lotdp.dp import (
+    SKIP,
+    CostRows,
+    _aggregated_candidate_costs,
+    _convex_runs,
+    _fill,
+    _single_candidate_costs,
+)
 from lotdp.oracle import _duplication_candidate_costs
 
 # --- references ---------------------------------------------------------------
@@ -199,3 +206,130 @@ def test_tables_match_the_reference_fill(inst, H, kind):
     assert [[None if v is None else F(v, table.den) for v in row] for row in table.phi] == phi
     assert table.choice == choice
     assert table.final == phi[-1][-1]
+
+
+# --- the divide-and-conquer fill -------------------------------------------------
+
+
+def reference_table(inst, grid, costs, ref_rows, kind):
+    """Fill with _fill and with ref_fill; require identical phi and choice."""
+    table = _fill(inst, grid, costs, kind, None)
+    phi, choice = ref_fill(grid, ref_rows)
+    assert [[None if v is None else F(v, table.den) for v in row] for row in table.phi] == phi
+    assert table.choice == choice
+    return table
+
+
+def checked_table(inst, H, kind):
+    grid = build_grid(inst, H)
+    return reference_table(inst, grid, BUILDERS[kind](inst, grid), ref_costs(inst, grid, kind), kind)
+
+
+@st.composite
+def wide_window_instances(draw, n_max=4, P_max=8):
+    # every window spans nearly the whole demand, so each residual has about
+    # as many interior candidates as there are residuals below it
+    P = draw(st.integers(1, P_max))
+    sups = []
+    for _ in range(draw(st.integers(1, n_max))):
+        m = draw(st.integers(1, 3))
+        sups.append(
+            Supplier(
+                alpha=draw(st.sampled_from([0, 0, 1, 3, 7])),
+                beta=draw(st.integers(0, 6)),
+                m=m,
+                M=max(m, m + P - draw(st.integers(0, 2))),
+            )
+        )
+    return Instance(
+        suppliers=tuple(sups),
+        P=P,
+        lam=draw(st.builds(F, st.integers(1, 4), st.integers(1, 2))),
+        c_hold=draw(st.integers(1, 2)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    inst=wide_window_instances(),
+    H=st.integers(1, 3),
+    kind=st.sampled_from(sorted(BUILDERS)),
+)
+def test_wide_window_tables_match_the_reference_fill(inst, H, kind):
+    if kind != SINGLE:
+        inst = Instance(inst.suppliers, inst.P, inst.lam, inst.c_hold, MULTI)
+    checked_table(inst, H, kind)
+
+
+def test_equal_totals_go_to_the_smaller_volume():
+    # two identical suppliers on [1, 3], demand 3: the second one covers 1 or 2
+    # on top of the first one's 2 or 1 at the same total; the volume 1 wins
+    s = Supplier(0, 1, 1, 3)
+    table = checked_table(Instance(suppliers=(s, s), P=3), 1, SINGLE)
+    assert table.choice[2][3] == 1
+
+
+def test_equal_totals_across_convex_runs_go_to_the_smaller_volume():
+    # hand-built rows over volumes 1..4: the second row splits into the runs
+    # {1, 2} and {3, 4}, and at p = 4 volume 1 (4 + 2) ties volume 3 (4 + 2)
+    inst = Instance(suppliers=(Supplier(0, 0, 1, 4),) * 2, P=4)
+    rows = [[4, 4, 4, 10], [2, 5, 2, 9]]
+    assert _convex_runs(rows[1]) == [(0, 1), (2, 3)]
+    table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
+    assert table.phi[2][4] == 6
+    assert table.choice[2][4] == 1
+
+
+def test_skipping_wins_a_tie_with_using():
+    # at p = 1 the second supplier alone costs what the first one already does
+    s = Supplier(0, 1, 1, 3)
+    table = checked_table(Instance(suppliers=(s, s), P=3), 1, SINGLE)
+    assert table.phi[2][1] == table.phi[1][1]
+    assert table.choice[2][1] == SKIP
+
+
+def test_previous_row_with_an_uncovered_suffix():
+    # the first supplier covers at most 2 of the demand 5
+    inst = Instance(suppliers=(Supplier(1, 1, 1, 2), Supplier(0, 1, 1, 6)), P=5)
+    for H in (1, 2):
+        table = checked_table(inst, H, SINGLE)
+        cols = table.grid.demand_points
+        covered = 2 * table.grid.denominator + 1
+        assert table.phi[1][covered - 1] is not None
+        assert table.phi[1][covered:] == [None] * (cols - covered)
+        assert None not in table.phi[2]
+
+
+def test_aggregated_row_whose_batch_count_changes_inside_the_window():
+    inst = Instance(suppliers=(Supplier(1, 0, 1, 8), Supplier(2, 1, 2, 7)), P=9, mode=MULTI)
+    grid = build_grid(inst, 1)
+    counts = [multi_delivery_cost(inst.suppliers[0], x, inst.lam, inst.c_hold)[0] for x in range(1, 9)]
+    assert counts[0] < counts[-1]
+    assert len(_convex_runs(_aggregated_candidate_costs(inst, grid)[0])) > 1
+    for H in (1, 2, 3):
+        checked_table(inst, H, "multi-aggregated")
+
+
+# --- convex runs ------------------------------------------------------------------
+
+
+def is_convex(seg):
+    return all(seg[j - 1] - 2 * seg[j] + seg[j + 1] >= 0 for j in range(1, len(seg) - 1))
+
+
+@given(row=st.lists(st.integers(-20, 20), min_size=1, max_size=30))
+def test_convex_runs_partition_the_row_into_maximal_convex_pieces(row):
+    runs = _convex_runs(row)
+    assert runs[0][0] == 0 and runs[-1][1] == len(row) - 1
+    assert all(a <= b for a, b in runs)
+    assert all(b + 1 == a for (_, b), (a, _) in zip(runs, runs[1:]))
+    assert all(is_convex(row[a:b + 1]) for a, b in runs)
+    # a run ends only where taking the next volume would break convexity
+    assert all(not is_convex(row[a:b + 2]) for a, b in runs[:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=instances(bound_max=12), H=st.integers(1, 3))
+def test_single_batch_rows_are_one_convex_run(inst, H):
+    for row in _single_candidate_costs(inst, build_grid(inst, H)):
+        assert _convex_runs(row) == [(0, len(row) - 1)]
