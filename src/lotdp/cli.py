@@ -4,11 +4,11 @@ Subcommands: ``solve`` an instance file, ``verify`` a file (or a seeded random
 batch) against the brute-force oracles, ``gen`` a random instance, ``bench``
 the table sizes and wall time across a parameter sweep.
 
-Exit codes: 0 success, 1 bad input or a size-guard refusal, 2 infeasible
-instance, 3 solver/oracle disagreement.  The environment variable
-``LOTDP_MAX_CELLS`` caps the total table cells of one solve (every grid of its
-H sweep together); a solve over the cap is refused with exit code 1 before any
-table is filled.
+Exit codes: 0 success, 1 bad input (a usage error included) or a size-guard
+refusal, 2 infeasible instance, 3 solver/oracle disagreement.  The environment
+variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve (every
+grid of its H sweep together); a solve over the cap is refused with exit code 1
+before any table is filled.
 """
 
 from __future__ import annotations
@@ -56,6 +56,30 @@ def _max_cells() -> int | None:
     except ValueError:
         raise SchemaError(f"LOTDP_MAX_CELLS must be a positive integer, got {raw!r}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_INPUT: argparse's
+    own code 2 would read as an infeasible instance."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _fail(message: str, code: int) -> int:
@@ -158,10 +182,10 @@ def _print_mismatch(results) -> None:
 
 def cmd_verify(args) -> int:
     max_cells = _max_cells()
-    if args.path is None and not args.seed_batch:
+    if args.path is None and args.seed_batch is None:
         return _fail("verify needs an instance file or --seed-batch N", EXIT_INPUT)
 
-    if args.seed_batch:
+    if args.seed_batch is not None:
         rng = random.Random(args.seed)
         disagreements = 0
         for i in range(args.seed_batch):
@@ -240,7 +264,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lotdp",
         description="Exact procurement lot-sizing: fixed-plus-linear delivery "
         "costs, quadratic holding, two-sided volume limits.",
@@ -257,17 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check solvers and oracles")
     p_verify.add_argument("path", nargs="?", help="instance JSON file")
-    p_verify.add_argument("--seed-batch", type=int, metavar="N", help="verify N random instances")
+    p_verify.add_argument("--seed-batch", type=_at_least(1), metavar="N", help="verify N random instances")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for --seed-batch")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a seeded random instance")
-    p_gen.add_argument("--n", type=int, help="supplier count (default: random 1..4)")
-    p_gen.add_argument("--pmax", type=int, default=20, help="largest demand to draw")
-    p_gen.add_argument("--cmax", type=int, default=3, help="largest holding rate to draw")
-    p_gen.add_argument("--bound-max", type=int, default=12, help="largest volume bound to draw")
-    p_gen.add_argument("--alpha-max", type=int, default=10)
-    p_gen.add_argument("--beta-max", type=int, default=10)
+    p_gen.add_argument("--n", type=_at_least(1), help="supplier count (default: random 1..4)")
+    p_gen.add_argument("--pmax", type=_at_least(0), default=20, help="largest demand to draw")
+    p_gen.add_argument("--cmax", type=_at_least(1), default=3, help="largest holding rate to draw")
+    p_gen.add_argument("--bound-max", type=_at_least(1), default=12, help="largest volume bound to draw")
+    p_gen.add_argument("--alpha-max", type=_at_least(0), default=10)
+    p_gen.add_argument("--beta-max", type=_at_least(0), default=10)
     p_gen.add_argument("--mode", choices=[SINGLE, MULTI], default=SINGLE)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--infeasible", action="store_true", help="draw demand above capacity")

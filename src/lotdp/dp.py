@@ -36,13 +36,11 @@ strictly beaten, so skipping beats using and the smaller volume wins a tie.
 A cell cap, when given, bounds the total cells of the whole sweep and is
 checked before any table is filled.
 
-Demand may also be covered by over-delivery: a batch at least as large as the
-open residual closes the plan on its own.  Single-delivery costs increase with
-volume, so only the smallest such batch matters there, but in multi-delivery
-mode the aggregated per-supplier cost is not monotone (a new batch count
-unlocks each time the total crosses a multiple of m) and every larger grid
-total is a candidate; the fill handles both through per-supplier suffix
-minima of the candidate costs.
+Demand may also be covered by over-delivery: a batch larger than the open
+residual p closes the plan on its own.  In multi-delivery mode the aggregated
+cost is not monotone in the total (a new batch count unlocks at each multiple
+of m), so every larger grid total is a candidate.  One descending pass per row
+keeps a running minimum of the batches above p and also checks the row.
 """
 
 from __future__ import annotations
@@ -249,43 +247,42 @@ def _fill(
 
     prev = [None] * cols
     prev[0] = 0
+    reach = 0  # the last covered index of prev; covered residuals are a prefix
     phi_rows = [prev]
     choice_rows = [[SKIP] * cols]
     for k in range(1, n + 1):
         lo, hi = grid.spans[k - 1]
         ck = costs[k - 1]
-        # suffix minima over candidate costs, for the over-delivery branch
-        width = hi - lo + 1
-        sufmin = [0] * width
-        sufarg = [0] * width
-        best_c, best_i = ck[width - 1], hi
-        for j in range(width - 1, -1, -1):
-            if ck[j] <= best_c:
-                best_c, best_i = ck[j], lo + j
-            sufmin[j], sufarg[j] = best_c, best_i
         # interior branch: the cheapest volume v <= p on top of prev[p - v],
         # convex run by convex run in ascending volume order
-        reach = cols - 1
-        while prev[reach] is None:  # covered residuals are a prefix (asserted below)
-            reach -= 1
         rprev = prev[::-1]
         row = prev[:]  # skip supplier k unless strictly beaten below
         ch = [SKIP] * cols
         for a, b in _convex_runs(ck):
             _run_minima(rprev, reach, ck[a:b + 1], lo + a, row, ch)
-        # over-delivery: a batch above p closes the plan at p
-        for p in range(min(hi, cols)):
-            j = p + 1 - lo if p >= lo else 0
-            val = sufmin[j] + prev[0]
-            if row[p] is None or val < row[p]:
-                row[p], ch[p] = val, sufarg[j]
-        for p in range(cols):
-            assert row[p] is None or prev[p] is None or row[p] <= prev[p]
-            if p:
-                if row[p - 1] is None:
-                    assert row[p] is None
-                else:
-                    assert row[p] is None or row[p] >= row[p - 1]
+        # over-delivery: the cheapest batch above p closes the plan at p.  The
+        # running minimum starts with the batches above the last residual and
+        # takes in volume p once p is done; <= hands a tie to the smaller volume
+        above = ck[max(0, cols - lo):]
+        best = min(above, default=None)
+        arg = None if best is None else hi - len(above) + 1 + above.index(best)
+        rest = prev[0]  # suppliers 1..k-1 with nothing left to cover
+        nxt = None  # row[p + 1]
+        for p in range(cols - 1, -1, -1):
+            val = row[p]
+            if best is not None and (val is None or best + rest < val):
+                row[p] = val = best + rest
+                ch[p] = arg
+            assert val is None or prev[p] is None or val <= prev[p]
+            if val is None:
+                assert nxt is None
+            elif nxt is None:
+                reach = p  # the first covered cell from the top
+            else:
+                assert nxt >= val
+            nxt = val
+            if lo <= p <= hi and (best is None or ck[p - lo] <= best):
+                best, arg = ck[p - lo], p
         phi_rows.append(row)
         choice_rows.append(ch)
         prev = row

@@ -125,7 +125,8 @@ def holding_cost(volume, lam, c_hold) -> Fraction:
     return v * v * c_hold / (2 * as_rational(lam))
 
 
-def _delivery_violations(inst: Instance, deliveries) -> list[str]:
+def _delivery_violations(inst: Instance, deliveries) -> tuple[list[str], list[Fraction]]:
+    """Every feasibility problem of a plan, and each supplier's total volume."""
     problems = []
     totals = [Fraction(0)] * inst.n
     for d in deliveries:
@@ -149,7 +150,7 @@ def _delivery_violations(inst: Instance, deliveries) -> list[str]:
     delivered = sum(totals, Fraction(0))
     if delivered < inst.P:
         problems.append(f"total delivered volume {delivered} is below the demand {inst.P}")
-    return problems
+    return problems, totals
 
 
 def _cost_of(inst: Instance, deliveries) -> Fraction:
@@ -166,7 +167,7 @@ def solution_cost(inst: Instance, sol: Solution) -> Fraction:
     Raises FeasibilityError listing every violated constraint (demand coverage,
     per-supplier caps, per-batch volume windows).
     """
-    problems = _delivery_violations(inst, sol.deliveries)
+    problems, _ = _delivery_violations(inst, sol.deliveries)
     if problems:
         raise FeasibilityError(problems)
     return _cost_of(inst, sol.deliveries)
@@ -187,12 +188,9 @@ def make_solution(inst: Instance, deliveries) -> Solution:
                 continue
             d = Delivery(idx, vol)
         batch.append(d)
-    problems = _delivery_violations(inst, batch)
+    problems, totals = _delivery_violations(inst, batch)
     if problems:
         raise FeasibilityError(problems)
-    totals = [Fraction(0)] * inst.n
-    for d in batch:
-        totals[d.supplier_index - 1] += d.volume
     return Solution(tuple(batch), _cost_of(inst, batch), tuple(totals))
 
 

@@ -213,6 +213,46 @@ class TestBench:
         assert "--values" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    def usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("error:") == 1
+        return out.err
+
+    @pytest.mark.parametrize(
+        "argv", [["bench"], ["solve"], ["gen", "--n", "x"], ["frobnicate"], []]
+    )
+    def test_missing_or_malformed_arguments_exit_1(self, argv, capsys):
+        self.usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--bound-max", "0"],
+            ["gen", "--cmax", "0"],
+            ["gen", "--pmax", "-1"],
+            ["gen", "--alpha-max", "-1"],
+            ["gen", "--beta-max", "-1"],
+            ["gen", "--n", "0"],
+            ["gen", "--n", "-2"],
+            ["verify", "--seed-batch", "0"],
+            ["verify", "--seed-batch", "-3"],
+        ],
+    )
+    def test_out_of_range_arguments_exit_1(self, argv, capsys):
+        assert f"{argv[1]}: must be at least" in self.usage_error(argv, capsys)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: lotdp" in capsys.readouterr().out
+
+
 def test_module_entry_point(golden, tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(instance_to_json(golden)))

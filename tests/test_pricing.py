@@ -310,6 +310,42 @@ def test_aggregated_row_whose_batch_count_changes_inside_the_window():
         checked_table(inst, H, "multi-aggregated")
 
 
+# --- over-delivery ----------------------------------------------------------------
+
+
+def test_tied_batches_above_the_residual_go_to_the_smaller_volume():
+    # window 1..6 over residuals 0..4 with a non-monotone row: at p = 1 the
+    # batches 2 and 4 both cost 2, below the interior candidate 1 (cost 9)
+    inst = Instance(suppliers=(Supplier(0, 0, 1, 6),), P=4)
+    rows = [[9, 2, 9, 2, 9, 9]]
+    table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
+    assert (table.phi[1][1], table.choice[1][1]) == (2, 2)
+    # at p = 2 over-delivering with volume 4 only ties using volume 2 exactly
+    assert (table.phi[1][2], table.choice[1][2]) == (2, 2)
+    assert (table.phi[1][3], table.choice[1][3]) == (2, 4)
+
+
+def test_cheapest_batch_beyond_the_last_residual():
+    # window 1..6 over residuals 0..2: volume 5, above the whole demand, is
+    # the cheapest batch and closes every residual but 0
+    inst = Instance(suppliers=(Supplier(0, 0, 1, 6),), P=2)
+    rows = [[5, 6, 7, 8, 1, 9]]
+    table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
+    assert table.phi[1] == [0, 1, 1]
+    assert table.choice[1] == [SKIP, 5, 5]
+
+
+def test_window_entirely_above_the_demand():
+    # the second supplier's smallest batch, 4, exceeds the demand 3, so each
+    # of its batches over-delivers everywhere; 5 and 6 tie and 5 wins
+    inst = Instance(suppliers=(Supplier(0, 0, 1, 2), Supplier(0, 0, 4, 6)), P=3)
+    rows = [[4, 6], [5, 3, 3]]
+    table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
+    assert table.phi[1] == [0, 4, 6, None]
+    assert table.phi[2] == [0, 3, 3, 3]
+    assert table.choice[2] == [SKIP, 5, 5, 5]
+
+
 # --- convex runs ------------------------------------------------------------------
 
 
