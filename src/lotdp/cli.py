@@ -6,9 +6,10 @@ the table sizes and wall time across a parameter sweep.
 
 Exit codes: 0 success, 1 bad input (a usage error included) or a size-guard
 refusal, 2 infeasible instance, 3 solver/oracle disagreement.  The environment
-variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve (every
-grid of its H sweep together); a solve over the cap is refused with exit code 1
-before any table is filled.
+variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve: the
+grids H = 1..L of its sweep together, plus the top grid of the H range when
+that lies above L (the one further table a sweep may fill is no larger).  A
+solve over the cap is refused with exit code 1 before any table is filled.
 """
 
 from __future__ import annotations
@@ -113,6 +114,9 @@ def report_to_json(report: SolveReport) -> dict:
         "elapsed_seconds": report.elapsed_seconds,
         "table_cells_filled": report.table_cells_filled,
         "kind": report.kind,
+        "L": report.L,
+        "skipped_H": list(report.skipped_H),
+        "skip_reason": "H > L",
         "per_H": [
             {
                 "H": t.H,

@@ -10,12 +10,25 @@ with step h = 1 / (H * c_hold * den(lam)), fills a Bellman table
 
     phi[k][p] = cheapest way to cover residual demand p using suppliers 1..k
 
-and backtracks the winning volumes.  Sweeping H and keeping the cheapest table
-yields the exact optimum.
+and backtracks the winning volumes.
+
+An interior volume exceeds its m, and a plan with an interior group covers
+exactly P, so the interior count H of an optimum is at most L: the largest k
+whose k smallest m_i sum to less than P in single mode, (P - 1) // min(m) in
+multi mode, where the count is of interior batches, and at least 1 (see
+``interior_limit``).  The sweep fills the tables H = 1..L; the cheapest is
+the exact optimum v*.  ``best_H`` still names the largest H up to H_top (n,
+or ``multi_h_limit``) whose grid reaches v*.  Grid g lies inside grid H when
+g divides H, and every optimum lies on the grid of its own interior count,
+so table H reaches v* exactly when H is a multiple of some g <= L whose table
+reaches v*.
+When H_top > L the sweep fills one more table, best_H's if it lies above L
+(to backtrack it) and H_top's otherwise, and checks that it reaches v*
+exactly when the divisor rule says so.
 
 Pricing and the fill never build a Fraction.  With lam = a/b, every candidate
 cost on the grid of denominator den is an integer over B = 2*a*den**2 (single
-batches), or over B*L in the aggregated multi-delivery pricing, L the lcm of
+batches), or over B*K in the aggregated multi-delivery pricing, K the lcm of
 the batch counts chosen.  phi stays a table of integer numerators over that
 one denominator, so ``DPTable.final`` is the only Fraction a table produces.
 
@@ -33,8 +46,9 @@ keeps its rightmost argmin (the smallest volume), runs are taken in ascending
 volume order, and a cell starts at the skip value and changes only when
 strictly beaten, so skipping beats using and the smaller volume wins a tie.
 
-A cell cap, when given, bounds the total cells of the whole sweep and is
-checked before any table is filled.
+A cell cap, when given, bounds the total cells of the whole sweep (the tables
+1..L, plus one of H_top's size when H_top > L) and is checked before any table
+is filled.
 
 Demand may also be covered by over-delivery: a batch larger than the open
 residual p closes the plan on its own.  In multi-delivery mode the aggregated
@@ -145,7 +159,7 @@ def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
 
     With r batches the total i/den costs (r*A + beta*i*2*a*den + Q/r) / B with
     A = alpha*B and Q = c*b*i**2 (see _base_denominator); the best r comes from
-    best_batch_count.  Rows are scaled to B*L, L the lcm of the chosen r."""
+    best_batch_count.  Rows are scaled to B*K, K the lcm of the chosen r."""
     B = _base_denominator(inst.lam, grid.denominator)
     per_unit = 2 * inst.lam.numerator * grid.denominator
     cb = inst.c_hold * inst.lam.denominator
@@ -160,9 +174,9 @@ def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
             row.append((r, r * A + unit * i, Q))
             counts.add(r)
         priced.append(row)
-    L = math.lcm(*counts)
+    K = math.lcm(*counts)
     return CostRows(
-        [[head * L + Q * (L // r) for r, head, Q in row] for row in priced], B * L
+        [[head * K + Q * (K // r) for r, head, Q in row] for row in priced], B * K
     )
 
 
@@ -355,6 +369,11 @@ class HTrace:
 class SolveReport:
     """Outcome of one H sweep.
 
+    ``trace`` holds one entry per table filled, in fill order: the grids
+    H = 1..L, then, when ``H_top > L``, one more (``best_H`` if it lies above
+    ``L``, else ``H_top``).  ``skipped_H`` lists the other grids up to
+    ``H_top``: each lies above ``L``, so no optimum needs it.
+
     ``elapsed_seconds`` is the wall time from the cell-budget check through
     pricing and filling every table, backtracking the winner and
     ``make_solution`` (which recomputes the objective and checks the plan's
@@ -366,6 +385,8 @@ class SolveReport:
     elapsed_seconds: float
     trace: tuple[HTrace, ...]
     kind: str
+    L: int  # no optimum has more interior batches than this
+    H_top: int  # best_H is the largest H <= H_top whose grid holds an optimum
 
     @property
     def per_H_objectives(self) -> tuple[tuple[int, Fraction | None], ...]:
@@ -375,83 +396,153 @@ class SolveReport:
     def table_cells_filled(self) -> int:
         return sum(t.cells for t in self.trace)
 
-
-def _sweep_cells(inst: Instance, h_values: range) -> int:
-    """Cells of every table the sweep fills, from the grid definition alone:
-    (n+1) rows of P*H*c_hold*den(lam) + 1 columns per hypothesis H."""
-    step = inst.c_hold * inst.lam.denominator
-    return (inst.n + 1) * sum(inst.P * H * step + 1 for H in h_values)
+    @property
+    def skipped_H(self) -> tuple[int, ...]:
+        filled = {t.H for t in self.trace}
+        return tuple(H for H in range(1, self.H_top + 1) if H not in filled)
 
 
-def _require_sweep_budget(inst: Instance, h_values: range, max_cells: int | None) -> None:
-    """Refuse a sweep whose tables would hold more than max_cells cells in all."""
+def interior_limit(inst: Instance) -> int:
+    """L, a bound on the interior count of every optimal plan: the suppliers
+    strictly inside their windows (single mode), or the batches of the
+    suppliers whose total lies strictly between r*m and M (multi mode).
+
+    A plan with an interior group covers exactly P, since shrinking an
+    interior volume would save cost, and each interior batch exceeds its m.
+    So in single mode the interior m_i sum to less than P, and L is the
+    largest k whose k smallest m_i do; in multi mode R * min(m) < P.  L is at
+    least 1, the grid of the plans with no interior volume."""
+    if inst.mode == MULTI:
+        return max(1, (inst.P - 1) // min(s.m for s in inst.suppliers))
+    L = total = 0
+    for m in sorted(s.m for s in inst.suppliers):
+        total += m
+        if total >= inst.P:
+            break
+        L += 1
+    return max(1, L)
+
+
+def _table_cells(inst: Instance, H: int) -> int:
+    """Cells of the H table: (n+1) rows of P*H*c_hold*den(lam) + 1 columns."""
+    return (inst.n + 1) * (inst.P * H * inst.c_hold * inst.lam.denominator + 1)
+
+
+def _sweep_cells(inst: Instance, L: int, H_top: int) -> int:
+    """Cells the sweep may fill, from the grid definition alone: the tables
+    H = 1..L and, when H_top > L, one more table no larger than H_top's."""
+    total = sum(_table_cells(inst, H) for H in range(1, L + 1))
+    return total + (_table_cells(inst, H_top) if H_top > L else 0)
+
+
+def _require_sweep_budget(inst: Instance, L: int, H_top: int, max_cells: int | None) -> None:
+    """Refuse a sweep whose tables could hold more than max_cells cells in all."""
     if max_cells is None:
         return
-    total = _sweep_cells(inst, h_values)
+    total = _sweep_cells(inst, L, H_top)
     if total > max_cells:
+        extra = f" and one table up to H={H_top}" if H_top > L else ""
         raise ResourceLimitError(
-            f"the sweep over H={h_values[0]}..{h_values[-1]} needs {total} "
+            f"the sweep over H=1..{L}{extra} needs {total} "
             f"table cells, above the cap {max_cells}"
         )
 
 
-def _sweep(inst: Instance, h_values: range, max_cells: int | None) -> SolveReport:
+def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
+    """Fill the grids H = 1..L and name best_H among H = 1..H_top.
+
+    Every optimum lies on the grid of its own interior count g <= L (its
+    other volumes are integers), and grid g lies inside grid H when g | H.
+    So the cheapest of the tables 1..L is the optimum v*, and table H reaches
+    v* exactly when some g <= L whose table reaches v* divides H.  best_H is
+    the largest such H up to H_top.
+
+    When H_top > L one more table is filled: best_H's when it lies above L,
+    to backtrack, and otherwise H_top's, which must then miss v*.  Either way
+    it checks the bound and the divisor rule at run time, and the number of
+    tables filled depends on L and H_top alone."""
     t_start = time.perf_counter()
-    _require_sweep_budget(inst, h_values, max_cells)
+    L = interior_limit(inst)
+    _require_sweep_budget(inst, L, H_top, max_cells)
     traces = []
-    best_table = None
-    best_val = None
-    for H in h_values:
+
+    def fill(H: int) -> DPTable:
         t0 = time.perf_counter()
         table = solve_fixed_H(inst, H)
         micros = int((time.perf_counter() - t0) * 1_000_000)
+        traces.append(HTrace(H, table.final, table.cells, micros))
+        return table
+
+    best_table = None
+    best_val = None
+    for H in range(1, L + 1):
+        table = fill(H)
         val = table.final
-        traces.append(HTrace(H, val, table.cells, micros))
-        # <= so that among cost-ties the finest grid names best_H; every tied
-        # table backtracks to an equally cheap plan
+        # <= keeps the finest of the cost-ties, which is best_H's table when
+        # best_H <= L; every tied table backtracks to an equally cheap plan
         if val is not None and (best_val is None or val <= best_val):
             best_val, best_table = val, table
     if best_table is None:
         raise InfeasibleInstanceError("no grid admits a feasible plan")
+    reaching = [t.H for t in traces if t.objective == best_val]
+    best_H = next(H for H in range(H_top, 0, -1) if any(H % g == 0 for g in reaching))
+    if H_top > L:
+        extra = fill(best_H if best_H > L else H_top)
+        # no grid beats the tables 1..L, and this one ties them exactly when
+        # it is best_H's
+        assert extra.final >= best_val
+        assert (extra.final == best_val) == (extra.H == best_H)
+        if extra.H == best_H:
+            best_table = extra
+    assert best_table.H == best_H
     solution = backtrack(best_table, inst)
     assert solution.objective == best_val  # recomputed from scratch in make_solution
     return SolveReport(
-        best_H=best_table.H,
+        best_H=best_H,
         solution=solution,
         elapsed_seconds=time.perf_counter() - t_start,
         trace=tuple(traces),
         kind=best_table.kind,
+        L=L,
+        H_top=H_top,
     )
 
 
 def solve(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
     """Exact optimum of a single-delivery instance via the H sweep.
 
-    ``max_cells`` caps the total table cells of the whole sweep; a sweep over
-    the cap raises ResourceLimitError before any table is filled.
+    best_H ranges over H = 1..n; the sweep fills the tables H = 1..L
+    (:func:`interior_limit`) and, when n > L, one more.  ``max_cells`` caps
+    the cells of those tables, counting the extra one at its largest, H = n;
+    a sweep over the cap raises ResourceLimitError before any table is
+    filled.
     """
     require_valid(inst)
     if inst.mode != SINGLE:
         raise ValueError("solve expects a single-delivery instance; use solve_multi")
-    return _sweep(inst, range(1, inst.n + 1), max_cells)
+    return _sweep(inst, inst.n, max_cells)
 
 
 def multi_h_limit(inst: Instance) -> int:
-    """Upper bound on the interior batch count of an optimal multi-delivery
-    plan: floor(P/m) batches per supplier.  Plans that over-deliver consist of
-    minimum-size batches only, which every grid carries, so H=1 covers them."""
+    """H_top of a multi-delivery sweep: floor(P/m) batches per supplier, the
+    top of the range that names best_H.  The tables filled stop at
+    interior_limit, which is never larger.  Plans that over-deliver consist
+    of minimum-size batches only, which every grid carries, so H=1 covers
+    them."""
     return max(1, sum(inst.P // s.m for s in inst.suppliers))
 
 
 def solve_multi(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
     """Exact optimum when suppliers may deliver repeatedly.
 
-    Each grid total is priced with the closed-form equal-batch split, and the
-    sweep runs over H = 1 .. multi_h_limit.  ``max_cells`` caps the total table
-    cells of the whole sweep; a sweep over the cap raises ResourceLimitError
-    before any table is filled.
+    Each grid total is priced with the closed-form equal-batch split.  best_H
+    ranges over H = 1..multi_h_limit; the sweep fills the tables H = 1..L
+    (:func:`interior_limit`) and, when multi_h_limit > L, one more.
+    ``max_cells`` caps the cells of those tables, counting the extra one at
+    its largest, H = multi_h_limit; a sweep over the cap raises
+    ResourceLimitError before any table is filled.
     """
     require_valid(inst)
     if inst.mode != MULTI:
         raise ValueError("solve_multi expects a multi-delivery instance; use solve")
-    return _sweep(inst, range(1, multi_h_limit(inst) + 1), max_cells)
+    return _sweep(inst, multi_h_limit(inst), max_cells)

@@ -3,8 +3,9 @@
 The two single-delivery oracles are exponential brute force, meant for small
 instances only, and share no table machinery with :mod:`lotdp.dp`.  The
 multi-delivery duplication oracle shares the grid, the cell guard, the Bellman
-fill and the choice-table walk of :mod:`lotdp.dp`, but not its pricing: every
-batch is forced onto the grid instead of priced by the closed-form split.
+fill and the choice-table walk of :mod:`lotdp.dp`, but not its pricing (every
+batch is forced onto the grid instead of priced by the closed-form split) nor
+its sweep bound (it fills every grid up to ``multi_h_limit``).
 """
 
 from __future__ import annotations
@@ -205,18 +206,20 @@ def duplication_oracle(inst: Instance, *, max_cells: int | None = None) -> Solut
 
     Each supplier is cloned floor(P/m) times and every clone ships one batch
     on the grid; collapsed per supplier, a grid total costs its cheapest
-    equal-as-possible split into grid batches.  The H sweep, the tie rule
-    (the finest among equally cheap grids wins) and ``max_cells`` (a cap on
-    the total cells of the sweep, checked before any table is filled) are
-    those of :func:`lotdp.dp.solve_multi`.
+    equal-as-possible split into grid batches.  The tie rule (the finest
+    among equally cheap grids wins) is that of :func:`lotdp.dp.solve_multi`,
+    but the sweep is not: this oracle fills every grid H = 1..multi_h_limit
+    and relies on no interior-count bound, so it also checks the bound that
+    lets ``solve_multi`` skip the grids above it.  ``max_cells`` caps the
+    total cells of that full sweep and is checked before any table is filled.
     """
     require_valid(inst)
     if inst.mode != MULTI:
         raise ValueError("duplication_oracle handles multi-delivery instances only")
-    h_values = range(1, dp.multi_h_limit(inst) + 1)
-    dp._require_sweep_budget(inst, h_values, max_cells)
+    H_top = dp.multi_h_limit(inst)
+    dp._require_sweep_budget(inst, H_top, H_top, max_cells)
     best = None
-    for H in h_values:
+    for H in range(1, H_top + 1):
         grid = dp.build_grid(inst, H)
         costs = _duplication_candidate_costs(inst, grid)
         table = dp._fill(inst, grid, costs, "multi-duplication", None)

@@ -12,6 +12,7 @@ from lotdp import (
     Instance,
     ResourceLimitError,
     Supplier,
+    backtrack,
     build_grid,
     duplication_oracle,
     multi_h_limit,
@@ -223,3 +224,119 @@ class TestMultiDelivery:
         assert multi_h_limit(replace(golden, mode=MULTI)) == 4  # 5//2 per supplier
         inst = Instance(suppliers=(Supplier(1, 1, 10, 20),), P=5, mode=MULTI)
         assert multi_h_limit(inst) == 1  # demand below every minimum
+
+
+# --- the bounded sweep against the full one ----------------------------------
+
+
+def ref_sweep(inst):
+    """The full sweep, kept only as a reference: every grid H = 1..H_top is
+    filled, and the finest of the cheapest tables is backtracked."""
+    H_top = multi_h_limit(inst) if inst.mode == MULTI else inst.n
+    best = None
+    for H in range(1, H_top + 1):
+        table = solve_fixed_H(inst, H)
+        if table.final is not None and (best is None or table.final <= best.final):
+            best = table
+    if best is None:
+        raise InfeasibleInstanceError("no grid admits a feasible plan")
+    return best.H, backtrack(best, inst)
+
+
+def assert_matches_full_sweep(inst):
+    report = solve_multi(inst) if inst.mode == MULTI else solve(inst)
+    best_H, solution = ref_sweep(inst)
+    assert report.best_H == best_H
+    assert report.solution == solution
+    assert report.solution.objective == solution.objective
+    # the tables 1..L in order, then one more when the H range reaches above L
+    filled = [t.H for t in report.trace]
+    assert filled[:report.L] == list(range(1, report.L + 1))
+    assert len(filled) == report.L + (report.H_top > report.L)
+    assert sorted(filled + list(report.skipped_H)) == list(range(1, report.H_top + 1))
+    assert all(H > report.L for H in report.skipped_H)
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_bounded_sweep_matches_the_full_sweep_in_single_mode(seed):
+    rng = random.Random(seed)
+    assert_matches_full_sweep(random_instance(rng, n_max=6, p_max=24, c_max=2, bound_max=10))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_bounded_sweep_matches_the_full_sweep_in_multi_mode(seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng, n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI)
+    assert_matches_full_sweep(inst)
+
+
+@pytest.mark.parametrize("mode", ["single", MULTI])
+class TestBoundedSweepCases:
+    def test_zero_demand(self, mode):
+        inst = Instance(suppliers=(Supplier(5, 5, 1, 4), Supplier(1, 1, 2, 3)), P=0, mode=mode)
+        report = assert_matches_full_sweep(inst)
+        assert report.L == 1
+        assert report.solution.objective == 0
+
+    def test_demand_below_every_minimum_over_delivers(self, mode):
+        suppliers = (Supplier(1, 1, 10, 20), Supplier(2, 0, 7, 9), Supplier(0, 3, 8, 12))
+        report = assert_matches_full_sweep(Instance(suppliers=suppliers, P=5, mode=mode))
+        assert report.L == 1
+        assert sum(report.solution.per_supplier_totals) > 5
+
+    def test_tied_symmetric_suppliers(self, mode):
+        # two of four identical suppliers take 5/2 each: the optimum sits on
+        # grid 2 <= L, and best_H is the largest grid that 2 divides
+        inst = Instance(suppliers=(Supplier(0, 1, 2, 3),) * 4, P=5, c_hold=1, mode=mode)
+        report = assert_matches_full_sweep(inst)
+        assert report.L == 2
+        assert report.best_H == report.H_top > report.L
+        assert report.solution.per_supplier_totals == (F(5, 2), F(5, 2), 0, 0)
+
+    def test_infeasible_instance_has_the_same_error_text(self, mode):
+        inst = Instance(suppliers=(Supplier(1, 1, 2, 3), Supplier(0, 2, 1, 4)), P=9, mode=mode)
+        with pytest.raises(InfeasibleInstanceError) as full:
+            ref_sweep(inst)
+        H_top = multi_h_limit(inst) if mode == MULTI else inst.n
+        with pytest.raises(InfeasibleInstanceError) as bounded:
+            dp._sweep(inst, H_top, None)
+        assert str(bounded.value) == str(full.value)
+        with pytest.raises(InfeasibleInstanceError):
+            solve_multi(inst) if mode == MULTI else solve(inst)
+
+
+def test_bounded_sweep_with_no_purchase_costs_in_multi_mode():
+    # alpha = 0 makes every total go out in the most batches allowed
+    inst = Instance(suppliers=(Supplier(0, 1, 2, 7), Supplier(0, 2, 3, 9)), P=11, mode=MULTI)
+    report = assert_matches_full_sweep(inst)
+    assert (report.L, report.H_top) == (5, 8)
+
+
+def test_interior_limit():
+    # single mode: the largest k whose k smallest m sum below P, at least 1
+    suppliers = (Supplier(0, 0, 4, 9), Supplier(0, 0, 1, 9), Supplier(0, 0, 2, 9))
+    # (prefix sums of the sorted m: 1, 3, 7)
+    single = [dp.interior_limit(Instance(suppliers=suppliers, P=P)) for P in (0, 1, 3, 4, 7, 8)]
+    assert single == [1, 1, 1, 2, 2, 3]
+    # multi mode: (P - 1) // min m interior batches, at least 1
+    multi = [dp.interior_limit(Instance(suppliers=suppliers, P=P, mode=MULTI)) for P in (0, 1, 2, 9)]
+    assert multi == [1, 1, 1, 8]
+
+
+def test_cell_budget_counts_the_bounded_sweep(monkeypatch):
+    inst = Instance(suppliers=(Supplier(0, 1, 2, 3),) * 4, P=5, c_hold=1)
+    # tables hold 5 * (5H + 1) cells: 30, 55, 80, 105 for H = 1..4, and L = 2,
+    # so the sweep fills H = 1, 2 and one table no larger than H = 4's
+    new_need, full_need = 30 + 55 + 105, 30 + 55 + 80 + 105
+    assert dp._sweep_cells(inst, 2, 4) == new_need
+    report = solve(inst, max_cells=full_need - 1)
+    assert report.table_cells_filled <= new_need
+    assert solve(inst, max_cells=new_need).solution == report.solution
+    fills = []
+    monkeypatch.setattr(dp, "_fill", lambda *args: fills.append(args))
+    with pytest.raises(ResourceLimitError, match=r"H=1\.\.2 and one table up to H=4 needs 190 "):
+        solve(inst, max_cells=new_need - 1)
+    assert fills == []
