@@ -6,10 +6,12 @@ the table sizes and wall time across a parameter sweep.
 
 Exit codes: 0 success, 1 bad input (a usage error included) or a size-guard
 refusal, 2 infeasible instance, 3 solver/oracle disagreement.  The environment
-variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve: the
-grids H = 1..L of its sweep together, plus the top grid of the H range when
-that lies above L (the one further table a sweep may fill is no larger).  A
-solve over the cap is refused with exit code 1 before any table is filled.
+variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve, counted
+before the sweep starts: the grids H = 1..L_count (the interior bound from
+the volume windows alone) together, plus grid L_count + 1 when the H range
+reaches above L_count.  The sweep fills the grids 1..L and at most L + 1, and
+L <= L_count, so it never fills more.  A solve over the cap is refused with
+exit code 1 before any table is filled.
 """
 
 from __future__ import annotations
@@ -115,6 +117,7 @@ def report_to_json(report: SolveReport) -> dict:
         "table_cells_filled": report.table_cells_filled,
         "kind": report.kind,
         "L": report.L,
+        "L_count": report.L_count,
         "skipped_H": list(report.skipped_H),
         "skip_reason": "H > L",
         "per_H": [

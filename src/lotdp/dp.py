@@ -13,18 +13,27 @@ with step h = 1 / (H * c_hold * den(lam)), fills a Bellman table
 and backtracks the winning volumes.
 
 An interior volume exceeds its m, and a plan with an interior group covers
-exactly P, so the interior count H of an optimum is at most L: the largest k
-whose k smallest m_i sum to less than P in single mode, (P - 1) // min(m) in
-multi mode, where the count is of interior batches, and at least 1 (see
-``interior_limit``).  The sweep fills the tables H = 1..L; the cheapest is
-the exact optimum v*.  ``best_H`` still names the largest H up to H_top (n,
-or ``multi_h_limit``) whose grid reaches v*.  Grid g lies inside grid H when
-g divides H, and every optimum lies on the grid of its own interior count,
-so table H reaches v* exactly when H is a multiple of some g <= L whose table
-reaches v*.
-When H_top > L the sweep fills one more table, best_H's if it lies above L
-(to backtrack it) and H_top's otherwise, and checks that it reaches v*
-exactly when the divisor rule says so.
+exactly P, so the interior count H of an optimum is at most L (see
+``interior_limit``).  In single mode a supplier can be interior only when
+M > m, in multi mode it holds at most (M - 1) // m interior batches, and the
+m of all interior batches sum to at most P - 1: L_count is the most batches
+that fit.  Each interior batch also costs more than its supplier's
+f = alpha + beta*m + c*m**2/(2*lam), and table 1 bounds the optimum v* from
+above, so the f of all interior batches sum to less than table 1's cost.
+L is the smaller of the two counts, and at least 1.  The sweep fills table 1,
+then the tables 2..L; the cheapest is the exact optimum v*.  ``best_H``
+still names the largest H up to H_top (n, or ``multi_h_limit``) whose grid
+reaches v*.  Grid g lies inside grid H when g divides H, and every optimum
+lies on the grid of its own interior count, so table H reaches v* exactly
+when H is a multiple of some g <= L whose table reaches v*.
+
+The fill's tie rules make each table's backtrack the lexicographically
+smallest optimal plan on its grid (volumes compared from supplier n down, a
+skip counting as 0).  The optimal plans on grid best_H are those of the
+reaching grids g <= L that divide best_H, so best_H's plan is the smallest of
+theirs, and best_H's table is never needed above L + 1.  When H_top > L the
+sweep fills the table L + 1 as a check: it must not beat v*, and must reach
+it exactly when the divisor rule says so.
 
 Pricing and the fill never build a Fraction.  With lam = a/b, every candidate
 cost on the grid of denominator den is an integer over B = 2*a*den**2 (single
@@ -46,9 +55,9 @@ keeps its rightmost argmin (the smallest volume), runs are taken in ascending
 volume order, and a cell starts at the skip value and changes only when
 strictly beaten, so skipping beats using and the smaller volume wins a tie.
 
-A cell cap, when given, bounds the total cells of the whole sweep (the tables
-1..L, plus one of H_top's size when H_top > L) and is checked before any table
-is filled.
+A cell cap, when given, bounds the total cells of the whole sweep and is
+checked before any table is filled, so before L is known: it counts the
+tables 1..L_count, plus the table L_count + 1 when H_top > L_count.
 
 Demand may also be covered by over-delivery: a batch larger than the open
 residual p closes the plan on its own.  In multi-delivery mode the aggregated
@@ -65,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .closed_form import best_batch_count, multi_delivery_cost
+from .closed_form import multi_delivery_cost
 from .errors import InfeasibleInstanceError, ResourceLimitError
 from .model import (
     MULTI,
@@ -158,8 +167,11 @@ def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
     """Cheapest multi-batch purchase of each grid total, batch count free.
 
     With r batches the total i/den costs (r*A + beta*i*2*a*den + Q/r) / B with
-    A = alpha*B and Q = c*b*i**2 (see _base_denominator); the best r comes from
-    best_batch_count.  Rows are scaled to B*K, K the lcm of the chosen r."""
+    A = alpha*B and Q = c*b*i**2 (see _base_denominator).  The best r is
+    best_batch_count(A, Q, i // lo): the smallest r with r*(r+1)*A >= Q,
+    capped at i // lo (lo = m*den, so r <= floor(x/m)).  Both the uncapped
+    count and the cap grow with i, so one running count per row steps up to
+    it.  Rows are scaled to B*K, K the lcm of the chosen r."""
     B = _base_denominator(inst.lam, grid.denominator)
     per_unit = 2 * inst.lam.numerator * grid.denominator
     cb = inst.c_hold * inst.lam.denominator
@@ -168,9 +180,12 @@ def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
     for (lo, hi), s in zip(grid.spans, inst.suppliers):
         A, unit = s.alpha * B, s.beta * per_unit
         row = []
+        r = 1
         for i in range(lo, hi + 1):
             Q = cb * i * i
-            r = best_batch_count(A, Q, i // lo)  # lo = m*den, so r <= floor(x/m)
+            cap = i // lo
+            while r < cap and r * (r + 1) * A < Q:
+                r += 1
             row.append((r, r * A + unit * i, Q))
             counts.add(r)
         priced.append(row)
@@ -340,16 +355,36 @@ def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
     return chosen[::-1]
 
 
-def backtrack(table: DPTable, inst: Instance) -> Solution:
-    """Recover the winning volumes of a filled table.
+class Path:
+    """The plan one table backtracks to, kept after the table is dropped:
+    (supplier, volume index) pairs over the grid denominator ``den``.  A
+    plain class: a dataclass would add a millisecond to every import."""
+
+    __slots__ = ("H", "den", "kind", "chosen")
+
+    def __init__(self, H: int, den: int, kind: str, chosen: tuple[tuple[int, int], ...]):
+        self.H, self.den, self.kind, self.chosen = H, den, kind, chosen
+
+
+def _chosen_path(table: DPTable, inst: Instance) -> Path:
+    """The winning plan of a filled table as a Path.
 
     Raises InfeasibleInstanceError when the table carries no feasible plan.
     """
-    den = table.grid.denominator
+    return Path(table.H, table.grid.denominator, table.kind, tuple(_chosen_indices(table, inst)))
+
+
+def backtrack(table: DPTable | Path, inst: Instance) -> Solution:
+    """Recover the winning volumes of a filled table, or of a Path taken from
+    one.
+
+    Raises InfeasibleInstanceError when the table carries no feasible plan.
+    """
+    path = table if isinstance(table, Path) else _chosen_path(table, inst)
     deliveries: list[tuple[int, Fraction]] = []
-    for k, idx in _chosen_indices(table, inst):
-        vol = Fraction(idx, den)
-        if table.kind == "multi-aggregated":
+    for k, idx in path.chosen:
+        vol = Fraction(idx, path.den)
+        if path.kind == "multi-aggregated":
             r, _ = multi_delivery_cost(inst.suppliers[k - 1], vol, inst.lam, inst.c_hold)
             deliveries.extend((k, vol / r) for _ in range(r))
         else:
@@ -370,9 +405,9 @@ class SolveReport:
     """Outcome of one H sweep.
 
     ``trace`` holds one entry per table filled, in fill order: the grids
-    H = 1..L, then, when ``H_top > L``, one more (``best_H`` if it lies above
-    ``L``, else ``H_top``).  ``skipped_H`` lists the other grids up to
-    ``H_top``: each lies above ``L``, so no optimum needs it.
+    H = 1..L, then, when ``H_top > L``, the check grid L + 1.  ``skipped_H``
+    lists the other grids up to ``H_top``: each lies above ``L``, so no
+    optimum needs it.
 
     ``elapsed_seconds`` is the wall time from the cell-budget check through
     pricing and filling every table, backtracking the winner and
@@ -387,6 +422,7 @@ class SolveReport:
     kind: str
     L: int  # no optimum has more interior batches than this
     H_top: int  # best_H is the largest H <= H_top whose grid holds an optimum
+    L_count: int  # the bound from the windows alone, which the cell guard uses
 
     @property
     def per_H_objectives(self) -> tuple[tuple[int, Fraction | None], ...]:
@@ -402,24 +438,49 @@ class SolveReport:
         return tuple(H for H in range(1, self.H_top + 1) if H not in filled)
 
 
-def interior_limit(inst: Instance) -> int:
+def _most_items(items, budget: int) -> int:
+    """The most items, each (weight, cap) usable up to cap times, whose
+    positive integer weights sum to at most budget: the lightest go first."""
+    count = 0
+    for weight, cap in sorted(items):
+        take = min(cap, max(budget, 0) // weight)
+        count += take
+        budget -= take * weight
+        if take < cap:
+            break
+    return count
+
+
+def interior_limit(inst: Instance, bound: Fraction | None = None) -> int:
     """L, a bound on the interior count of every optimal plan: the suppliers
     strictly inside their windows (single mode), or the batches of the
     suppliers whose total lies strictly between r*m and M (multi mode).
 
+    Supplier i holds at most cap_i interior batches: 1 if M_i > m_i, else 0,
+    in single mode, and (M_i - 1) // m_i in multi mode, since r*m_i < M_i.
     A plan with an interior group covers exactly P, since shrinking an
-    interior volume would save cost, and each interior batch exceeds its m.
-    So in single mode the interior m_i sum to less than P, and L is the
-    largest k whose k smallest m_i do; in multi mode R * min(m) < P.  L is at
-    least 1, the grid of the plans with no interior volume."""
+    interior volume would save cost, and each interior batch exceeds its m,
+    so the m of the interior batches sum to at most P - 1.  L_count, the
+    value returned without ``bound``, is the most batches that fit.
+
+    ``bound`` is the cost of some feasible plan, so no less than the optimum
+    v*.  Every interior batch costs more than f_i = alpha_i + beta_i*m_i +
+    c*m_i**2/(2*lam), and the other batches cost at least 0, so the f of the
+    interior batches sum to less than ``bound``; L is then also at most the
+    most batches that fit under that.  Scaled by 2*a for lam = a/b, every f
+    is an integer.  L is at least 1, the grid of the plans with no interior
+    volume."""
     if inst.mode == MULTI:
-        return max(1, (inst.P - 1) // min(s.m for s in inst.suppliers))
-    L = total = 0
-    for m in sorted(s.m for s in inst.suppliers):
-        total += m
-        if total >= inst.P:
-            break
-        L += 1
+        caps = [(s.M - 1) // s.m for s in inst.suppliers]
+    else:
+        caps = [int(s.M > s.m) for s in inst.suppliers]
+    L = _most_items(zip((s.m for s in inst.suppliers), caps), inst.P - 1)
+    if bound is not None:
+        a, cb = inst.lam.numerator, inst.c_hold * inst.lam.denominator
+        costs = (2 * a * (s.alpha + s.beta * s.m) + cb * s.m * s.m for s in inst.suppliers)
+        # integers below 2*a*bound are at most ceil(2*a*bound) - 1
+        budget = (2 * a * bound.numerator - 1) // bound.denominator
+        L = min(L, _most_items(zip(costs, caps), budget))
     return max(1, L)
 
 
@@ -428,24 +489,35 @@ def _table_cells(inst: Instance, H: int) -> int:
     return (inst.n + 1) * (inst.P * H * inst.c_hold * inst.lam.denominator + 1)
 
 
-def _sweep_cells(inst: Instance, L: int, H_top: int) -> int:
+def _sweep_cells(inst: Instance, L_count: int, H_top: int) -> int:
     """Cells the sweep may fill, from the grid definition alone: the tables
-    H = 1..L and, when H_top > L, one more table no larger than H_top's."""
-    total = sum(_table_cells(inst, H) for H in range(1, L + 1))
-    return total + (_table_cells(inst, H_top) if H_top > L else 0)
+    H = 1..L_count and, when H_top > L_count, the table L_count + 1.  The
+    sweep fills the tables 1..L and at most L + 1, and L <= L_count."""
+    total = sum(_table_cells(inst, H) for H in range(1, L_count + 1))
+    return total + (_table_cells(inst, L_count + 1) if H_top > L_count else 0)
 
 
-def _require_sweep_budget(inst: Instance, L: int, H_top: int, max_cells: int | None) -> None:
+def _require_sweep_budget(inst: Instance, L_count: int, H_top: int, max_cells: int | None) -> None:
     """Refuse a sweep whose tables could hold more than max_cells cells in all."""
     if max_cells is None:
         return
-    total = _sweep_cells(inst, L, H_top)
+    total = _sweep_cells(inst, L_count, H_top)
     if total > max_cells:
-        extra = f" and one table up to H={H_top}" if H_top > L else ""
+        extra = f" and the table H={L_count + 1}" if H_top > L_count else ""
         raise ResourceLimitError(
-            f"the sweep over H=1..{L}{extra} needs {total} "
+            f"the sweep over H=1..{L_count}{extra} needs {total} "
             f"table cells, above the cap {max_cells}"
         )
+
+
+def _lex_key(path: Path, n: int, H: int) -> list[int]:
+    """A path's volumes as indices on grid H (a multiple of path.H), supplier
+    n first, a skip counting as 0."""
+    scale = H // path.H
+    key = [0] * n
+    for k, idx in path.chosen:
+        key[n - k] = idx * scale
+    return key
 
 
 def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
@@ -455,15 +527,24 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     other volumes are integers), and grid g lies inside grid H when g | H.
     So the cheapest of the tables 1..L is the optimum v*, and table H reaches
     v* exactly when some g <= L whose table reaches v* divides H.  best_H is
-    the largest such H up to H_top.
+    the largest such H up to H_top.  Table 1 is filled first: its cost bounds
+    v* and so L, and when it has no plan, no grid has one (the plan with
+    every supplier at M lies on it).
 
-    When H_top > L one more table is filled: best_H's when it lies above L,
-    to backtrack, and otherwise H_top's, which must then miss v*.  Either way
-    it checks the bound and the divisor rule at run time, and the number of
-    tables filled depends on L and H_top alone."""
+    best_H's plan is the backtrack of its table, the lexicographically
+    smallest optimal plan on its grid.  An optimum on grid best_H lies on
+    grid gcd(g, best_H) too, g its interior count, so that plan is the
+    smallest of the plans of the reaching tables g <= L that divide best_H;
+    each of those records its plan as a Path when it is filled, and no table
+    outlives its own step.
+
+    When H_top > L the table L + 1 is filled as a check: it must not beat
+    v*, and must reach it exactly when the divisor rule says so.  It is
+    backtracked directly when it is best_H's.  The number of tables filled
+    depends on L and H_top alone."""
     t_start = time.perf_counter()
-    L = interior_limit(inst)
-    _require_sweep_budget(inst, L, H_top, max_cells)
+    L_count = interior_limit(inst)
+    _require_sweep_budget(inst, L_count, H_top, max_cells)
     traces = []
 
     def fill(H: int) -> DPTable:
@@ -473,38 +554,50 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
         traces.append(HTrace(H, table.final, table.cells, micros))
         return table
 
-    best_table = None
-    best_val = None
-    for H in range(1, L + 1):
+    table = fill(1)
+    best_val = table.final
+    if best_val is None:
+        raise InfeasibleInstanceError("no grid admits a feasible plan")
+    L = interior_limit(inst, best_val)
+    reaching = {1: _chosen_path(table, inst)}  # H -> plan, for the tables at best_val
+    for H in range(2, L + 1):
         table = fill(H)
         val = table.final
-        # <= keeps the finest of the cost-ties, which is best_H's table when
-        # best_H <= L; every tied table backtracks to an equally cheap plan
-        if val is not None and (best_val is None or val <= best_val):
-            best_val, best_table = val, table
-    if best_table is None:
-        raise InfeasibleInstanceError("no grid admits a feasible plan")
-    reaching = [t.H for t in traces if t.objective == best_val]
+        if val is not None and val <= best_val:
+            if val < best_val:
+                best_val = val
+                reaching.clear()
+            reaching[H] = _chosen_path(table, inst)
+    del table
     best_H = next(H for H in range(H_top, 0, -1) if any(H % g == 0 for g in reaching))
     if H_top > L:
-        extra = fill(best_H if best_H > L else H_top)
+        check = fill(L + 1)
         # no grid beats the tables 1..L, and this one ties them exactly when
-        # it is best_H's
-        assert extra.final >= best_val
-        assert (extra.final == best_val) == (extra.H == best_H)
-        if extra.H == best_H:
-            best_table = extra
-    assert best_table.H == best_H
-    solution = backtrack(best_table, inst)
+        # the divisor rule says so
+        assert check.final >= best_val
+        assert (check.final == best_val) == any((L + 1) % g == 0 for g in reaching)
+        if best_H == L + 1:
+            reaching[best_H] = _chosen_path(check, inst)
+    if best_H in reaching:
+        path = reaching[best_H]
+    else:
+        path = min(
+            (p for g, p in reaching.items() if best_H % g == 0),
+            key=lambda p: _lex_key(p, inst.n, best_H),
+        )
+    solution = backtrack(path, inst)
     assert solution.objective == best_val  # recomputed from scratch in make_solution
+    den = best_H * inst.c_hold * inst.lam.denominator
+    assert all(den % t.denominator == 0 for t in solution.per_supplier_totals)
     return SolveReport(
         best_H=best_H,
         solution=solution,
         elapsed_seconds=time.perf_counter() - t_start,
         trace=tuple(traces),
-        kind=best_table.kind,
+        kind=path.kind,
         L=L,
         H_top=H_top,
+        L_count=L_count,
     )
 
 
@@ -512,10 +605,11 @@ def solve(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
     """Exact optimum of a single-delivery instance via the H sweep.
 
     best_H ranges over H = 1..n; the sweep fills the tables H = 1..L
-    (:func:`interior_limit`) and, when n > L, one more.  ``max_cells`` caps
-    the cells of those tables, counting the extra one at its largest, H = n;
-    a sweep over the cap raises ResourceLimitError before any table is
-    filled.
+    (:func:`interior_limit`) and, when n > L, the table L + 1.  ``max_cells``
+    caps the cells of the sweep before L is known, so it counts the tables
+    H = 1..L_count (L's bound from the windows alone, never below L) and,
+    when n > L_count, the table L_count + 1; a sweep over the cap raises
+    ResourceLimitError before any table is filled.
     """
     require_valid(inst)
     if inst.mode != SINGLE:
@@ -526,9 +620,9 @@ def solve(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
 def multi_h_limit(inst: Instance) -> int:
     """H_top of a multi-delivery sweep: floor(P/m) batches per supplier, the
     top of the range that names best_H.  The tables filled stop at
-    interior_limit, which is never larger.  Plans that over-deliver consist
-    of minimum-size batches only, which every grid carries, so H=1 covers
-    them."""
+    interior_limit + 1, and go that far only when this is larger.  Plans
+    that over-deliver consist of minimum-size batches only, which every grid
+    carries, so H=1 covers them."""
     return max(1, sum(inst.P // s.m for s in inst.suppliers))
 
 
@@ -537,10 +631,11 @@ def solve_multi(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
 
     Each grid total is priced with the closed-form equal-batch split.  best_H
     ranges over H = 1..multi_h_limit; the sweep fills the tables H = 1..L
-    (:func:`interior_limit`) and, when multi_h_limit > L, one more.
-    ``max_cells`` caps the cells of those tables, counting the extra one at
-    its largest, H = multi_h_limit; a sweep over the cap raises
-    ResourceLimitError before any table is filled.
+    (:func:`interior_limit`) and, when multi_h_limit > L, the table L + 1.
+    ``max_cells`` caps the cells of the sweep before L is known, so it counts
+    the tables H = 1..L_count (L's bound from the windows alone, never below
+    L) and, when multi_h_limit > L_count, the table L_count + 1; a sweep over
+    the cap raises ResourceLimitError before any table is filled.
     """
     require_valid(inst)
     if inst.mode != MULTI:

@@ -255,6 +255,10 @@ def assert_matches_full_sweep(inst):
     assert len(filled) == report.L + (report.H_top > report.L)
     assert sorted(filled + list(report.skipped_H)) == list(range(1, report.H_top + 1))
     assert all(H > report.L for H in report.skipped_H)
+    # the extra table is the check grid L + 1, and the guard bounds the sweep
+    assert filled[report.L:] == [report.L + 1] * (report.H_top > report.L)
+    assert report.L <= report.L_count
+    assert report.table_cells_filled <= dp._sweep_cells(inst, report.L_count, report.H_top)
     return report
 
 
@@ -309,10 +313,12 @@ class TestBoundedSweepCases:
 
 
 def test_bounded_sweep_with_no_purchase_costs_in_multi_mode():
-    # alpha = 0 makes every total go out in the most batches allowed
+    # alpha = 0 makes every total go out in the most batches allowed.  The
+    # windows hold (7 - 1) // 2 = 3 and (9 - 1) // 3 = 2 interior batches,
+    # and the m of four of them already reach 2 + 2 + 2 + 3 = 9 of P - 1 = 10
     inst = Instance(suppliers=(Supplier(0, 1, 2, 7), Supplier(0, 2, 3, 9)), P=11, mode=MULTI)
     report = assert_matches_full_sweep(inst)
-    assert (report.L, report.H_top) == (5, 8)
+    assert (report.L, report.L_count, report.H_top) == (4, 4, 8)
 
 
 def test_interior_limit():
@@ -326,17 +332,112 @@ def test_interior_limit():
     assert multi == [1, 1, 1, 8]
 
 
+def test_interior_limit_counts_only_batches_a_window_can_hold():
+    # single mode: a supplier with M = m is never interior, so only the
+    # m = 2 and m = 3 suppliers count, though 1 + 2 + 3 < 10
+    single = (Supplier(0, 0, 1, 1), Supplier(0, 0, 2, 9), Supplier(0, 0, 3, 9))
+    assert dp.interior_limit(Instance(suppliers=single, P=10)) == 2
+    # multi mode: r*m < M caps the interior batches at (M - 1) // m, here 2
+    # and 2 (three batches of m would reach M), while (P - 1) // min(m)
+    # alone would allow 9
+    multi = (Supplier(0, 0, 2, 6), Supplier(0, 0, 3, 9))
+    assert dp.interior_limit(Instance(suppliers=multi, P=20, mode=MULTI)) == 4
+    # without room for any interior batch L is still 1
+    assert dp.interior_limit(Instance(suppliers=(Supplier(0, 0, 4, 4),), P=9, mode=MULTI)) == 1
+
+
+def test_interior_limit_cost_bound():
+    # each interior batch costs more than f = 20 + 1/2, and the f of the
+    # interior batches sum to less than the bound
+    inst = Instance(suppliers=(Supplier(20, 0, 1, 9),) * 3, P=9)
+    assert dp.interior_limit(inst) == 3
+    bounds = [0, F(41, 2), F(83, 2), 41, F(123, 2), F(124, 2)]
+    assert [dp.interior_limit(inst, b) for b in bounds] == [1, 1, 2, 1, 2, 3]
+    # in a solve, table 1's cost 121/2 (one batch of 9, or 4 + 5) cuts L to 2
+    report = assert_matches_full_sweep(inst)
+    assert report.per_H_objectives[0] == (1, F(121, 2))
+    assert (report.L, report.L_count) == (2, 3)
+    # lam = 3/2: f = 9 / 3 = 3 for m = 3, and three m = 3 fit P - 1 = 9
+    inst = Instance(suppliers=(Supplier(0, 0, 3, 9),) * 3, P=10, lam=F(3, 2))
+    assert [dp.interior_limit(inst, b) for b in (6, F(601, 100), 9, F(901, 100))] == [1, 2, 2, 3]
+
+
+def count_fills(monkeypatch):
+    """Record the H of every table the sweep fills from here on."""
+    filled = []
+    original = dp.solve_fixed_H
+
+    def counted(inst, H, **kwargs):
+        filled.append(H)
+        return original(inst, H, **kwargs)
+
+    monkeypatch.setattr(dp, "solve_fixed_H", counted)
+    return filled
+
+
+def test_best_H_plan_comes_from_the_smaller_grids(monkeypatch):
+    # L = 5 and best_H = H_top = 20: the grids 1 and 5 backtrack to (5, 5, 0)
+    # and the grids 2 and 4 to (15/2, 5/2, 0), which is smaller from supplier
+    # n down; best_H's plan is the smallest, and its table is never filled
+    inst = Instance(
+        suppliers=(Supplier(3, 3, 2, 9), Supplier(3, 3, 2, 9), Supplier(3, 3, 1, 2)),
+        P=10,
+        mode=MULTI,
+    )
+    plans = {
+        H: backtrack(solve_fixed_H(inst, H), inst).per_supplier_totals for H in (1, 2, 4, 5)
+    }
+    assert plans == {1: (5, 5, 0), 2: (F(15, 2), F(5, 2), 0), 4: (F(15, 2), F(5, 2), 0), 5: (5, 5, 0)}
+    best_H, solution = ref_sweep(inst)
+    filled = count_fills(monkeypatch)
+    report = solve_multi(inst)
+    assert (report.L, report.best_H, report.H_top) == (5, 20, 20)
+    assert filled == [1, 2, 3, 4, 5, 6]
+    assert report.best_H == best_H
+    assert report.solution == solution
+    assert report.solution.per_supplier_totals == (F(15, 2), F(5, 2), 0)
+
+
+@pytest.mark.parametrize("mode", ["single", MULTI])
+def test_infeasible_sweep_stops_after_one_table(monkeypatch, mode):
+    inst = Instance(suppliers=(Supplier(1, 1, 2, 3), Supplier(0, 2, 1, 4)), P=9, mode=mode)
+    with pytest.raises(InfeasibleInstanceError) as full:
+        ref_sweep(inst)
+    filled = count_fills(monkeypatch)
+    H_top = multi_h_limit(inst) if mode == MULTI else inst.n
+    with pytest.raises(InfeasibleInstanceError) as bounded:
+        dp._sweep(inst, H_top, None)
+    assert str(bounded.value) == str(full.value) == "no grid admits a feasible plan"
+    assert filled == [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), multi=st.booleans())
+def test_cells_filled_never_exceed_the_guard(seed, multi):
+    rng = random.Random(seed)
+    if multi:
+        inst = random_instance(rng, n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI)
+        report = solve_multi(inst)
+    else:
+        inst = random_instance(rng, n_max=6, p_max=24, c_max=2, bound_max=10)
+        report = solve(inst)
+    guard = dp._sweep_cells(inst, report.L_count, report.H_top)
+    assert report.table_cells_filled <= guard
+    # a cap at the guard's total admits the solve
+    assert (solve_multi if multi else solve)(inst, max_cells=guard).solution == report.solution
+
+
 def test_cell_budget_counts_the_bounded_sweep(monkeypatch):
     inst = Instance(suppliers=(Supplier(0, 1, 2, 3),) * 4, P=5, c_hold=1)
-    # tables hold 5 * (5H + 1) cells: 30, 55, 80, 105 for H = 1..4, and L = 2,
-    # so the sweep fills H = 1, 2 and one table no larger than H = 4's
-    new_need, full_need = 30 + 55 + 105, 30 + 55 + 80 + 105
+    # tables hold 5 * (5H + 1) cells: 30, 55, 80, 105 for H = 1..4, and
+    # L_count = 2, so the sweep fills H = 1, 2 and at most the table H = 3
+    new_need, full_need = 30 + 55 + 80, 30 + 55 + 80 + 105
     assert dp._sweep_cells(inst, 2, 4) == new_need
     report = solve(inst, max_cells=full_need - 1)
     assert report.table_cells_filled <= new_need
     assert solve(inst, max_cells=new_need).solution == report.solution
     fills = []
     monkeypatch.setattr(dp, "_fill", lambda *args: fills.append(args))
-    with pytest.raises(ResourceLimitError, match=r"H=1\.\.2 and one table up to H=4 needs 190 "):
+    with pytest.raises(ResourceLimitError, match=r"H=1\.\.2 and the table H=3 needs 165 "):
         solve(inst, max_cells=new_need - 1)
     assert fills == []

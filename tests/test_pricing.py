@@ -6,8 +6,10 @@ way; the fast path must reproduce their costs, batch counts, phi values and
 choices exactly.
 """
 
+import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from lotdp.dp import (
     SKIP,
     CostRows,
     _aggregated_candidate_costs,
+    _base_denominator,
     _convex_runs,
     _fill,
     _single_candidate_costs,
@@ -308,6 +311,25 @@ def test_aggregated_row_whose_batch_count_changes_inside_the_window():
     assert len(_convex_runs(_aggregated_candidate_costs(inst, grid)[0])) > 1
     for H in (1, 2, 3):
         checked_table(inst, H, "multi-aggregated")
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 3, 40])
+def test_running_batch_count_matches_best_batch_count(alpha):
+    # totals 2..60 on the unit grid: the cap i // 2 binds for small alpha and
+    # the uncapped count for large alpha; with alpha = 3, two and three
+    # batches tie at total 6 (2 * 3 * A == 6**2)
+    inst = Instance(suppliers=(Supplier(alpha, 1, 2, 60),), P=60, mode=MULTI)
+    grid = build_grid(inst, 1)
+    (lo, hi), = grid.spans
+    B = _base_denominator(inst.lam, grid.denominator)
+    A, unit = alpha * B, 2 * grid.denominator
+    totals = range(lo, hi + 1)
+    counts = [best_batch_count(A, i * i, i // lo) for i in totals]
+    K = math.lcm(*counts)
+    expected = [(r * A + unit * i) * K + i * i * (K // r) for r, i in zip(counts, totals)]
+    costs = _aggregated_candidate_costs(inst, grid)
+    assert costs == [expected]
+    assert costs.den == B * K
 
 
 # --- over-delivery ----------------------------------------------------------------
