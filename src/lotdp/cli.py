@@ -10,8 +10,9 @@ variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve, counted
 before the sweep starts: the grids H = 1..L_count (the interior bound from
 the volume windows alone) together, plus grid L_count + 1 when the H range
 reaches above L_count.  The sweep fills the grids 1..L and at most L + 1, and
-L <= L_count, so it never fills more.  A solve over the cap is refused with
-exit code 1 before any table is filled.
+L <= L_count, so it never fills more; the fill computes only part of each
+table's cells (``computed`` in the report's ``per_H``).  A solve over the cap
+is refused with exit code 1 before any table is filled.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ def report_to_json(report: SolveReport) -> dict:
                 "H": t.H,
                 "objective": None if t.objective is None else rational_to_json(t.objective),
                 "cells": t.cells,
+                "computed": t.computed,
                 "micros": t.micros,
             }
             for t in report.trace

@@ -64,6 +64,16 @@ residual p closes the plan on its own.  In multi-delivery mode the aggregated
 cost is not monotone in the total (a new batch count unlocks at each multiple
 of m), so every larger grid total is a candidate.  One descending pass per row
 keeps a running minimum of the batches above p and also checks the row.
+
+A solve reads phi(n, P) and the cells its backtrack walks through, and the
+fill computes only those.  The suppliers after k deliver at most the sum of
+their M, so the backtrack reaches row k at residual 0 or at some p >= lows[k]
+= max(0, P*den - (M_{k+1} + ... + M_n)*den), computed in one backward pass;
+row n is the single cell P*den.  Row k at p >= lows[k] reads row k-1 at p
+(the skip), at p - v >= p - M_k*den >= lows[k-1] (an interior volume v), or
+at 0 (over-delivery), so every cell it reads is computed.  phi[k][p] does
+not depend on P, so each computed cell equals that of the full table.  The
+cell guard still counts whole tables.
 """
 
 from __future__ import annotations
@@ -116,6 +126,12 @@ class DPTable:
     ``den``, of the cheapest way to cover residual demand index p with
     suppliers 1..k, or None when they cannot cover it.  ``choice`` has the
     same shape and holds SKIP or the chosen volume index.
+
+    Both are exact at p = 0 and at every p >= ``lows[k]``, the only cells
+    phi(n, P) and its backtrack can read; row 0 is exact everywhere.  A cell
+    of row k below lows[k] other than 0 holds row k-1's value and SKIP, and
+    nothing reads it.  ``cells`` is the size of the table, the unit of the
+    cell guard, and ``computed`` the exact cells.
     """
 
     H: int
@@ -125,6 +141,13 @@ class DPTable:
     den: int
     choice: list
     cells: int
+    lows: tuple[int, ...]  # row k is exact at 0 and at p >= lows[k]
+
+    @property
+    def computed(self) -> int:
+        """The exact cells: p = 0 and p >= lows[k] in every row k."""
+        cols = self.grid.demand_points
+        return sum(cols - low + (low > 0) for low in self.lows)
 
     @property
     def final(self) -> Fraction | None:
@@ -212,33 +235,38 @@ def _convex_runs(row: list) -> list[tuple[int, int]]:
     return runs
 
 
-def _run_minima(rprev, reach, w, va, row, ch):
+def _run_minima(rprev, reach, w, va, low, row, ch):
     """Lower ``row``/``ch`` with one convex run of volumes: w[v - va] is the
     cost of volume index v for v = va..vb, vb = va + len(w) - 1.
 
-    Residual p may take q = p - v in max(0, p - vb) .. min(p - va, reach), with
-    reach the last covered index of the previous row and ``rprev`` that row
-    reversed.  w convex makes prev[q] + w[p - q] Monge on this band, so the
-    rightmost argmin q never decreases with p.  Divide and conquer uses that:
-    level by level the stride between solved residuals halves, and each new
-    residual scans only the q between the argmins of its two solved
+    Only the residuals p >= max(va, low) are done.  Residual p may take
+    q = p - v in max(0, p - vb) .. min(p - va, reach), with reach the top
+    covered index of the previous row and ``rprev`` that row reversed.  w
+    convex makes prev[q] + w[p - q] Monge on this band, so the rightmost argmin
+    q never decreases with p; the sentinel argmin 0 left of the first residual
+    and ``reach`` right of the last stay valid bounds.  Divide and conquer uses
+    that: level by level the stride between solved residuals halves, and each
+    new residual scans only the q between the argmins of its two solved
     neighbours: O((cols + width) * log cols) work for the run instead of
     O(cols * width).  A tie goes to the largest q, the smallest volume, and
     ``row[p]`` changes only when strictly beaten, so whatever is already there
     (skipping, or a run of smaller volumes) keeps a tie."""
     end = len(rprev) - 1  # the last residual
     span = len(w) - 1  # vb - va
-    # residual t = 1..count is p = va + t - 1; none when va is above the demand
-    count = min(end - va, reach + span) + 1
+    first = max(va, low)
+    # residual t = 1..count is p = first + t - 1; none when first is above
+    # the demand or above what the band can reach
+    count = min(end, reach + va + span) - first + 1
     size = 1
     while size <= count:
         size <<= 1
     opt = [reach] * (size + 1)  # rightmost argmin q per residual; sentinels at 0 and past count
     opt[0] = 0
+    off = first - va - 1
     h = size >> 1
     while h:
         for t in range(h, count + 1, 2 * h):
-            i = t - 1  # p - va; volume p - q costs w[i - q]
+            i = off + t  # p - va; volume p - q costs w[i - q]
             ql = opt[t - h]
             if i - span > ql:
                 ql = i - span
@@ -259,6 +287,51 @@ def _run_minima(rprev, reach, w, va, row, ch):
         h >>= 1
 
 
+def _fill_row(prev, reach, lo, hi, ck, low):
+    """Row k of a table from row k-1 ``prev``, whose top covered index at or
+    above its own low is ``reach`` (0 when there is none), and supplier k's
+    cost row ``ck`` over the volumes lo..hi: returns (row, ch, reach) with
+    reach that of the new row.
+
+    The row is exact at residual 0 and at every p >= ``low``, provided prev is
+    exact at 0 and at every p >= max(0, low - hi); the other cells keep the
+    skip entry, prev[p] and SKIP.  Residual 0 costs nothing in every row, as
+    every batch costs more than 0.  With low = 0 the whole row is exact."""
+    cols = len(prev)
+    # interior branch: the cheapest volume v <= p on top of prev[p - v],
+    # convex run by convex run in ascending volume order
+    rprev = prev[::-1]
+    row = prev[:]  # skip supplier k unless strictly beaten below
+    ch = [SKIP] * cols
+    for a, b in _convex_runs(ck):
+        _run_minima(rprev, reach, ck[a:b + 1], lo + a, low, row, ch)
+    # over-delivery: the cheapest batch above p closes the plan at p.  The
+    # running minimum starts with the batches above the last residual and
+    # takes in volume p once p is done; <= hands a tie to the smaller volume
+    above = ck[max(0, cols - lo):]
+    best = min(above, default=None)
+    arg = None if best is None else hi - len(above) + 1 + above.index(best)
+    rest = prev[0]  # suppliers 1..k-1 with nothing left to cover
+    nxt = None  # row[p + 1]
+    reach = 0
+    for p in range(cols - 1, low - 1, -1):
+        val = row[p]
+        if best is not None and (val is None or best + rest < val):
+            row[p] = val = best + rest
+            ch[p] = arg
+        assert val is None or prev[p] is None or val <= prev[p]
+        if val is None:
+            assert nxt is None
+        elif nxt is None:
+            reach = p  # the first covered cell from the top
+        else:
+            assert nxt >= val
+        nxt = val
+        if lo <= p <= hi and (best is None or ck[p - lo] <= best):
+            best, arg = ck[p - lo], p
+    return row, ch, reach
+
+
 def _fill(
     inst: Instance,
     grid: Grid,
@@ -266,6 +339,10 @@ def _fill(
     kind: str,
     max_cells: int | None,
 ) -> DPTable:
+    """Fill the table of one grid from its cost rows, row by row with
+    :func:`_fill_row`, each row k only at p = 0 and p >= lows[k] (see the
+    module docstring).  ``max_cells`` caps the table's size, ``cells``, and
+    the fill computes at most that many."""
     n = inst.n
     cols = grid.demand_points
     cells = (n + 1) * cols
@@ -274,50 +351,26 @@ def _fill(
             f"table for H={grid.H} needs {cells} cells, above the cap {max_cells}"
         )
 
+    # phi(n, P) reads row k only at 0 and at p >= lows[k]: P*den less the
+    # most that the suppliers after k can deliver
+    lows = [0] * (n + 1)
+    low = cols - 1
+    for k in range(n, 0, -1):
+        lows[k] = low
+        low = max(0, low - grid.spans[k - 1][1])
     prev = [None] * cols
     prev[0] = 0
-    reach = 0  # the last covered index of prev; covered residuals are a prefix
+    reach = 0  # the top covered index of prev at or above its low, else 0
     phi_rows = [prev]
     choice_rows = [[SKIP] * cols]
     for k in range(1, n + 1):
         lo, hi = grid.spans[k - 1]
-        ck = costs[k - 1]
-        # interior branch: the cheapest volume v <= p on top of prev[p - v],
-        # convex run by convex run in ascending volume order
-        rprev = prev[::-1]
-        row = prev[:]  # skip supplier k unless strictly beaten below
-        ch = [SKIP] * cols
-        for a, b in _convex_runs(ck):
-            _run_minima(rprev, reach, ck[a:b + 1], lo + a, row, ch)
-        # over-delivery: the cheapest batch above p closes the plan at p.  The
-        # running minimum starts with the batches above the last residual and
-        # takes in volume p once p is done; <= hands a tie to the smaller volume
-        above = ck[max(0, cols - lo):]
-        best = min(above, default=None)
-        arg = None if best is None else hi - len(above) + 1 + above.index(best)
-        rest = prev[0]  # suppliers 1..k-1 with nothing left to cover
-        nxt = None  # row[p + 1]
-        for p in range(cols - 1, -1, -1):
-            val = row[p]
-            if best is not None and (val is None or best + rest < val):
-                row[p] = val = best + rest
-                ch[p] = arg
-            assert val is None or prev[p] is None or val <= prev[p]
-            if val is None:
-                assert nxt is None
-            elif nxt is None:
-                reach = p  # the first covered cell from the top
-            else:
-                assert nxt >= val
-            nxt = val
-            if lo <= p <= hi and (best is None or ck[p - lo] <= best):
-                best, arg = ck[p - lo], p
-        phi_rows.append(row)
+        prev, ch, reach = _fill_row(prev, reach, lo, hi, costs[k - 1], lows[k])
+        phi_rows.append(prev)
         choice_rows.append(ch)
-        prev = row
     return DPTable(
         H=grid.H, grid=grid, kind=kind, phi=phi_rows, den=costs.den,
-        choice=choice_rows, cells=cells,
+        choice=choice_rows, cells=cells, lows=tuple(lows),
     )
 
 
@@ -396,8 +449,9 @@ def backtrack(table: DPTable | Path, inst: Instance) -> Solution:
 class HTrace:
     H: int
     objective: Fraction | None
-    cells: int
+    cells: int  # the table's size
     micros: int
+    computed: int  # the cells the fill evaluated, DPTable.computed
 
 
 @dataclass(frozen=True)
@@ -431,6 +485,10 @@ class SolveReport:
     @property
     def table_cells_filled(self) -> int:
         return sum(t.cells for t in self.trace)
+
+    @property
+    def cells_computed(self) -> int:
+        return sum(t.computed for t in self.trace)
 
     @property
     def skipped_H(self) -> tuple[int, ...]:
@@ -551,7 +609,7 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
         t0 = time.perf_counter()
         table = solve_fixed_H(inst, H)
         micros = int((time.perf_counter() - t0) * 1_000_000)
-        traces.append(HTrace(H, table.final, table.cells, micros))
+        traces.append(HTrace(H, table.final, table.cells, micros, table.computed))
         return table
 
     table = fill(1)

@@ -79,6 +79,15 @@ class TestSolve:
         assert report["skip_reason"] == "H > L"
         assert report["table_cells_filled"] == sum(h["cells"] for h in report["per_H"])
 
+    def test_report_counts_the_computed_cells(self, golden_file, capsys):
+        # the pruned fill evaluates 21 of 33 and 37 of 63 cells
+        assert cli.main(["solve", "--trace", golden_file]) == 0
+        err = capsys.readouterr().err
+        report = json.loads(err[:err.index("H,phi_nP_num")])
+        assert [(h["cells"], h["computed"]) for h in report["per_H"]] == [(33, 21), (63, 37)]
+        assert report["table_cells_filled"] == 96
+        assert "H,phi_nP_num,phi_nP_den,cells,micros\n1,35,2,33," in err
+
     def test_golden_report_skips_no_grid(self, golden_file, capsys):
         assert cli.main(["solve", golden_file]) == 0
         report = json.loads(capsys.readouterr().err)

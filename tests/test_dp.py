@@ -119,6 +119,17 @@ def test_table_shape_and_monotonicity(golden):
                 assert b is not None and b <= a
 
 
+def test_cells_computed_on_the_golden_instance(golden):
+    # row k is computed at p = 0 and p >= lows[k]; row 0 is the base row.
+    # H = 1: 11 columns, lows (0, 4, 10): 11 + (7 + 1) + (1 + 1) = 21
+    # H = 2: 21 columns, lows (0, 8, 20): 21 + (13 + 1) + (1 + 1) = 37
+    assert [solve_fixed_H(golden, H).lows for H in (1, 2)] == [(0, 4, 10), (0, 8, 20)]
+    report = solve(golden)
+    assert [(t.cells, t.computed) for t in report.trace] == [(33, 21), (63, 37)]
+    assert report.cells_computed == 58
+    assert report.table_cells_filled == 96
+
+
 def test_cell_budget_is_enforced(golden):
     with pytest.raises(ResourceLimitError):
         solve(golden, max_cells=10)
@@ -423,6 +434,9 @@ def test_cells_filled_never_exceed_the_guard(seed, multi):
         report = solve(inst)
     guard = dp._sweep_cells(inst, report.L_count, report.H_top)
     assert report.table_cells_filled <= guard
+    # the fill computes part of each table
+    assert all(0 < t.computed <= t.cells for t in report.trace)
+    assert report.cells_computed <= report.table_cells_filled
     # a cap at the guard's total admits the solve
     assert (solve_multi if multi else solve)(inst, max_cells=guard).solution == report.solution
 

@@ -3,7 +3,10 @@
 The references below price every grid volume with Fraction arithmetic, try
 every batch count in a loop, and fill the Bellman table in the most direct
 way; the fast path must reproduce their costs, batch counts, phi values and
-choices exactly.
+choices exactly.  The row routine chained with low = 0 fills whole tables and
+must match the reference at every cell; ``_fill`` computes only the cells
+phi(n, P) can read and must match it at each of those, and backtrack to the
+same plan.
 """
 
 import math
@@ -13,15 +16,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotdp import MULTI, SINGLE, Instance, Supplier, build_grid, multi_delivery_cost
+from lotdp import (
+    MULTI,
+    SINGLE,
+    DPTable,
+    Instance,
+    Supplier,
+    backtrack,
+    build_grid,
+    multi_delivery_cost,
+    solve_fixed_H,
+)
 from lotdp.closed_form import best_batch_count
 from lotdp.dp import (
     SKIP,
     CostRows,
     _aggregated_candidate_costs,
     _base_denominator,
+    _chosen_indices,
     _convex_runs,
     _fill,
+    _fill_row,
     _single_candidate_costs,
 )
 from lotdp.oracle import _duplication_candidate_costs
@@ -194,6 +209,62 @@ def test_integer_numerators_equal_the_fraction_costs(inst, H, kind):
 # --- whole tables ---------------------------------------------------------------
 
 
+def full_chain(grid, costs, kind):
+    """The row routine chained with low = 0 over every supplier: the whole
+    table, exact at every cell."""
+    cols = grid.demand_points
+    prev = [0] + [None] * (cols - 1)
+    reach = 0
+    phi, choice = [prev], [[SKIP] * cols]
+    for (lo, hi), ck in zip(grid.spans, costs):
+        prev, ch, reach = _fill_row(prev, reach, lo, hi, ck, 0)
+        phi.append(prev)
+        choice.append(ch)
+    rows = len(phi)
+    return DPTable(
+        H=grid.H, grid=grid, kind=kind, phi=phi, den=costs.den, choice=choice,
+        cells=rows * cols, lows=(0,) * rows,
+    )
+
+
+def as_fractions(table):
+    return [[None if v is None else F(v, table.den) for v in row] for row in table.phi]
+
+
+def expected_lows(inst, grid):
+    """Row k >= 1 starts at P*den less the largest total of suppliers k+1..n."""
+    last = grid.demand_points - 1
+    after = [sum(hi for _, hi in grid.spans[k:]) for k in range(1, inst.n + 1)]
+    return (0, *(max(0, last - rest) for rest in after))
+
+
+def reference_table(inst, grid, costs, ref_rows, kind):
+    """The full chain must equal ref_fill at every cell, phi and choice.
+    _fill must equal it at every cell it computes (p = 0 and p >= lows[k]) and
+    backtrack to the same plan.  Returns the full chain's table."""
+    phi, choice = ref_fill(grid, ref_rows)
+    full = full_chain(grid, costs, kind)
+    assert as_fractions(full) == phi
+    assert full.choice == choice
+    table = _fill(inst, grid, costs, kind, None)
+    assert table.lows == expected_lows(inst, grid)
+    cols = grid.demand_points
+    exact = [(k, p) for k, low in enumerate(table.lows) for p in range(cols) if p == 0 or p >= low]
+    assert len(exact) == table.computed <= table.cells == full.cells
+    pruned = as_fractions(table)
+    assert [pruned[k][p] for k, p in exact] == [phi[k][p] for k, p in exact]
+    assert [table.choice[k][p] for k, p in exact] == [choice[k][p] for k, p in exact]
+    assert table.final == full.final == phi[-1][-1]
+    if table.final is not None:
+        assert _chosen_indices(table, inst) == _chosen_indices(full, inst)
+    return full
+
+
+def checked_table(inst, H, kind):
+    grid = build_grid(inst, H)
+    return reference_table(inst, grid, BUILDERS[kind](inst, grid), ref_costs(inst, grid, kind), kind)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     inst=instances(n_max=3, bound_max=5, b_max=3, c_max=2),
@@ -203,29 +274,10 @@ def test_integer_numerators_equal_the_fraction_costs(inst, H, kind):
 def test_tables_match_the_reference_fill(inst, H, kind):
     if kind != SINGLE:
         inst = Instance(inst.suppliers, inst.P, inst.lam, inst.c_hold, MULTI)
-    grid = build_grid(inst, H)
-    table = _fill(inst, grid, BUILDERS[kind](inst, grid), kind, None)
-    phi, choice = ref_fill(grid, ref_costs(inst, grid, kind))
-    assert [[None if v is None else F(v, table.den) for v in row] for row in table.phi] == phi
-    assert table.choice == choice
-    assert table.final == phi[-1][-1]
+    checked_table(inst, H, kind)
 
 
 # --- the divide-and-conquer fill -------------------------------------------------
-
-
-def reference_table(inst, grid, costs, ref_rows, kind):
-    """Fill with _fill and with ref_fill; require identical phi and choice."""
-    table = _fill(inst, grid, costs, kind, None)
-    phi, choice = ref_fill(grid, ref_rows)
-    assert [[None if v is None else F(v, table.den) for v in row] for row in table.phi] == phi
-    assert table.choice == choice
-    return table
-
-
-def checked_table(inst, H, kind):
-    grid = build_grid(inst, H)
-    return reference_table(inst, grid, BUILDERS[kind](inst, grid), ref_costs(inst, grid, kind), kind)
 
 
 @st.composite
@@ -366,6 +418,91 @@ def test_window_entirely_above_the_demand():
     assert table.phi[1] == [0, 4, 6, None]
     assert table.phi[2] == [0, 3, 3, 3]
     assert table.choice[2] == [SKIP, 5, 5, 5]
+
+
+# --- demand-pruned rows -----------------------------------------------------------
+
+
+def test_row_below_its_low_is_left_as_the_skip_entry():
+    # supplier 2 delivers at most 3 of the demand 8, so row 1 = n - 1 starts
+    # at low 5.  The full chain covers the residuals 1..4 of both rows, and
+    # the cheapest covered cell of its last row, p = 1, lies below that low;
+    # the pruned rows keep row 0's None and SKIP there
+    inst = Instance(suppliers=(Supplier(0, 1, 1, 10), Supplier(0, 3, 1, 3)), P=8)
+    full = checked_table(inst, 1, SINGLE)
+    table = solve_fixed_H(inst, 1)
+    assert table.lows == (0, 5, 8)
+    assert as_fractions(full)[2][1:5] == [F(3, 2), 4, F(15, 2), 11]
+    assert table.phi[1][1:5] == table.phi[2][1:5] == [None] * 4
+    assert table.choice[1][1:5] == table.choice[2][1:5] == [SKIP] * 4
+    # phi(2, 8) = phi(1, 5) + cost(3) = 35/2 + 27/2
+    assert table.final == F(31)
+    assert _chosen_indices(table, inst) == [(1, 5), (2, 3)]
+
+
+def test_over_delivery_from_a_pruned_row_reads_residual_zero():
+    # supplier 3 delivers exactly 2, so row 2 starts at low 3; there supplier
+    # 2's smallest batch, 4, closes residual 3 on top of phi(1, 0) = 0
+    inst = Instance(
+        suppliers=(Supplier(100, 0, 1, 3), Supplier(0, 0, 4, 6), Supplier(0, 0, 2, 2)), P=5
+    )
+    checked_table(inst, 1, SINGLE)
+    table = solve_fixed_H(inst, 1)
+    assert table.lows == (0, 0, 3, 5)
+    assert (F(table.phi[2][3], table.den), table.choice[2][3]) == (8, 4)
+    assert table.final == 10
+    assert _chosen_indices(table, inst) == [(2, 4), (3, 2)]
+
+
+def test_row_with_nothing_covered_at_or_above_its_low():
+    # the windows hold 4 of the demand 5 in all, so row 1 starts at low 3 but
+    # covers only up to 2: its reach is 0 and the last row is empty
+    inst = Instance(suppliers=(Supplier(0, 0, 1, 2),) * 2, P=5)
+    grid = build_grid(inst, 1)
+    costs = _single_candidate_costs(inst, grid)
+    row, ch, reach = _fill_row([0] + [None] * 5, 0, 1, 2, costs[0], 3)
+    assert (row, ch, reach) == ([0] + [None] * 5, [SKIP] * 6, 0)
+    assert _fill_row(row, reach, 1, 2, costs[1], 5)[2] == 0
+    # the full chain's row 1 covers 1..2, which nothing reads
+    assert checked_table(inst, 1, SINGLE).phi[1][2] is not None
+    table = solve_fixed_H(inst, 1)
+    assert table.lows == (0, 3, 5)
+    assert table.final is None
+
+
+def test_lows_of_a_window_entirely_above_the_demand():
+    # supplier 1's smallest batch, 4, exceeds the demand 3, and supplier 2
+    # delivers at most 1, so row 1 starts at 3 - 1 on the unit grid and at
+    # 6 - 2 on the half grid; every cell there is an over-delivery
+    inst = Instance(suppliers=(Supplier(0, 0, 4, 6), Supplier(0, 0, 1, 1)), P=3)
+    for H, lows in ((1, (0, 2, 3)), (2, (0, 4, 6))):
+        checked_table(inst, H, SINGLE)
+        table = solve_fixed_H(inst, H)
+        assert table.lows == lows
+        assert [F(table.phi[1][p], table.den) for p in range(lows[1], lows[2] + 1)] == [8] * (H + 1)
+        assert table.final == 8
+        assert _chosen_indices(table, inst) == [(1, 4 * H)]
+    # a window above the demand in the last row leaves row 1 unpruned
+    inst = Instance(suppliers=(Supplier(0, 0, 1, 2), Supplier(0, 0, 4, 6)), P=3)
+    assert solve_fixed_H(inst, 1).lows == (0, 0, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    inst=st.one_of(instances(n_max=4, bound_max=8), wide_window_instances()),
+    H=st.integers(1, 3),
+    multi=st.booleans(),
+)
+def test_pruned_fill_keeps_the_final_cell_and_the_plan(inst, H, multi):
+    kind = "multi-aggregated" if multi else SINGLE
+    inst = Instance(inst.suppliers, inst.P, inst.lam, inst.c_hold, MULTI if multi else SINGLE)
+    table = solve_fixed_H(inst, H)
+    grid = build_grid(inst, H)
+    full = full_chain(grid, BUILDERS[kind](inst, grid), kind)
+    assert table.final == full.final
+    if full.final is not None:
+        assert _chosen_indices(table, inst) == _chosen_indices(full, inst)
+        assert backtrack(table, inst) == backtrack(full, inst)
 
 
 # --- convex runs ------------------------------------------------------------------
