@@ -8,8 +8,7 @@ Exit codes: 0 success, 1 bad input (a usage error included) or a size-guard
 refusal, 2 infeasible instance, 3 solver/oracle disagreement.  The environment
 variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve, counted
 before the sweep starts: the grids H = 1..L_count (the interior bound from
-the volume windows alone) together, plus grid L_count + 1 when the H range
-reaches above L_count.  The sweep fills the grids 1..L and at most L + 1, and
+the volume windows alone) together.  The sweep fills the grids 1..L, and
 L <= L_count, so it never fills more; the fill computes only part of each
 table's cells (``computed`` in the report's ``per_H``).  A solve over the cap
 is refused with exit code 1 before any table is filled.
@@ -118,6 +117,7 @@ def report_to_json(report: SolveReport) -> dict:
         "table_cells_filled": report.table_cells_filled,
         "kind": report.kind,
         "L": report.L,
+        "interior": report.interior,
         "L_count": report.L_count,
         "skipped_H": list(report.skipped_H),
         "skip_reason": "H > L",

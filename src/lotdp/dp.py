@@ -31,9 +31,8 @@ The fill's tie rules make each table's backtrack the lexicographically
 smallest optimal plan on its grid (volumes compared from supplier n down, a
 skip counting as 0).  The optimal plans on grid best_H are those of the
 reaching grids g <= L that divide best_H, so best_H's plan is the smallest of
-theirs, and best_H's table is never needed above L + 1.  When H_top > L the
-sweep fills the table L + 1 as a check: it must not beat v*, and must reach
-it exactly when the divisor rule says so.
+theirs, and no table above L is ever filled.  The sweep checks the bound on
+the plan it returns: its interior count (``_interior_count``) is at most L.
 
 Pricing and the fill never build a Fraction.  With lam = a/b, every candidate
 cost on the grid of denominator den is an integer over B = 2*a*den**2 (single
@@ -46,9 +45,10 @@ window volumes v <= p, is a min-plus convolution with the supplier's cost row.
 A single batch costs alpha + beta*v + c*v**2/(2*lam), convex in v; an
 aggregated row is a minimum over batch counts of such convex pieces.  The fill
 therefore cuts each cost row into maximal convex runs (second differences
->= 0).  On one run the matrix phi[k-1][q] + cost(p - q) is Monge, so the
-cheapest q of residual p never decreases with p, and divide and conquer over
-those monotone argmins (Galil & Park 1992) finds every residual's best
+>= 0); a single-batch row is one run, and its pricing says so.  On one run
+the matrix phi[k-1][q] + cost(p - q) is Monge, so the cheapest q of residual
+p never decreases with p, and divide and conquer over those monotone argmins
+(Galil & Park 1992) finds every residual's best
 candidate in O((cols + width) * log cols) per run instead of O(cols * width)
 per supplier.  The tie-breaks of a plain ascending scan survive: each run
 keeps its rightmost argmin (the smallest volume), runs are taken in ascending
@@ -57,7 +57,7 @@ strictly beaten, so skipping beats using and the smaller volume wins a tie.
 
 A cell cap, when given, bounds the total cells of the whole sweep and is
 checked before any table is filled, so before L is known: it counts the
-tables 1..L_count, plus the table L_count + 1 when H_top > L_count.
+tables 1..L_count, and L <= L_count.
 
 Demand may also be covered by over-delivery: a batch larger than the open
 residual p closes the plan on its own.  In multi-delivery mode the aggregated
@@ -158,11 +158,13 @@ class DPTable:
 
 class CostRows(list):
     """Candidate costs of one grid: per supplier, one integer numerator for
-    each grid volume m..M, all over the common denominator ``den``."""
+    each grid volume m..M, all over the common denominator ``den``.
+    ``convex`` says every row is one convex run (see :func:`_convex_runs`)."""
 
-    def __init__(self, rows, den: int):
+    def __init__(self, rows, den: int, convex: bool = False):
         super().__init__(rows)
         self.den = den
+        self.convex = convex
 
 
 def _base_denominator(lam: Fraction, den: int) -> int:
@@ -183,7 +185,7 @@ def _single_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
     for (lo, hi), s in zip(grid.spans, inst.suppliers):
         fixed, unit = s.alpha * B, s.beta * per_unit
         rows.append([fixed + unit * i + cb * i * i for i in range(lo, hi + 1)])
-    return CostRows(rows, B)
+    return CostRows(rows, B, convex=True)  # second difference 2*cb > 0
 
 
 def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
@@ -287,7 +289,7 @@ def _run_minima(rprev, reach, w, va, low, row, ch):
         h >>= 1
 
 
-def _fill_row(prev, reach, lo, hi, ck, low):
+def _fill_row(prev, reach, lo, hi, ck, low, convex=False):
     """Row k of a table from row k-1 ``prev``, whose top covered index at or
     above its own low is ``reach`` (0 when there is none), and supplier k's
     cost row ``ck`` over the volumes lo..hi: returns (row, ch, reach) with
@@ -296,14 +298,19 @@ def _fill_row(prev, reach, lo, hi, ck, low):
     The row is exact at residual 0 and at every p >= ``low``, provided prev is
     exact at 0 and at every p >= max(0, low - hi); the other cells keep the
     skip entry, prev[p] and SKIP.  Residual 0 costs nothing in every row, as
-    every batch costs more than 0.  With low = 0 the whole row is exact."""
+    every batch costs more than 0.  With low = 0 the whole row is exact.
+
+    ``convex`` says ck is one convex run.  A row that computes one residual
+    only (low = P*den, as the last row does) needs no cut either: a single
+    residual's scan over the whole window is exact whatever the row's shape."""
     cols = len(prev)
     # interior branch: the cheapest volume v <= p on top of prev[p - v],
     # convex run by convex run in ascending volume order
     rprev = prev[::-1]
     row = prev[:]  # skip supplier k unless strictly beaten below
     ch = [SKIP] * cols
-    for a, b in _convex_runs(ck):
+    runs = [(0, len(ck) - 1)] if convex or low >= cols - 1 else _convex_runs(ck)
+    for a, b in runs:
         _run_minima(rprev, reach, ck[a:b + 1], lo + a, low, row, ch)
     # over-delivery: the cheapest batch above p closes the plan at p.  The
     # running minimum starts with the batches above the last residual and
@@ -365,7 +372,7 @@ def _fill(
     choice_rows = [[SKIP] * cols]
     for k in range(1, n + 1):
         lo, hi = grid.spans[k - 1]
-        prev, ch, reach = _fill_row(prev, reach, lo, hi, costs[k - 1], lows[k])
+        prev, ch, reach = _fill_row(prev, reach, lo, hi, costs[k - 1], lows[k], costs.convex)
         phi_rows.append(prev)
         choice_rows.append(ch)
     return DPTable(
@@ -459,9 +466,9 @@ class SolveReport:
     """Outcome of one H sweep.
 
     ``trace`` holds one entry per table filled, in fill order: the grids
-    H = 1..L, then, when ``H_top > L``, the check grid L + 1.  ``skipped_H``
-    lists the other grids up to ``H_top``: each lies above ``L``, so no
-    optimum needs it.
+    H = 1..L.  ``skipped_H`` lists the other grids up to ``H_top``: each lies
+    above ``L``, so no optimum needs it.  ``interior`` is the returned plan's
+    interior count, which the sweep checks is at most ``L``.
 
     ``elapsed_seconds`` is the wall time from the cell-budget check through
     pricing and filling every table, backtracking the winner and
@@ -477,6 +484,7 @@ class SolveReport:
     L: int  # no optimum has more interior batches than this
     H_top: int  # best_H is the largest H <= H_top whose grid holds an optimum
     L_count: int  # the bound from the windows alone, which the cell guard uses
+    interior: int  # the plan's interior batches, _interior_count
 
     @property
     def per_H_objectives(self) -> tuple[tuple[int, Fraction | None], ...]:
@@ -542,28 +550,40 @@ def interior_limit(inst: Instance, bound: Fraction | None = None) -> int:
     return max(1, L)
 
 
+def _interior_count(inst: Instance, solution: Solution) -> int:
+    """The quantity ``interior_limit`` bounds, counted on one plan: r batches
+    for each supplier whose total x, in r deliveries, has r*m < x < M.  A
+    supplier used in single mode has r = 1, so there it counts the suppliers
+    with m < x < M."""
+    batches = [0] * inst.n
+    for d in solution.deliveries:
+        batches[d.supplier_index - 1] += 1
+    return sum(
+        r
+        for r, x, s in zip(batches, solution.per_supplier_totals, inst.suppliers)
+        if r * s.m < x < s.M
+    )
+
+
 def _table_cells(inst: Instance, H: int) -> int:
     """Cells of the H table: (n+1) rows of P*H*c_hold*den(lam) + 1 columns."""
     return (inst.n + 1) * (inst.P * H * inst.c_hold * inst.lam.denominator + 1)
 
 
-def _sweep_cells(inst: Instance, L_count: int, H_top: int) -> int:
+def _sweep_cells(inst: Instance, L_count: int) -> int:
     """Cells the sweep may fill, from the grid definition alone: the tables
-    H = 1..L_count and, when H_top > L_count, the table L_count + 1.  The
-    sweep fills the tables 1..L and at most L + 1, and L <= L_count."""
-    total = sum(_table_cells(inst, H) for H in range(1, L_count + 1))
-    return total + (_table_cells(inst, L_count + 1) if H_top > L_count else 0)
+    H = 1..L_count.  The sweep fills the tables 1..L, and L <= L_count."""
+    return sum(_table_cells(inst, H) for H in range(1, L_count + 1))
 
 
-def _require_sweep_budget(inst: Instance, L_count: int, H_top: int, max_cells: int | None) -> None:
+def _require_sweep_budget(inst: Instance, L_count: int, max_cells: int | None) -> None:
     """Refuse a sweep whose tables could hold more than max_cells cells in all."""
     if max_cells is None:
         return
-    total = _sweep_cells(inst, L_count, H_top)
+    total = _sweep_cells(inst, L_count)
     if total > max_cells:
-        extra = f" and the table H={L_count + 1}" if H_top > L_count else ""
         raise ResourceLimitError(
-            f"the sweep over H=1..{L_count}{extra} needs {total} "
+            f"the sweep over H=1..{L_count} needs {total} "
             f"table cells, above the cap {max_cells}"
         )
 
@@ -594,15 +614,13 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     grid gcd(g, best_H) too, g its interior count, so that plan is the
     smallest of the plans of the reaching tables g <= L that divide best_H;
     each of those records its plan as a Path when it is filled, and no table
-    outlives its own step.
+    outlives its own step.  The tables filled are exactly 1..L.
 
-    When H_top > L the table L + 1 is filled as a check: it must not beat
-    v*, and must reach it exactly when the divisor rule says so.  It is
-    backtracked directly when it is best_H's.  The number of tables filled
-    depends on L and H_top alone."""
+    The bound is checked on the plan returned: its interior count is at most
+    L, and its totals lie on grid best_H."""
     t_start = time.perf_counter()
     L_count = interior_limit(inst)
-    _require_sweep_budget(inst, L_count, H_top, max_cells)
+    _require_sweep_budget(inst, L_count, max_cells)
     traces = []
 
     def fill(H: int) -> DPTable:
@@ -628,14 +646,6 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
             reaching[H] = _chosen_path(table, inst)
     del table
     best_H = next(H for H in range(H_top, 0, -1) if any(H % g == 0 for g in reaching))
-    if H_top > L:
-        check = fill(L + 1)
-        # no grid beats the tables 1..L, and this one ties them exactly when
-        # the divisor rule says so
-        assert check.final >= best_val
-        assert (check.final == best_val) == any((L + 1) % g == 0 for g in reaching)
-        if best_H == L + 1:
-            reaching[best_H] = _chosen_path(check, inst)
     if best_H in reaching:
         path = reaching[best_H]
     else:
@@ -647,6 +657,8 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     assert solution.objective == best_val  # recomputed from scratch in make_solution
     den = best_H * inst.c_hold * inst.lam.denominator
     assert all(den % t.denominator == 0 for t in solution.per_supplier_totals)
+    interior = _interior_count(inst, solution)
+    assert interior <= L
     return SolveReport(
         best_H=best_H,
         solution=solution,
@@ -656,6 +668,7 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
         L=L,
         H_top=H_top,
         L_count=L_count,
+        interior=interior,
     )
 
 
@@ -663,10 +676,9 @@ def solve(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
     """Exact optimum of a single-delivery instance via the H sweep.
 
     best_H ranges over H = 1..n; the sweep fills the tables H = 1..L
-    (:func:`interior_limit`) and, when n > L, the table L + 1.  ``max_cells``
-    caps the cells of the sweep before L is known, so it counts the tables
-    H = 1..L_count (L's bound from the windows alone, never below L) and,
-    when n > L_count, the table L_count + 1; a sweep over the cap raises
+    (:func:`interior_limit`).  ``max_cells`` caps the cells of the sweep
+    before L is known, so it counts the tables H = 1..L_count (L's bound from
+    the windows alone, never below L); a sweep over the cap raises
     ResourceLimitError before any table is filled.
     """
     require_valid(inst)
@@ -677,10 +689,10 @@ def solve(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
 
 def multi_h_limit(inst: Instance) -> int:
     """H_top of a multi-delivery sweep: floor(P/m) batches per supplier, the
-    top of the range that names best_H.  The tables filled stop at
-    interior_limit + 1, and go that far only when this is larger.  Plans
-    that over-deliver consist of minimum-size batches only, which every grid
-    carries, so H=1 covers them."""
+    top of the range that names best_H.  The sweep fills the tables up to
+    interior_limit, which never exceeds this.  Plans that over-deliver
+    consist of minimum-size batches only, which every grid carries, so H=1
+    covers them."""
     return max(1, sum(inst.P // s.m for s in inst.suppliers))
 
 
@@ -689,11 +701,10 @@ def solve_multi(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
 
     Each grid total is priced with the closed-form equal-batch split.  best_H
     ranges over H = 1..multi_h_limit; the sweep fills the tables H = 1..L
-    (:func:`interior_limit`) and, when multi_h_limit > L, the table L + 1.
-    ``max_cells`` caps the cells of the sweep before L is known, so it counts
-    the tables H = 1..L_count (L's bound from the windows alone, never below
-    L) and, when multi_h_limit > L_count, the table L_count + 1; a sweep over
-    the cap raises ResourceLimitError before any table is filled.
+    (:func:`interior_limit`).  ``max_cells`` caps the cells of the sweep
+    before L is known, so it counts the tables H = 1..L_count (L's bound from
+    the windows alone, never below L); a sweep over the cap raises
+    ResourceLimitError before any table is filled.
     """
     require_valid(inst)
     if inst.mode != MULTI:

@@ -217,7 +217,7 @@ def duplication_oracle(inst: Instance, *, max_cells: int | None = None) -> Solut
     if inst.mode != MULTI:
         raise ValueError("duplication_oracle handles multi-delivery instances only")
     H_top = dp.multi_h_limit(inst)
-    dp._require_sweep_budget(inst, H_top, H_top, max_cells)
+    dp._require_sweep_budget(inst, H_top, max_cells)
     best = None
     for H in range(1, H_top + 1):
         grid = dp.build_grid(inst, H)

@@ -67,15 +67,15 @@ class TestSolve:
 
     def test_report_names_the_skipped_grids(self, tmp_path, capsys):
         # at most (9 - 1) // 2 = 4 interior batches, while best_H ranges up to
-        # 9 // 2 + 9 // 2 = 8; the sweep fills the check grid 5 and takes
-        # best_H's plan from the grids up to 4
+        # 9 // 2 + 9 // 2 = 8; the sweep fills the grids up to 4 and takes
+        # best_H's plan from them: four batches of 9/4, all interior
         inst = Instance(suppliers=(Supplier(1, 1, 2, 12),) * 2, P=9, mode=MULTI)
         assert cli.main(["solve", write_instance(tmp_path / "m.json", inst)]) == 0
         report = json.loads(capsys.readouterr().err)
-        assert (report["L"], report["L_count"]) == (4, 4)
-        assert [h["H"] for h in report["per_H"]] == [1, 2, 3, 4, 5]
+        assert (report["L"], report["interior"], report["L_count"]) == (4, 4, 4)
+        assert [h["H"] for h in report["per_H"]] == [1, 2, 3, 4]
         assert report["best_H"] == 8
-        assert report["skipped_H"] == [6, 7, 8]
+        assert report["skipped_H"] == [5, 6, 7, 8]
         assert report["skip_reason"] == "H > L"
         assert report["table_cells_filled"] == sum(h["cells"] for h in report["per_H"])
 
@@ -91,7 +91,7 @@ class TestSolve:
     def test_golden_report_skips_no_grid(self, golden_file, capsys):
         assert cli.main(["solve", golden_file]) == 0
         report = json.loads(capsys.readouterr().err)
-        assert (report["L"], report["L_count"]) == (2, 2)
+        assert (report["L"], report["interior"], report["L_count"]) == (2, 2, 2)
         assert report["skipped_H"] == []
 
     def test_mode_override(self, golden_file, capsys):

@@ -15,6 +15,7 @@ from lotdp import (
     backtrack,
     build_grid,
     duplication_oracle,
+    make_solution,
     multi_h_limit,
     random_instance,
     solve,
@@ -260,16 +261,14 @@ def assert_matches_full_sweep(inst):
     assert report.best_H == best_H
     assert report.solution == solution
     assert report.solution.objective == solution.objective
-    # the tables 1..L in order, then one more when the H range reaches above L
+    # exactly the tables 1..L, in order, and the rest of the H range skipped
     filled = [t.H for t in report.trace]
-    assert filled[:report.L] == list(range(1, report.L + 1))
-    assert len(filled) == report.L + (report.H_top > report.L)
-    assert sorted(filled + list(report.skipped_H)) == list(range(1, report.H_top + 1))
-    assert all(H > report.L for H in report.skipped_H)
-    # the extra table is the check grid L + 1, and the guard bounds the sweep
-    assert filled[report.L:] == [report.L + 1] * (report.H_top > report.L)
+    assert filled == list(range(1, report.L + 1))
+    assert report.skipped_H == tuple(range(report.L + 1, report.H_top + 1))
+    # the guard bounds the sweep, and the plan keeps the interior bound
     assert report.L <= report.L_count
-    assert report.table_cells_filled <= dp._sweep_cells(inst, report.L_count, report.H_top)
+    assert report.table_cells_filled <= dp._sweep_cells(inst, report.L_count)
+    assert report.interior == dp._interior_count(inst, report.solution) <= report.L
     return report
 
 
@@ -403,10 +402,70 @@ def test_best_H_plan_comes_from_the_smaller_grids(monkeypatch):
     filled = count_fills(monkeypatch)
     report = solve_multi(inst)
     assert (report.L, report.best_H, report.H_top) == (5, 20, 20)
-    assert filled == [1, 2, 3, 4, 5, 6]
+    assert filled == [1, 2, 3, 4, 5]
     assert report.best_H == best_H
     assert report.solution == solution
     assert report.solution.per_supplier_totals == (F(15, 2), F(5, 2), 0)
+
+
+@pytest.mark.parametrize(
+    "inst, L, interior",
+    [
+        (random_instance(random.Random(36), n_max=6, p_max=24, c_max=2, bound_max=10), 2, 0),
+        (
+            random_instance(random.Random(76), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
+            3,
+            2,
+        ),
+    ],
+    ids=["single", "multi"],
+)
+def test_best_H_one_above_L_is_named_without_its_table(monkeypatch, inst, L, interior):
+    # best_H = L + 1 takes its plan from the grids up to L like any H > L
+    filled = count_fills(monkeypatch)
+    report = solve_multi(inst) if inst.mode == MULTI else solve(inst)
+    assert filled == list(range(1, L + 1))
+    assert (report.L, report.best_H, report.interior) == (L, L + 1, interior)
+    assert_matches_full_sweep(inst)
+
+
+def test_interior_count():
+    # the golden optimum puts both suppliers at 5/2, inside [2, 3]
+    golden = Instance(suppliers=(Supplier(0, 1, 2, 3),) * 2, P=5, c_hold=2)
+    assert dp._interior_count(golden, solve(golden).solution) == 2
+    # multi mode counts the r batches of a total x with r*m < x < M: 3 + 0 + 0,
+    # as supplier 2 is at M and supplier 3 at r*m
+    inst = Instance(suppliers=(Supplier(0, 0, 2, 9),) * 3, P=20, mode=MULTI)
+    deliveries = [(1, F(7, 3))] * 3 + [(2, F(9, 2))] * 2 + [(3, 2)] * 2
+    assert dp._interior_count(inst, make_solution(inst, deliveries)) == 3
+    # single mode counts the suppliers with m < x < M: 1 + 1 + 0
+    single = replace(inst, mode="single")
+    plan = make_solution(single, [(1, F(5, 2)), (2, F(17, 2)), (3, 9)])
+    assert dp._interior_count(single, plan) == 2
+
+
+def reference_interior_count(inst, solution):
+    """Batches above their m from suppliers below their M."""
+    count = 0
+    for d in solution.deliveries:
+        s = inst.suppliers[d.supplier_index - 1]
+        count += s.m < d.volume and solution.per_supplier_totals[d.supplier_index - 1] < s.M
+    return count
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), multi=st.booleans())
+def test_returned_plan_has_at_most_L_interior_batches(seed, multi):
+    rng = random.Random(seed)
+    if multi:
+        inst = random_instance(rng, n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI)
+        report = solve_multi(inst)
+    else:
+        inst = random_instance(rng, n_max=6, p_max=24, c_max=2, bound_max=10)
+        report = solve(inst)
+    count = dp._interior_count(inst, report.solution)
+    assert count == report.interior == reference_interior_count(inst, report.solution)
+    assert count <= report.L
 
 
 @pytest.mark.parametrize("mode", ["single", MULTI])
@@ -432,7 +491,7 @@ def test_cells_filled_never_exceed_the_guard(seed, multi):
     else:
         inst = random_instance(rng, n_max=6, p_max=24, c_max=2, bound_max=10)
         report = solve(inst)
-    guard = dp._sweep_cells(inst, report.L_count, report.H_top)
+    guard = dp._sweep_cells(inst, report.L_count)
     assert report.table_cells_filled <= guard
     # the fill computes part of each table
     assert all(0 < t.computed <= t.cells for t in report.trace)
@@ -444,14 +503,14 @@ def test_cells_filled_never_exceed_the_guard(seed, multi):
 def test_cell_budget_counts_the_bounded_sweep(monkeypatch):
     inst = Instance(suppliers=(Supplier(0, 1, 2, 3),) * 4, P=5, c_hold=1)
     # tables hold 5 * (5H + 1) cells: 30, 55, 80, 105 for H = 1..4, and
-    # L_count = 2, so the sweep fills H = 1, 2 and at most the table H = 3
-    new_need, full_need = 30 + 55 + 80, 30 + 55 + 80 + 105
-    assert dp._sweep_cells(inst, 2, 4) == new_need
+    # L_count = 2, so the sweep fills H = 1, 2 and no other table
+    new_need, full_need = 30 + 55, 30 + 55 + 80 + 105
+    assert dp._sweep_cells(inst, 2) == new_need
     report = solve(inst, max_cells=full_need - 1)
-    assert report.table_cells_filled <= new_need
+    assert report.table_cells_filled == new_need
     assert solve(inst, max_cells=new_need).solution == report.solution
     fills = []
     monkeypatch.setattr(dp, "_fill", lambda *args: fills.append(args))
-    with pytest.raises(ResourceLimitError, match=r"H=1\.\.2 and the table H=3 needs 165 "):
+    with pytest.raises(ResourceLimitError, match=r"H=1\.\.2 needs 85 "):
         solve(inst, max_cells=new_need - 1)
     assert fills == []

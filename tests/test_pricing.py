@@ -10,6 +10,7 @@ same plan.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,7 @@ from lotdp import (
     multi_delivery_cost,
     solve_fixed_H,
 )
+from lotdp import dp
 from lotdp.closed_form import best_batch_count
 from lotdp.dp import (
     SKIP,
@@ -526,5 +528,41 @@ def test_convex_runs_partition_the_row_into_maximal_convex_pieces(row):
 @settings(max_examples=40, deadline=None)
 @given(inst=instances(bound_max=12), H=st.integers(1, 3))
 def test_single_batch_rows_are_one_convex_run(inst, H):
-    for row in _single_candidate_costs(inst, build_grid(inst, H)):
+    costs = _single_candidate_costs(inst, build_grid(inst, H))
+    assert costs.convex
+    for row in costs:
         assert _convex_runs(row) == [(0, len(row) - 1)]
+
+
+def test_only_single_batch_pricing_claims_one_convex_run():
+    inst = Instance(suppliers=(Supplier(1, 1, 1, 6),) * 2, P=8)
+    grid = build_grid(inst, 2)
+    convex = {kind: BUILDERS[kind](inst, grid).convex for kind in BUILDERS}
+    assert convex == {SINGLE: True, "multi-aggregated": False, "multi-duplication": False}
+
+
+def test_a_row_of_one_residual_scans_its_window_whole():
+    # volumes 1..5 cost [4, 1, 5, 2, 6], two convex runs; at p = 5 the
+    # volumes 2 and 4 tie at 4 on top of prev, and the smaller one wins
+    prev, ck = [0, 2, 3, 3, 8, 9], [4, 1, 5, 2, 6]
+    assert _convex_runs(ck) == [(0, 2), (3, 4)]
+    full, full_ch, _ = _fill_row(prev, 5, 1, 5, ck, 0)
+    assert (full, full_ch) == ([0, 1, 1, 2, 2, 4], [SKIP, 2, 2, 4, 4, 2])
+    row, ch, reach = _fill_row(prev, 5, 1, 5, ck, 5)
+    assert (row[5], ch[5], reach) == (4, 2, 5)
+
+
+def test_convex_runs_are_cut_only_on_rows_of_many_residuals(monkeypatch):
+    cut = []
+    original = dp._convex_runs
+    monkeypatch.setattr(dp, "_convex_runs", lambda row: cut.append(row) or original(row))
+    single = Instance(suppliers=(Supplier(1, 1, 1, 6),) * 3, P=8)
+    solve_fixed_H(single, 2)
+    assert cut == []
+    # 17 residuals on grid 2; rows 1 and 2 compute from 0 and 4 up, and the
+    # last row computes P*den = 16 alone
+    multi = replace(single, mode=MULTI)
+    table = solve_fixed_H(multi, 2)
+    assert table.lows == (0, 0, 4, 16)
+    costs = _aggregated_candidate_costs(multi, build_grid(multi, 2))
+    assert cut == costs[:2]
