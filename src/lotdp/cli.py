@@ -5,7 +5,8 @@ batch) against the brute-force oracles, ``gen`` a random instance, ``bench``
 the table sizes and wall time across a parameter sweep.
 
 Exit codes: 0 success, 1 bad input (a usage error included) or a size-guard
-refusal, 2 infeasible instance, 3 solver/oracle disagreement.  The environment
+refusal, 2 infeasible instance, 3 solver disagreement: the solvers and oracles
+of ``verify``, or ``solve``'s own audit of its plan.  The environment
 variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve, counted
 before the sweep starts: the grids H = 1..L_count (the interior bound from
 the volume windows alone) together.  The sweep fills the grids 1..L, and
@@ -24,7 +25,7 @@ import sys
 from dataclasses import replace
 
 from .dp import SolveReport, solve, solve_multi
-from .errors import InfeasibleInstanceError, LotSizingError, SchemaError
+from .errors import FeasibilityError, InfeasibleInstanceError, LotSizingError, SchemaError
 from .generate import bench_instance, random_instance
 from .model import (
     MULTI,
@@ -152,10 +153,14 @@ def cmd_solve(args) -> int:
         report = solve_multi(inst, max_cells=max_cells)
     else:
         report = solve(inst, max_cells=max_cells)
-    # audit before writing anything: the stored objective must survive an
-    # independent recomputation
-    if solution_cost(inst, report.solution) != report.solution.objective:
-        return _fail("internal audit failed: objective does not recompute", EXIT_INPUT)
+    # audit before writing anything: the plan must be feasible and its stored
+    # objective must survive an independent recomputation
+    try:
+        audited = solution_cost(inst, report.solution)
+    except FeasibilityError as exc:
+        return _fail(f"internal audit failed: {exc}", EXIT_MISMATCH)
+    if audited != report.solution.objective:
+        return _fail("internal audit failed: objective does not recompute", EXIT_MISMATCH)
     _write_text(
         json.dumps(solution_to_json(report.solution, approx=args.pretty), indent=2) + "\n",
         args.out,

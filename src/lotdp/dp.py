@@ -27,12 +27,15 @@ reaches v*.  Grid g lies inside grid H when g divides H, and every optimum
 lies on the grid of its own interior count, so table H reaches v* exactly
 when H is a multiple of some g <= L whose table reaches v*.
 
-The fill's tie rules make each table's backtrack the lexicographically
-smallest optimal plan on its grid (volumes compared from supplier n down, a
-skip counting as 0).  The optimal plans on grid best_H are those of the
-reaching grids g <= L that divide best_H, so best_H's plan is the smallest of
-theirs, and no table above L is ever filled.  The sweep checks the bound on
-the plan it returns: its interior count (``_interior_count``) is at most L.
+The fill computes phi only.  The backtrack decides each step with one tie
+rule, ``_choice``: a supplier is skipped when skipping costs the same, and
+otherwise takes the smallest volume that attains the cell.  So each table's
+backtrack is the lexicographically smallest optimal plan on its grid (volumes
+compared from supplier n down, a skip counting as 0).  The optimal plans on
+grid best_H are those of the reaching grids g <= L that divide best_H, so
+best_H's plan is the smallest of theirs, and no table above L is ever
+filled.  The sweep checks the bound on the plan it returns: its interior
+count (``_interior_count``) is at most L.
 
 Pricing and the fill never build a Fraction.  With lam = a/b, every candidate
 cost on the grid of denominator den is an integer over B = 2*a*den**2 (single
@@ -50,10 +53,9 @@ the matrix phi[k-1][q] + cost(p - q) is Monge, so the cheapest q of residual
 p never decreases with p, and divide and conquer over those monotone argmins
 (Galil & Park 1992) finds every residual's best
 candidate in O((cols + width) * log cols) per run instead of O(cols * width)
-per supplier.  The tie-breaks of a plain ascending scan survive: each run
-keeps its rightmost argmin (the smallest volume), runs are taken in ascending
-volume order, and a cell starts at the skip value and changes only when
-strictly beaten, so skipping beats using and the smaller volume wins a tie.
+per supplier.  Only the values matter there: which volume attains a cell is
+read off phi and the cost rows at backtrack, and only on the n cells of the
+path.
 
 A cell cap, when given, bounds the total cells of the whole sweep and is
 checked before any table is filled, so before L is known: it counts the
@@ -95,9 +97,6 @@ from .model import (
     require_valid,
 )
 
-SKIP = -1
-
-
 @dataclass(frozen=True)
 class Grid:
     H: int
@@ -124,13 +123,14 @@ class DPTable:
 
     ``phi[k][p]`` is the integer numerator, over the table-wide denominator
     ``den``, of the cheapest way to cover residual demand index p with
-    suppliers 1..k, or None when they cannot cover it.  ``choice`` has the
-    same shape and holds SKIP or the chosen volume index.
+    suppliers 1..k, or None when they cannot cover it.  ``costs`` are the
+    cost rows it was filled from, which the backtrack reads to name each
+    step's volume (:func:`_choice`).
 
-    Both are exact at p = 0 and at every p >= ``lows[k]``, the only cells
+    phi is exact at p = 0 and at every p >= ``lows[k]``, the only cells
     phi(n, P) and its backtrack can read; row 0 is exact everywhere.  A cell
-    of row k below lows[k] other than 0 holds row k-1's value and SKIP, and
-    nothing reads it.  ``cells`` is the size of the table, the unit of the
+    of row k below lows[k] other than 0 holds row k-1's value, and nothing
+    reads it.  ``cells`` is the size of the table, the unit of the
     cell guard, and ``computed`` the exact cells.
     """
 
@@ -139,7 +139,7 @@ class DPTable:
     kind: str  # "single" | "multi-aggregated", or a cross-check's own label
     phi: list  # (n+1) x demand_points, int numerators over den, or None
     den: int
-    choice: list
+    costs: CostRows
     cells: int
     lows: tuple[int, ...]  # row k is exact at 0 and at p >= lows[k]
 
@@ -237,9 +237,9 @@ def _convex_runs(row: list) -> list[tuple[int, int]]:
     return runs
 
 
-def _run_minima(rprev, reach, w, va, low, row, ch):
-    """Lower ``row``/``ch`` with one convex run of volumes: w[v - va] is the
-    cost of volume index v for v = va..vb, vb = va + len(w) - 1.
+def _run_minima(rprev, reach, w, va, low, row):
+    """Lower ``row`` with one convex run of volumes: w[v - va] is the cost of
+    volume index v for v = va..vb, vb = va + len(w) - 1.
 
     Only the residuals p >= max(va, low) are done.  Residual p may take
     q = p - v in max(0, p - vb) .. min(p - va, reach), with reach the top
@@ -250,9 +250,7 @@ def _run_minima(rprev, reach, w, va, low, row, ch):
     that: level by level the stride between solved residuals halves, and each
     new residual scans only the q between the argmins of its two solved
     neighbours: O((cols + width) * log cols) work for the run instead of
-    O(cols * width).  A tie goes to the largest q, the smallest volume, and
-    ``row[p]`` changes only when strictly beaten, so whatever is already there
-    (skipping, or a run of smaller volumes) keeps a tie."""
+    O(cols * width)."""
     end = len(rprev) - 1  # the last residual
     span = len(w) - 1  # vb - va
     first = max(va, low)
@@ -285,19 +283,20 @@ def _run_minima(rprev, reach, w, va, low, row, ch):
             opt[t] = qr
             p = va + i
             if row[p] is None or val < row[p]:
-                row[p], ch[p] = val, p - qr
+                row[p] = val
         h >>= 1
 
 
 def _fill_row(prev, reach, lo, hi, ck, low, convex=False):
     """Row k of a table from row k-1 ``prev``, whose top covered index at or
     above its own low is ``reach`` (0 when there is none), and supplier k's
-    cost row ``ck`` over the volumes lo..hi: returns (row, ch, reach) with
-    reach that of the new row.
+    cost row ``ck`` over the volumes lo..hi: returns (row, reach) with reach
+    that of the new row.  The fill computes values only; which volume attains
+    a cell is left to :func:`_choice`.
 
     The row is exact at residual 0 and at every p >= ``low``, provided prev is
     exact at 0 and at every p >= max(0, low - hi); the other cells keep the
-    skip entry, prev[p] and SKIP.  Residual 0 costs nothing in every row, as
+    skip entry, prev[p].  Residual 0 costs nothing in every row, as
     every batch costs more than 0.  With low = 0 the whole row is exact.
 
     ``convex`` says ck is one convex run.  A row that computes one residual
@@ -307,17 +306,14 @@ def _fill_row(prev, reach, lo, hi, ck, low, convex=False):
     # interior branch: the cheapest volume v <= p on top of prev[p - v],
     # convex run by convex run in ascending volume order
     rprev = prev[::-1]
-    row = prev[:]  # skip supplier k unless strictly beaten below
-    ch = [SKIP] * cols
+    row = prev[:]  # the skip entry, lowered by any cheaper candidate below
     runs = [(0, len(ck) - 1)] if convex or low >= cols - 1 else _convex_runs(ck)
     for a, b in runs:
-        _run_minima(rprev, reach, ck[a:b + 1], lo + a, low, row, ch)
+        _run_minima(rprev, reach, ck[a:b + 1], lo + a, low, row)
     # over-delivery: the cheapest batch above p closes the plan at p.  The
     # running minimum starts with the batches above the last residual and
-    # takes in volume p once p is done; <= hands a tie to the smaller volume
-    above = ck[max(0, cols - lo):]
-    best = min(above, default=None)
-    arg = None if best is None else hi - len(above) + 1 + above.index(best)
+    # takes in volume p once p is done
+    best = min(ck[max(0, cols - lo):], default=None)
     rest = prev[0]  # suppliers 1..k-1 with nothing left to cover
     nxt = None  # row[p + 1]
     reach = 0
@@ -325,7 +321,6 @@ def _fill_row(prev, reach, lo, hi, ck, low, convex=False):
         val = row[p]
         if best is not None and (val is None or best + rest < val):
             row[p] = val = best + rest
-            ch[p] = arg
         assert val is None or prev[p] is None or val <= prev[p]
         if val is None:
             assert nxt is None
@@ -334,9 +329,9 @@ def _fill_row(prev, reach, lo, hi, ck, low, convex=False):
         else:
             assert nxt >= val
         nxt = val
-        if lo <= p <= hi and (best is None or ck[p - lo] <= best):
-            best, arg = ck[p - lo], p
-    return row, ch, reach
+        if lo <= p <= hi and (best is None or ck[p - lo] < best):
+            best = ck[p - lo]
+    return row, reach
 
 
 def _fill(
@@ -369,15 +364,13 @@ def _fill(
     prev[0] = 0
     reach = 0  # the top covered index of prev at or above its low, else 0
     phi_rows = [prev]
-    choice_rows = [[SKIP] * cols]
     for k in range(1, n + 1):
         lo, hi = grid.spans[k - 1]
-        prev, ch, reach = _fill_row(prev, reach, lo, hi, costs[k - 1], lows[k], costs.convex)
+        prev, reach = _fill_row(prev, reach, lo, hi, costs[k - 1], lows[k], costs.convex)
         phi_rows.append(prev)
-        choice_rows.append(ch)
     return DPTable(
         H=grid.H, grid=grid, kind=kind, phi=phi_rows, den=costs.den,
-        choice=choice_rows, cells=cells, lows=tuple(lows),
+        costs=costs, cells=cells, lows=tuple(lows),
     )
 
 
@@ -394,9 +387,32 @@ def solve_fixed_H(inst: Instance, H: int, *, max_cells: int | None = None) -> DP
     return _fill(inst, grid, _single_candidate_costs(inst, grid), SINGLE, max_cells)
 
 
+def _choice(table: DPTable, k: int, p: int) -> int | None:
+    """The tie rule, stated once: the volume index supplier k takes at
+    residual p, or None when it is skipped.  Reads only phi[k][p], phi[k-1]
+    at p, at p - v for the window volumes v <= p, and at 0, so at an exact
+    cell (p = 0 or p >= lows[k]) it reads exact cells only.
+
+    Skipping wins when it costs the same.  Otherwise the smallest volume v
+    with cost(v) + phi[k-1][p - v] (or phi[k-1][0] when v > p, an
+    over-delivery) equal to phi[k][p] wins: an interior volume (v <= p)
+    before any over-delivery, and the smaller volume among equals.  So a
+    table backtracks to its lexicographically smallest optimal plan."""
+    prev, val = table.phi[k - 1], table.phi[k][p]
+    if val == prev[p]:
+        return None
+    lo, _ = table.grid.spans[k - 1]
+    for v, cost in enumerate(table.costs[k - 1], lo):
+        rest = prev[p - v] if v <= p else prev[0]
+        if rest is not None and cost + rest == val:
+            return v
+    raise AssertionError(f"no volume attains phi[{k}][{p}] on the H={table.H} grid")
+
+
 def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
-    """Walk the choice table from phi(n, P) down: (supplier, volume index) for
-    every supplier the winning plan uses, in supplier order.
+    """Walk from phi(n, P) down, each step decided by :func:`_choice`:
+    (supplier, volume index) for every supplier the winning plan uses, in
+    supplier order.
 
     Raises InfeasibleInstanceError when the table carries no feasible plan.
     """
@@ -407,11 +423,11 @@ def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
     chosen = []
     p = table.grid.demand_points - 1
     for k in range(inst.n, 0, -1):
-        c = table.choice[k][p]
-        if c == SKIP:
+        v = _choice(table, k, p)
+        if v is None:
             continue
-        chosen.append((k, c))
-        p = p - c if c < p else 0
+        chosen.append((k, v))
+        p = p - v if v < p else 0
     return chosen[::-1]
 
 

@@ -129,6 +129,7 @@ def _delivery_violations(inst: Instance, deliveries) -> tuple[list[str], list[Fr
     """Every feasibility problem of a plan, and each supplier's total volume."""
     problems = []
     totals = [Fraction(0)] * inst.n
+    batches = [0] * inst.n
     for d in deliveries:
         if not 1 <= d.supplier_index <= inst.n:
             problems.append(
@@ -142,6 +143,12 @@ def _delivery_violations(inst: Instance, deliveries) -> tuple[list[str], list[Fr
                 f"batch of {d.volume} from supplier {d.supplier_index} "
                 f"outside its window [{s.m}, {s.M}]"
             )
+        if inst.mode == SINGLE and batches[d.supplier_index - 1] == 1:
+            problems.append(
+                f"supplier {d.supplier_index} delivers more than one batch "
+                f"in single-delivery mode"
+            )
+        batches[d.supplier_index - 1] += 1
         totals[d.supplier_index - 1] += d.volume
     for i, t in enumerate(totals):
         cap = inst.suppliers[i].M
@@ -165,7 +172,8 @@ def solution_cost(inst: Instance, sol: Solution) -> Fraction:
     """Recompute the objective of a solution from scratch.
 
     Raises FeasibilityError listing every violated constraint (demand coverage,
-    per-supplier caps, per-batch volume windows).
+    per-supplier caps, per-batch volume windows, one batch per supplier in
+    single-delivery mode).
     """
     problems, _ = _delivery_violations(inst, sol.deliveries)
     if problems:
@@ -377,6 +385,8 @@ def solution_from_json(obj, inst: Instance) -> Solution:
         if key not in obj:
             raise SchemaError(f"solution: missing field {key!r}")
     stated = rational_from_json(obj["objective"], "solution.objective")
+    if not isinstance(obj["deliveries"], list):
+        raise SchemaError("solution.deliveries: expected a list")
     pairs = []
     for i, raw in enumerate(obj["deliveries"]):
         where = f"solution.deliveries[{i}]"

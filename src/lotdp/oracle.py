@@ -3,9 +3,10 @@
 The two single-delivery oracles are exponential brute force, meant for small
 instances only, and share no table machinery with :mod:`lotdp.dp`.  The
 multi-delivery duplication oracle shares the grid, the cell guard, the Bellman
-fill and the choice-table walk of :mod:`lotdp.dp`, but not its pricing (every
-batch is forced onto the grid instead of priced by the closed-form split) nor
-its sweep bound (it fills every grid up to ``multi_h_limit``).
+fill and the backtrack with its tie rule (``_choice``) of :mod:`lotdp.dp`, but
+not its pricing (every batch is forced onto the grid instead of priced by the
+closed-form split) nor its sweep bound (it fills every grid up to
+``multi_h_limit``).
 """
 
 from __future__ import annotations

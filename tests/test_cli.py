@@ -106,6 +106,27 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "capacity" in err and "demand" in err
 
+    @pytest.mark.parametrize(
+        "skew, message",
+        [
+            (lambda sol: replace(sol, objective=sol.objective + 1), "does not recompute"),
+            (lambda sol: replace(sol, deliveries=sol.deliveries[:1]), "below the demand"),
+        ],
+        ids=["objective", "infeasible-plan"],
+    )
+    def test_failed_audit_exits_3(self, golden_file, capsys, monkeypatch, skew, message):
+        solve = cli.solve
+
+        def skewed(inst, **kwargs):
+            report = solve(inst, **kwargs)
+            return replace(report, solution=skew(report.solution))
+
+        monkeypatch.setattr(cli, "solve", skewed)
+        assert cli.main(["solve", golden_file]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "internal audit failed" in err and message in err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert cli.main(["solve", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lotdp import (
+    MULTI,
     Delivery,
     FeasibilityError,
     Instance,
     SchemaError,
+    Solution,
     Supplier,
     VolumeBoundsError,
     as_rational,
@@ -221,3 +224,24 @@ def test_solution_json_rejects_wrong_objective(golden):
     doc["objective"] = {"num": 18, "den": 1}
     with pytest.raises(SchemaError):
         solution_from_json(doc, golden)
+
+
+def test_single_mode_refuses_a_supplier_split_into_batches():
+    # two batches of 2 would cost 8, below the true optimum 12 of one batch of 4
+    inst = Instance(suppliers=(Supplier(0, 1, 1, 10),), P=4)
+    split = [(1, 2), (1, 2)]
+    with pytest.raises(FeasibilityError, match="more than one batch"):
+        make_solution(inst, split)
+    sol = Solution((Delivery(1, F(2)), Delivery(1, F(2))), F(8), (F(4),))
+    with pytest.raises(FeasibilityError, match="more than one batch"):
+        solution_cost(inst, sol)
+    doc = {"objective": 8, "deliveries": [{"supplier": 1, "volume": 2}] * 2}
+    with pytest.raises(FeasibilityError, match="more than one batch"):
+        solution_from_json(doc, inst)
+    # multi mode allows the split
+    assert make_solution(replace(inst, mode=MULTI), split).objective == 8
+
+
+def test_solution_json_rejects_deliveries_that_are_not_a_list(golden):
+    with pytest.raises(SchemaError, match="solution.deliveries: expected a list"):
+        solution_from_json({"objective": 12, "deliveries": 5}, golden)

@@ -2,11 +2,12 @@
 
 The references below price every grid volume with Fraction arithmetic, try
 every batch count in a loop, and fill the Bellman table in the most direct
-way; the fast path must reproduce their costs, batch counts, phi values and
-choices exactly.  The row routine chained with low = 0 fills whole tables and
-must match the reference at every cell; ``_fill`` computes only the cells
-phi(n, P) can read and must match it at each of those, and backtrack to the
-same plan.
+way; the fast path must reproduce their costs, batch counts and phi values
+exactly, and the choice ``_choice`` derives from a table must equal the
+reference's stored choice.  The row routine chained with low = 0 fills whole
+tables and must match the reference at every cell; ``_fill`` computes only
+the cells phi(n, P) can read and must match it at each of those, and
+backtrack to the same plan.
 """
 
 import math
@@ -31,10 +32,11 @@ from lotdp import (
 from lotdp import dp
 from lotdp.closed_form import best_batch_count
 from lotdp.dp import (
-    SKIP,
     CostRows,
+    Grid,
     _aggregated_candidate_costs,
     _base_denominator,
+    _choice,
     _chosen_indices,
     _convex_runs,
     _fill,
@@ -97,14 +99,14 @@ def ref_costs(inst, grid, kind):
 def ref_fill(grid, costs):
     """phi[k][p] = min(skip, cost(i) + phi[k-1][p-i] for i <= p, cost(i) for
     i > p), volumes tried in ascending order and replaced only when strictly
-    cheaper: skipping beats using, and the smaller volume wins a tie."""
+    cheaper: skipping (None) beats using, and the smaller volume wins a tie."""
     cols = grid.demand_points
     prev = [F(0)] + [None] * (cols - 1)
-    phi, choice = [prev], [[SKIP] * cols]
+    phi, choice = [prev], [[None] * cols]
     for (lo, hi), row_costs in zip(grid.spans, costs):
         row, ch = [], []
         for p in range(cols):
-            best, arg = prev[p], SKIP
+            best, arg = prev[p], None
             for i in range(lo, hi + 1):
                 rest = prev[p - i] if i <= p else prev[0]
                 if rest is not None and (best is None or row_costs[i - lo] + rest < best):
@@ -217,14 +219,13 @@ def full_chain(grid, costs, kind):
     cols = grid.demand_points
     prev = [0] + [None] * (cols - 1)
     reach = 0
-    phi, choice = [prev], [[SKIP] * cols]
+    phi = [prev]
     for (lo, hi), ck in zip(grid.spans, costs):
-        prev, ch, reach = _fill_row(prev, reach, lo, hi, ck, 0)
+        prev, reach = _fill_row(prev, reach, lo, hi, ck, 0)
         phi.append(prev)
-        choice.append(ch)
     rows = len(phi)
     return DPTable(
-        H=grid.H, grid=grid, kind=kind, phi=phi, den=costs.den, choice=choice,
+        H=grid.H, grid=grid, kind=kind, phi=phi, den=costs.den, costs=costs,
         cells=rows * cols, lows=(0,) * rows,
     )
 
@@ -240,22 +241,30 @@ def expected_lows(inst, grid):
     return (0, *(max(0, last - rest) for rest in after))
 
 
+def choices(table, cells):
+    """_choice at each (k, p) of cells, k >= 1."""
+    return [_choice(table, k, p) for k, p in cells]
+
+
 def reference_table(inst, grid, costs, ref_rows, kind):
-    """The full chain must equal ref_fill at every cell, phi and choice.
-    _fill must equal it at every cell it computes (p = 0 and p >= lows[k]) and
-    backtrack to the same plan.  Returns the full chain's table."""
+    """The full chain must equal ref_fill at every cell, phi and the choice
+    _choice derives.  _fill must equal it at every cell it computes (p = 0
+    and p >= lows[k]) and backtrack to the same plan.  Returns the full
+    chain's table."""
     phi, choice = ref_fill(grid, ref_rows)
     full = full_chain(grid, costs, kind)
     assert as_fractions(full) == phi
-    assert full.choice == choice
+    cols = grid.demand_points
+    every = [(k, p) for k in range(1, len(phi)) for p in range(cols)]
+    assert choices(full, every) == [choice[k][p] for k, p in every]
     table = _fill(inst, grid, costs, kind, None)
     assert table.lows == expected_lows(inst, grid)
-    cols = grid.demand_points
     exact = [(k, p) for k, low in enumerate(table.lows) for p in range(cols) if p == 0 or p >= low]
     assert len(exact) == table.computed <= table.cells == full.cells
     pruned = as_fractions(table)
     assert [pruned[k][p] for k, p in exact] == [phi[k][p] for k, p in exact]
-    assert [table.choice[k][p] for k, p in exact] == [choice[k][p] for k, p in exact]
+    exact_rows = [(k, p) for k, p in exact if k >= 1]
+    assert choices(table, exact_rows) == [choice[k][p] for k, p in exact_rows]
     assert table.final == full.final == phi[-1][-1]
     if table.final is not None:
         assert _chosen_indices(table, inst) == _chosen_indices(full, inst)
@@ -323,7 +332,7 @@ def test_equal_totals_go_to_the_smaller_volume():
     # on top of the first one's 2 or 1 at the same total; the volume 1 wins
     s = Supplier(0, 1, 1, 3)
     table = checked_table(Instance(suppliers=(s, s), P=3), 1, SINGLE)
-    assert table.choice[2][3] == 1
+    assert _choice(table, 2, 3) == 1
 
 
 def test_equal_totals_across_convex_runs_go_to_the_smaller_volume():
@@ -334,7 +343,7 @@ def test_equal_totals_across_convex_runs_go_to_the_smaller_volume():
     assert _convex_runs(rows[1]) == [(0, 1), (2, 3)]
     table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
     assert table.phi[2][4] == 6
-    assert table.choice[2][4] == 1
+    assert _choice(table, 2, 4) == 1
 
 
 def test_skipping_wins_a_tie_with_using():
@@ -342,7 +351,7 @@ def test_skipping_wins_a_tie_with_using():
     s = Supplier(0, 1, 1, 3)
     table = checked_table(Instance(suppliers=(s, s), P=3), 1, SINGLE)
     assert table.phi[2][1] == table.phi[1][1]
-    assert table.choice[2][1] == SKIP
+    assert _choice(table, 2, 1) is None
 
 
 def test_previous_row_with_an_uncovered_suffix():
@@ -395,10 +404,10 @@ def test_tied_batches_above_the_residual_go_to_the_smaller_volume():
     inst = Instance(suppliers=(Supplier(0, 0, 1, 6),), P=4)
     rows = [[9, 2, 9, 2, 9, 9]]
     table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
-    assert (table.phi[1][1], table.choice[1][1]) == (2, 2)
+    assert (table.phi[1][1], _choice(table, 1, 1)) == (2, 2)
     # at p = 2 over-delivering with volume 4 only ties using volume 2 exactly
-    assert (table.phi[1][2], table.choice[1][2]) == (2, 2)
-    assert (table.phi[1][3], table.choice[1][3]) == (2, 4)
+    assert (table.phi[1][2], _choice(table, 1, 2)) == (2, 2)
+    assert (table.phi[1][3], _choice(table, 1, 3)) == (2, 4)
 
 
 def test_cheapest_batch_beyond_the_last_residual():
@@ -408,7 +417,7 @@ def test_cheapest_batch_beyond_the_last_residual():
     rows = [[5, 6, 7, 8, 1, 9]]
     table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
     assert table.phi[1] == [0, 1, 1]
-    assert table.choice[1] == [SKIP, 5, 5]
+    assert choices(table, [(1, p) for p in range(3)]) == [None, 5, 5]
 
 
 def test_window_entirely_above_the_demand():
@@ -419,7 +428,7 @@ def test_window_entirely_above_the_demand():
     table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
     assert table.phi[1] == [0, 4, 6, None]
     assert table.phi[2] == [0, 3, 3, 3]
-    assert table.choice[2] == [SKIP, 5, 5, 5]
+    assert choices(table, [(2, p) for p in range(4)]) == [None, 5, 5, 5]
 
 
 # --- demand-pruned rows -----------------------------------------------------------
@@ -429,14 +438,14 @@ def test_row_below_its_low_is_left_as_the_skip_entry():
     # supplier 2 delivers at most 3 of the demand 8, so row 1 = n - 1 starts
     # at low 5.  The full chain covers the residuals 1..4 of both rows, and
     # the cheapest covered cell of its last row, p = 1, lies below that low;
-    # the pruned rows keep row 0's None and SKIP there
+    # the pruned rows keep row 0's None there, and _choice reads a skip
     inst = Instance(suppliers=(Supplier(0, 1, 1, 10), Supplier(0, 3, 1, 3)), P=8)
     full = checked_table(inst, 1, SINGLE)
     table = solve_fixed_H(inst, 1)
     assert table.lows == (0, 5, 8)
     assert as_fractions(full)[2][1:5] == [F(3, 2), 4, F(15, 2), 11]
     assert table.phi[1][1:5] == table.phi[2][1:5] == [None] * 4
-    assert table.choice[1][1:5] == table.choice[2][1:5] == [SKIP] * 4
+    assert choices(table, [(k, p) for k in (1, 2) for p in range(1, 5)]) == [None] * 8
     # phi(2, 8) = phi(1, 5) + cost(3) = 35/2 + 27/2
     assert table.final == F(31)
     assert _chosen_indices(table, inst) == [(1, 5), (2, 3)]
@@ -451,7 +460,7 @@ def test_over_delivery_from_a_pruned_row_reads_residual_zero():
     checked_table(inst, 1, SINGLE)
     table = solve_fixed_H(inst, 1)
     assert table.lows == (0, 0, 3, 5)
-    assert (F(table.phi[2][3], table.den), table.choice[2][3]) == (8, 4)
+    assert (F(table.phi[2][3], table.den), _choice(table, 2, 3)) == (8, 4)
     assert table.final == 10
     assert _chosen_indices(table, inst) == [(2, 4), (3, 2)]
 
@@ -462,9 +471,9 @@ def test_row_with_nothing_covered_at_or_above_its_low():
     inst = Instance(suppliers=(Supplier(0, 0, 1, 2),) * 2, P=5)
     grid = build_grid(inst, 1)
     costs = _single_candidate_costs(inst, grid)
-    row, ch, reach = _fill_row([0] + [None] * 5, 0, 1, 2, costs[0], 3)
-    assert (row, ch, reach) == ([0] + [None] * 5, [SKIP] * 6, 0)
-    assert _fill_row(row, reach, 1, 2, costs[1], 5)[2] == 0
+    row, reach = _fill_row([0] + [None] * 5, 0, 1, 2, costs[0], 3)
+    assert (row, reach) == ([0] + [None] * 5, 0)
+    assert _fill_row(row, reach, 1, 2, costs[1], 5)[1] == 0
     # the full chain's row 1 covers 1..2, which nothing reads
     assert checked_table(inst, 1, SINGLE).phi[1][2] is not None
     table = solve_fixed_H(inst, 1)
@@ -546,10 +555,19 @@ def test_a_row_of_one_residual_scans_its_window_whole():
     # volumes 2 and 4 tie at 4 on top of prev, and the smaller one wins
     prev, ck = [0, 2, 3, 3, 8, 9], [4, 1, 5, 2, 6]
     assert _convex_runs(ck) == [(0, 2), (3, 4)]
-    full, full_ch, _ = _fill_row(prev, 5, 1, 5, ck, 0)
-    assert (full, full_ch) == ([0, 1, 1, 2, 2, 4], [SKIP, 2, 2, 4, 4, 2])
-    row, ch, reach = _fill_row(prev, 5, 1, 5, ck, 5)
-    assert (row[5], ch[5], reach) == (4, 2, 5)
+    grid = Grid(H=1, denominator=1, demand_points=6, spans=((1, 5),))
+
+    def one_row(row, low):
+        return DPTable(
+            H=1, grid=grid, kind="hand-built", phi=[prev, row], den=1,
+            costs=CostRows([ck], 1), cells=12, lows=(0, low),
+        )
+
+    full, _ = _fill_row(prev, 5, 1, 5, ck, 0)
+    assert full == [0, 1, 1, 2, 2, 4]
+    assert choices(one_row(full, 0), [(1, p) for p in range(6)]) == [None, 2, 2, 4, 4, 2]
+    row, reach = _fill_row(prev, 5, 1, 5, ck, 5)
+    assert (row[5], _choice(one_row(row, 5), 1, 5), reach) == (4, 2, 5)
 
 
 def test_convex_runs_are_cut_only_on_rows_of_many_residuals(monkeypatch):
