@@ -99,13 +99,18 @@ def _load_instance(path: str) -> Instance:
         raise SchemaError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}")
     return instance_from_json(raw)
 
 
 def _write_text(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"{out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -196,8 +201,8 @@ def _print_mismatch(results) -> None:
 
 def cmd_verify(args) -> int:
     max_cells = _max_cells()
-    if args.path is None and args.seed_batch is None:
-        return _fail("verify needs an instance file or --seed-batch N", EXIT_INPUT)
+    if (args.path is None) == (args.seed_batch is None):
+        return _fail("verify takes either an instance file or --seed-batch N", EXIT_INPUT)
 
     if args.seed_batch is not None:
         rng = random.Random(args.seed)

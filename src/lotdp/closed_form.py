@@ -21,8 +21,6 @@ from .model import Supplier, as_rational
 @dataclass(frozen=True)
 class InteriorSolution:
     volumes: tuple[Fraction, ...]
-    residual_demand: Fraction
-    group_size: int
 
 
 def lemma1_solution(betas, p, lam, c_hold) -> InteriorSolution:
@@ -50,7 +48,7 @@ def lemma1_solution(betas, p, lam, c_hold) -> InteriorSolution:
     volumes = tuple(
         p / H + lam * (total_beta - H * beta) / (H * c_hold) for beta in betas
     )
-    return InteriorSolution(volumes, p, H)
+    return InteriorSolution(volumes)
 
 
 def marginal_costs(sol: InteriorSolution, betas, lam, c_hold) -> tuple[Fraction, ...]:

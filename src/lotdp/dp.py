@@ -34,8 +34,11 @@ backtrack is the lexicographically smallest optimal plan on its grid (volumes
 compared from supplier n down, a skip counting as 0).  The optimal plans on
 grid best_H are those of the reaching grids g <= L that divide best_H, so
 best_H's plan is the smallest of theirs, and no table above L is ever
-filled.  The sweep checks the bound on the plan it returns: its interior
-count (``_interior_count``) is at most L.
+filled.  The sweep keeps the tables at the running optimum until it names
+best_H, then backtracks the one among those that divide best_H whose plan
+is smallest; a lone one is backtracked without a comparison.  It checks the
+bound on the plan it returns: its interior count (``_interior_count``) is at
+most L.
 
 Pricing and the fill never build a Fraction.  With lam = a/b, every candidate
 cost on the grid of denominator den is an integer over B = 2*a*den**2 (single
@@ -59,7 +62,8 @@ path.
 
 A cell cap, when given, bounds the total cells of the whole sweep and is
 checked before any table is filled, so before L is known: it counts the
-tables 1..L_count, and L <= L_count.
+tables 1..L_count, and L <= L_count.  The tables the sweep keeps are some of
+those it fills, so the cap bounds them too.
 
 Demand may also be covered by over-delivery: a batch larger than the open
 residual p closes the plan on its own.  In multi-delivery mode the aggregated
@@ -103,6 +107,12 @@ class Grid:
     denominator: int  # volumes are index / denominator
     demand_points: int  # residual-demand indices run 0 .. P*denominator
     spans: tuple[tuple[int, int], ...]  # per supplier: (m*denominator, M*denominator)
+
+    @property
+    def cells(self) -> int:
+        """Size of the grid's table, the unit of the cell guard: n + 1 rows
+        of ``demand_points`` residuals."""
+        return (len(self.spans) + 1) * self.demand_points
 
 
 def build_grid(inst: Instance, H: int) -> Grid:
@@ -347,7 +357,7 @@ def _fill(
     the fill computes at most that many."""
     n = inst.n
     cols = grid.demand_points
-    cells = (n + 1) * cols
+    cells = grid.cells
     if max_cells is not None and cells > max_cells:
         raise ResourceLimitError(
             f"table for H={grid.H} needs {cells} cells, above the cap {max_cells}"
@@ -431,36 +441,16 @@ def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
     return chosen[::-1]
 
 
-class Path:
-    """The plan one table backtracks to, kept after the table is dropped:
-    (supplier, volume index) pairs over the grid denominator ``den``.  A
-    plain class: a dataclass would add a millisecond to every import."""
-
-    __slots__ = ("H", "den", "kind", "chosen")
-
-    def __init__(self, H: int, den: int, kind: str, chosen: tuple[tuple[int, int], ...]):
-        self.H, self.den, self.kind, self.chosen = H, den, kind, chosen
-
-
-def _chosen_path(table: DPTable, inst: Instance) -> Path:
-    """The winning plan of a filled table as a Path.
+def backtrack(table: DPTable, inst: Instance) -> Solution:
+    """Recover the winning volumes of a filled table.
 
     Raises InfeasibleInstanceError when the table carries no feasible plan.
     """
-    return Path(table.H, table.grid.denominator, table.kind, tuple(_chosen_indices(table, inst)))
-
-
-def backtrack(table: DPTable | Path, inst: Instance) -> Solution:
-    """Recover the winning volumes of a filled table, or of a Path taken from
-    one.
-
-    Raises InfeasibleInstanceError when the table carries no feasible plan.
-    """
-    path = table if isinstance(table, Path) else _chosen_path(table, inst)
+    den = table.grid.denominator
     deliveries: list[tuple[int, Fraction]] = []
-    for k, idx in path.chosen:
-        vol = Fraction(idx, path.den)
-        if path.kind == "multi-aggregated":
+    for k, idx in _chosen_indices(table, inst):
+        vol = Fraction(idx, den)
+        if table.kind == "multi-aggregated":
             r, _ = multi_delivery_cost(inst.suppliers[k - 1], vol, inst.lam, inst.c_hold)
             deliveries.extend((k, vol / r) for _ in range(r))
         else:
@@ -581,15 +571,10 @@ def _interior_count(inst: Instance, solution: Solution) -> int:
     )
 
 
-def _table_cells(inst: Instance, H: int) -> int:
-    """Cells of the H table: (n+1) rows of P*H*c_hold*den(lam) + 1 columns."""
-    return (inst.n + 1) * (inst.P * H * inst.c_hold * inst.lam.denominator + 1)
-
-
 def _sweep_cells(inst: Instance, L_count: int) -> int:
     """Cells the sweep may fill, from the grid definition alone: the tables
     H = 1..L_count.  The sweep fills the tables 1..L, and L <= L_count."""
-    return sum(_table_cells(inst, H) for H in range(1, L_count + 1))
+    return sum(build_grid(inst, H).cells for H in range(1, L_count + 1))
 
 
 def _require_sweep_budget(inst: Instance, L_count: int, max_cells: int | None) -> None:
@@ -604,13 +589,13 @@ def _require_sweep_budget(inst: Instance, L_count: int, max_cells: int | None) -
         )
 
 
-def _lex_key(path: Path, n: int, H: int) -> list[int]:
-    """A path's volumes as indices on grid H (a multiple of path.H), supplier
-    n first, a skip counting as 0."""
-    scale = H // path.H
-    key = [0] * n
-    for k, idx in path.chosen:
-        key[n - k] = idx * scale
+def _lex_key(table: DPTable, inst: Instance, H: int) -> list[int]:
+    """The volumes of a table's plan as indices on grid H (a multiple of
+    table.H), supplier n first, a skip counting as 0."""
+    scale = H // table.H
+    key = [0] * inst.n
+    for k, idx in _chosen_indices(table, inst):
+        key[inst.n - k] = idx * scale
     return key
 
 
@@ -628,9 +613,11 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     best_H's plan is the backtrack of its table, the lexicographically
     smallest optimal plan on its grid.  An optimum on grid best_H lies on
     grid gcd(g, best_H) too, g its interior count, so that plan is the
-    smallest of the plans of the reaching tables g <= L that divide best_H;
-    each of those records its plan as a Path when it is filled, and no table
-    outlives its own step.  The tables filled are exactly 1..L.
+    smallest of the plans of the reaching tables g <= L that divide best_H.
+    The sweep keeps the tables at the running optimum until it names best_H.
+    When one kept table divides best_H its backtrack is the plan; otherwise
+    each is walked for its key (:func:`_lex_key`) and the smallest is
+    backtracked.  The tables filled are exactly 1..L.
 
     The bound is checked on the plan returned: its interior count is at most
     L, and its totals lie on grid best_H."""
@@ -651,7 +638,7 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     if best_val is None:
         raise InfeasibleInstanceError("no grid admits a feasible plan")
     L = interior_limit(inst, best_val)
-    reaching = {1: _chosen_path(table, inst)}  # H -> plan, for the tables at best_val
+    reaching = {1: table}  # H -> table, for the tables at best_val
     for H in range(2, L + 1):
         table = fill(H)
         val = table.final
@@ -659,19 +646,16 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
             if val < best_val:
                 best_val = val
                 reaching.clear()
-            reaching[H] = _chosen_path(table, inst)
-    del table
+            reaching[H] = table
     best_H = next(H for H in range(H_top, 0, -1) if any(H % g == 0 for g in reaching))
-    if best_H in reaching:
-        path = reaching[best_H]
+    eligible = [t for g, t in reaching.items() if best_H % g == 0]
+    if len(eligible) == 1:
+        table = eligible[0]
     else:
-        path = min(
-            (p for g, p in reaching.items() if best_H % g == 0),
-            key=lambda p: _lex_key(p, inst.n, best_H),
-        )
-    solution = backtrack(path, inst)
+        table = min(eligible, key=lambda t: _lex_key(t, inst, best_H))
+    solution = backtrack(table, inst)
     assert solution.objective == best_val  # recomputed from scratch in make_solution
-    den = best_H * inst.c_hold * inst.lam.denominator
+    den = build_grid(inst, best_H).denominator
     assert all(den % t.denominator == 0 for t in solution.per_supplier_totals)
     interior = _interior_count(inst, solution)
     assert interior <= L
@@ -680,7 +664,7 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
         solution=solution,
         elapsed_seconds=time.perf_counter() - t_start,
         trace=tuple(traces),
-        kind=path.kind,
+        kind=table.kind,
         L=L,
         H_top=H_top,
         L_count=L_count,

@@ -93,10 +93,6 @@ class Solution:
     objective: Fraction
     per_supplier_totals: tuple[Fraction, ...]
 
-    @property
-    def total_volume(self) -> Fraction:
-        return sum(self.per_supplier_totals, Fraction(0))
-
 
 def delivery_cost(supplier: Supplier, volume) -> Fraction:
     """Purchase cost of one batch: zero for an empty batch, else alpha + beta*v.

@@ -263,6 +263,37 @@ class TestBench:
         assert "--values" in capsys.readouterr().err
 
 
+class TestBadFiles:
+    def refused(self, argv, capsys):
+        assert cli.main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error:") and out.err.count("error:") == 1
+        assert "Traceback" not in out.out + out.err
+        return out.err
+
+    @pytest.mark.parametrize("command", ["solve", "gen", "bench"])
+    def test_out_into_a_missing_directory_exits_1(self, command, golden_file, tmp_path, capsys):
+        argv = {
+            "solve": ["solve", golden_file],
+            "gen": ["gen"],
+            "bench": ["bench", "--sweep", "P", "--values", "12"],
+        }[command]
+        target = tmp_path / "missing" / "dir" / "o.json"
+        err = self.refused(argv + ["--out", str(target)], capsys)
+        assert str(target) in err and "No such file" in err
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_instance_file_not_in_utf8_exits_1(self, command, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        assert "not UTF-8" in self.refused([command, str(path)], capsys)
+
+    def test_verify_refuses_a_file_with_a_seed_batch(self, golden_file, capsys):
+        err = self.refused(["verify", golden_file, "--seed-batch", "2"], capsys)
+        assert "either" in err
+
+
 class TestUsageErrors:
     def usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -429,6 +429,70 @@ def test_best_H_one_above_L_is_named_without_its_table(monkeypatch, inst, L, int
     assert_matches_full_sweep(inst)
 
 
+def count_walks(monkeypatch):
+    """Record the H of every table whose plan is walked from here on."""
+    walked = []
+    original = dp._chosen_indices
+
+    def counted(table, inst):
+        walked.append(table.H)
+        return original(table, inst)
+
+    monkeypatch.setattr(dp, "_chosen_indices", counted)
+    return walked
+
+
+@pytest.mark.parametrize("mode", ["single", MULTI])
+def test_solve_walks_only_the_kept_tables_that_divide_best_H(monkeypatch, mode):
+    # the sweep keeps the tables at v*; those whose grid divides best_H are
+    # walked once each for their keys, then the smallest once more for its
+    # plan, and a lone one is walked for its plan only
+    walked = count_walks(monkeypatch)
+    rng = random.Random(5)
+    lone = several = 0
+    for _ in range(120):
+        if mode == MULTI:
+            inst = random_instance(rng, n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI)
+        else:
+            inst = random_instance(rng, n_max=6, p_max=24, c_max=2, bound_max=10)
+        walked.clear()
+        report = solve_multi(inst) if mode == MULTI else solve(inst)
+        v = report.solution.objective
+        eligible = [H for H, val in report.per_H_objectives if val == v and report.best_H % H == 0]
+        if len(eligible) == 1:
+            assert walked == eligible
+            lone += 1
+        else:
+            assert walked[:-1] == eligible and walked[-1] in eligible
+            several += 1
+    assert lone and several
+
+
+@pytest.mark.parametrize(
+    "inst, best_H, eligible",
+    [
+        (random_instance(random.Random(63), n_max=6, p_max=24, c_max=2, bound_max=10), 4, [2, 4]),
+        (
+            random_instance(random.Random(160303), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
+            6,
+            [3, 6],
+        ),
+    ],
+    ids=["single", "multi"],
+)
+def test_best_H_at_most_L_ranks_its_own_table_with_its_divisors(monkeypatch, inst, best_H, eligible):
+    # best_H <= L, so best_H's own table is kept, next to a smaller grid that
+    # divides best_H and reaches v* too; the smallest key among them is the
+    # plan best_H's own table backtracks to
+    assert_matches_full_sweep(inst)
+    own_plan = backtrack(solve_fixed_H(inst, best_H), inst)
+    walked = count_walks(monkeypatch)
+    report = solve_multi(inst) if inst.mode == MULTI else solve(inst)
+    assert (report.best_H, report.L) == (best_H, best_H)
+    assert walked[:-1] == eligible
+    assert report.solution == own_plan
+
+
 def test_interior_count():
     # the golden optimum puts both suppliers at 5/2, inside [2, 3]
     golden = Instance(suppliers=(Supplier(0, 1, 2, 3),) * 2, P=5, c_hold=2)
