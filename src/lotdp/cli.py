@@ -104,6 +104,22 @@ def _load_instance(path: str) -> Instance:
     return instance_from_json(raw)
 
 
+def _require_writable(out: str | None) -> None:
+    """Refuse an output path that cannot be written before any solve starts.
+    The probe opens it for appending, so an existing file keeps its content
+    whatever happens next, and removes a file it had to create."""
+    if not out:
+        return
+    existed = os.path.lexists(out)
+    try:
+        with open(out, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise SchemaError(f"{out}: {exc.strerror or exc}")
+    if not existed:
+        os.remove(out)
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out:
         try:
@@ -154,6 +170,7 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args.path)
     if args.mode:
         inst = replace(inst, mode=args.mode)
+    _require_writable(args.out)
     if inst.mode == MULTI:
         report = solve_multi(inst, max_cells=max_cells)
     else:
@@ -261,6 +278,7 @@ def cmd_bench(args) -> int:
             raise SchemaError(f"--values must be comma-separated integers, got {args.values!r}")
     else:
         values = {"P": [50, 100, 200], "n": [2, 4, 8], "c": [1, 2, 3]}[args.sweep]
+    _require_writable(args.out)
     rows = ["n,P,c_hold,cells,wall_micros,objective_num,objective_den"]
     for value in values:
         n, P, c_hold = 5, 60, 1

@@ -50,8 +50,9 @@ The interior branch of the fill, phi[k-1][p - v] + cost(v) minimized over the
 window volumes v <= p, is a min-plus convolution with the supplier's cost row.
 A single batch costs alpha + beta*v + c*v**2/(2*lam), convex in v; an
 aggregated row is a minimum over batch counts of such convex pieces.  The fill
-therefore cuts each cost row into maximal convex runs (second differences
->= 0); a single-batch row is one run, and its pricing says so.  On one run
+therefore cuts the part of each cost row that reaches from the previous row's
+band into maximal convex runs (second differences >= 0); a single-batch row
+is one run, and its pricing says so.  On one run
 the matrix phi[k-1][q] + cost(p - q) is Monge, so the cheapest q of residual
 p never decreases with p, and divide and conquer over those monotone argmins
 (Galil & Park 1992) finds every residual's best
@@ -68,27 +69,48 @@ those it fills, so the cap bounds them too.
 Demand may also be covered by over-delivery: a batch larger than the open
 residual p closes the plan on its own.  In multi-delivery mode the aggregated
 cost is not monotone in the total (a new batch count unlocks at each multiple
-of m), so every larger grid total is a candidate.  One descending pass per row
-keeps a running minimum of the batches above p and also checks the row.
+of m), so every larger grid total is a candidate.  Suffix minima of the cost
+row, taken from the top of the row's band down to its bottom, give each
+residual its cheapest single batch at or above it, on top of nothing.
 
 A solve reads phi(n, P) and the cells its backtrack walks through, and the
-fill computes only those.  The suppliers after k deliver at most the sum of
-their M, so the backtrack reaches row k at residual 0 or at some p >= lows[k]
-= max(0, P*den - (M_{k+1} + ... + M_n)*den), computed in one backward pass;
-row n is the single cell P*den.  Row k at p >= lows[k] reads row k-1 at p
-(the skip), at p - v >= p - M_k*den >= lows[k-1] (an interior volume v), or
-at 0 (over-delivery), so every cell it reads is computed.  phi[k][p] does
-not depend on P, so each computed cell equals that of the full table.  The
-cell guard still counts whole tables.
+fill computes only the cells a plan cheaper than one it already holds could
+pass through.  Each supplier's cost lies above a convex function of its
+volume, 0 at 0: for a single batch, the chord from the origin to the volume
+with the cheapest cost per unit, then the cost itself; for any other row,
+the line through the origin at that cheapest unit cost.  Its unit
+increments, floored to integers over the table's denominator, are sorted and
+merged: the sum of the p smallest increments of suppliers 1..k, LBpre_k(p),
+bounds from below every plan of theirs that covers p, and LBsuf_k(s) does the
+same for suppliers k+1..n.  UB is the cost of a feasible plan of the table:
+the relaxation water-filled to P, each supplier below its m lifted to m, and
+the excess handed back, largest last increment first, or the same after
+dropping the suppliers left below m, whichever is cheaper.  Row k is
+computed at p = 0 and in its band, the residuals p >= 1 with LBpre_k(p) +
+LBsuf_k(P*den - p) <= UB; the sum is convex in p, so the band is an
+interval, found by bisection.  Row k reads row k-1 at 0 and in row k-1's band only;
+every other cell keeps row k-1's value, and row 0 holds a sentinel above UB
+at p >= 1.  So each cell is at least its exact value or, plus
+LBsuf_k(P*den - p), above UB: a candidate read from a cell of the second
+kind is above UB less LBsuf_k too, as the relaxation of suppliers k..n is at
+most supplier k's cost plus that of k+1..n.  A cell whose exact value plus
+LBsuf_k(P*den - p) is at most UB lies in the band, and so does each
+predecessor on its optimal plans, for the same reason, so it is exact by
+induction.  phi(n, P) is such a cell, as UB is at least phi(n, P), and so is
+every cell its backtrack walks through: every table's final and plan are
+those of the full table.  No float is involved, and None appears only in a table that
+has no plan.  The cell guard still counts whole tables.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from itertools import accumulate, chain
+from operator import add, floordiv, sub
 
 from .closed_form import multi_delivery_cost
 from .errors import InfeasibleInstanceError, ResourceLimitError
@@ -132,16 +154,21 @@ class DPTable:
     """One filled Bellman table.
 
     ``phi[k][p]`` is the integer numerator, over the table-wide denominator
-    ``den``, of the cheapest way to cover residual demand index p with
-    suppliers 1..k, or None when they cannot cover it.  ``costs`` are the
-    cost rows it was filled from, which the backtrack reads to name each
-    step's volume (:func:`_choice`).
+    ``den``, of the cheapest way found to cover residual demand index p with
+    suppliers 1..k.  ``costs`` are the cost rows it was filled from, which
+    the backtrack reads to name each step's volume (:func:`_choice`).
 
-    phi is exact at p = 0 and at every p >= ``lows[k]``, the only cells
-    phi(n, P) and its backtrack can read; row 0 is exact everywhere.  A cell
-    of row k below lows[k] other than 0 holds row k-1's value, and nothing
-    reads it.  ``cells`` is the size of the table, the unit of the
-    cell guard, and ``computed`` the exact cells.
+    Row k is computed at p = 0 and in ``bands[k]`` = (first, last), the
+    residuals whose lower bound, the relaxation of suppliers 1..k at p plus
+    that of suppliers k+1..n at P*den - p, is at most UB, the cost of one
+    feasible plan of the table (row 0's band is empty).  Every cell is at
+    least its exact value or, plus the second bound, above UB, and a cell
+    whose exact value plus the second bound is at most UB holds it exactly;
+    phi(n, P) and every cell of its backtrack are such cells.  A cell outside
+    the band keeps row k-1's value, and row 0 holds a sentinel above UB at
+    p >= 1.  An infeasible table holds None at every p > 0.  ``cells`` is
+    the size of the table, the unit of the cell guard, and ``computed`` the
+    cells the fill evaluated.
     """
 
     H: int
@@ -151,19 +178,21 @@ class DPTable:
     den: int
     costs: CostRows
     cells: int
-    lows: tuple[int, ...]  # row k is exact at 0 and at p >= lows[k]
+    bands: tuple[tuple[int, int], ...]  # row k is computed at 0 and in first..last
 
     @property
     def computed(self) -> int:
-        """The exact cells: p = 0 and p >= lows[k] in every row k."""
-        cols = self.grid.demand_points
-        return sum(cols - low + (low > 0) for low in self.lows)
+        """The cells the fill evaluated: p = 0 and the band in every row."""
+        return sum(1 + max(0, last - first + 1) for first, last in self.bands)
 
     @property
     def final(self) -> Fraction | None:
         """phi(n, P): cheapest cover of the full demand, if any."""
         last = self.phi[-1][-1]
         return None if last is None else Fraction(last, self.den)
+
+
+EMPTY = (1, 0)  # a band with no residual
 
 
 class CostRows(list):
@@ -247,31 +276,169 @@ def _convex_runs(row: list) -> list[tuple[int, int]]:
     return runs
 
 
-def _run_minima(rprev, reach, w, va, low, row):
-    """Lower ``row`` with one convex run of volumes: w[v - va] is the cost of
-    volume index v for v = va..vb, vb = va + len(w) - 1.
+def _increments(row: list, lo: int, hi: int, total: int, convex: bool) -> list[int]:
+    """Unit increments g(1) - g(0), g(2) - g(1), ... of a convex lower bound g
+    on one cost row, g(0) = 0, each floored to an integer over the row's
+    denominator; min(hi, total) of them, as no residual needs more.
 
-    Only the residuals p >= max(va, low) are done.  Residual p may take
-    q = p - v in max(0, p - vb) .. min(p - va, reach), with reach the top
-    covered index of the previous row and ``rprev`` that row reversed.  w
-    convex makes prev[q] + w[p - q] Monge on this band, so the rightmost argmin
-    q never decreases with p; the sentinel argmin 0 left of the first residual
-    and ``reach`` right of the last stay valid bounds.  Divide and conquer uses
-    that: level by level the stride between solved residuals halves, and each
-    new residual scans only the q between the argmins of its two solved
+    A one-run row (a single batch) lies above its chord from the origin to
+    t = argmin cost(v)/v, and its own differences after t are at least that
+    chord's slope, so g is the chord, then the row.  cost(v)/v is
+    quasi-convex, so bisection finds t.  Any other row lies above the line
+    through the origin of slope min cost(v)/v, and the floor of that minimum
+    is the minimum of the floors.  Every increment is at least 0: costs are
+    not negative, and a single batch's cost grows with its volume."""
+    cap = min(hi, total)
+    if not convex:
+        return [min(map(floordiv, row, range(lo, hi + 1)))] * cap
+    # t = lo + j for the first j with cost(v)/v <= cost(v+1)/(v+1) at v = lo + j,
+    # compared crosswise
+    j, last = 0, hi - lo
+    while j < last:
+        mid = (j + last) >> 1
+        if row[mid] * (lo + mid + 1) <= row[mid + 1] * (lo + mid):
+            last = mid
+        else:
+            j = mid + 1
+    t = lo + j
+    slope = row[j] // t
+    if t >= cap:
+        return [slope] * cap
+    inc = [slope] * t
+    inc += map(sub, row[j + 1:cap + 1 - lo], row[j:cap - lo])
+    return inc
+
+
+def _relaxations(incs: list[list[int]], total: int) -> tuple[list, list]:
+    """LBpre and LBsuf: ``pre[k][p]`` is the sum of the p smallest increments
+    of suppliers 1..k, ``suf[k][s]`` that of the s smallest of suppliers
+    k+1..n, for p, s up to ``total``.  A list is shorter where those suppliers
+    hold fewer increments, and those residuals are out of their reach.  A
+    plan of suppliers 1..k covering p costs at least pre[k][p]: it takes at
+    least p units, and each supplier's first units cost at least its own
+    first increments."""
+    def sums(order):
+        merged, out = [], [[0]]
+        for inc in order:
+            merged += inc
+            merged.sort()  # two sorted runs: one merge
+            del merged[total:]
+            out.append(list(accumulate(merged, initial=0)))
+        return out
+
+    suf = sums(incs[::-1])[::-1]
+    pre = sums(incs[:-1]) + suf[:1]  # all n suppliers: computed once
+    return pre, suf
+
+
+def _smallest_counts(lists: list[list[int]], count: int, cut: int | None = None) -> list[int]:
+    """How many entries of each sorted list the ``count`` smallest entries
+    of them all take, ties going to the earlier lists.  ``cut``, when given,
+    is the count-th smallest entry."""
+    if count <= 0:
+        return [0] * len(lists)
+    if cut is None:
+        cut = sorted(chain.from_iterable(lists))[count - 1]
+    taken = [bisect_left(inc, cut) for inc in lists]
+    left = count - sum(taken)
+    for i, inc in enumerate(lists):
+        more = min(left, bisect_right(inc, cut) - taken[i])
+        taken[i] += more
+        left -= more
+    return taken
+
+
+def _upper_bound(grid: Grid, costs: CostRows, incs: list[list[int]], relaxed: list[int]) -> int:
+    """UB, the cost of a feasible plan on the grid, priced from the cost rows.
+    The relaxation water-filled to ``total`` units leaves some suppliers
+    below their m.  One plan lifts each of them to m and hands back the
+    excess units, the largest last increments first, down to no supplier
+    below its m.  When the other suppliers can cover the demand alone, a
+    second plan drops those suppliers and water-fills again over the rest,
+    then lifts and hands back the same way.  UB is the cheaper of the two.
+    ``relaxed`` is the relaxation of all suppliers, LBsuf_0, and reaches
+    ``total``."""
+    total = len(relaxed) - 1
+
+    def priced(x):
+        x = [lo if 0 < xi < lo else xi for xi, (lo, _) in zip(x, grid.spans)]
+        excess = sum(x) - total
+        if excess > 0:
+            spare = [inc[lo:xi] for inc, xi, (lo, _) in zip(incs, x, grid.spans)]
+            kept = _smallest_counts(spare, sum(map(len, spare)) - excess)
+            x = [lo + kj if xi > lo else xi for xi, kj, (lo, _) in zip(x, kept, grid.spans)]
+        return sum(ck[xi - lo] for ck, xi, (lo, _) in zip(costs, x, grid.spans) if xi)
+
+    x = _smallest_counts(incs, total, relaxed[total] - relaxed[total - 1] if total else None)
+    ub = priced(x)
+    short = [0 < xi < lo for xi, (lo, _) in zip(x, grid.spans)]
+    if ub > relaxed[total] and any(short):  # a plan at the relaxation is optimal
+        rest = [[] if s else inc for s, inc in zip(short, incs)]
+        if sum(map(len, rest)) >= total:
+            ub = min(ub, priced(_smallest_counts(rest, total)))
+    return ub
+
+
+def _band(pre: list[int], suf: list[int], total: int, ub: int) -> tuple[int, int]:
+    """The residuals p >= 1 of row k with f(p) = pre[k][p] + suf[k][total - p]
+    at most ub, as (first, last); EMPTY when there are none.  f is convex in
+    p, so they form one interval around its minimum, and three bisections
+    find the minimum and the interval's ends."""
+    a, b = max(1, total + 1 - len(suf)), min(total, len(pre) - 1)
+    if a > b:
+        return EMPTY
+    lo, hi = a, b  # the first p with f(p) <= f(p + 1)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if pre[mid] + suf[total - mid] <= pre[mid + 1] + suf[total - mid - 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    if pre[lo] + suf[total - lo] > ub:
+        return EMPTY
+    low = lo
+    lo, hi = a, low  # the first p with f(p) <= ub, f falling up to low
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if pre[mid] + suf[total - mid] <= ub:
+            hi = mid
+        else:
+            lo = mid + 1
+    first = lo
+    lo, hi = low, b  # the last p with f(p) <= ub, f rising from low
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if pre[mid] + suf[total - mid] <= ub:
+            lo = mid
+        else:
+            hi = mid - 1
+    return first, lo
+
+
+def _run_minima(rband, qa, qb, w, va, pa, pb, row):
+    """Lower ``row`` with one convex run of volumes: w[v - va] is the cost of
+    volume index v for v = va..vb, vb = va + len(w) - 1, on top of the
+    previous row at the residuals q = qa..qb, which ``rband`` holds reversed.
+
+    Only the residuals p in pa..pb are done.  Residual p may take q in
+    max(qa, p - vb) .. min(p - va, qb).  w convex makes prev[q] + w[p - q]
+    Monge on this band, whatever prev holds, so the rightmost argmin q never
+    decreases with p; the sentinel argmins qa left of the first residual and
+    qb right of the last stay valid bounds.  Divide and conquer uses that:
+    level by level the stride between solved residuals halves, and each new
+    residual scans only the q between the argmins of its two solved
     neighbours: O((cols + width) * log cols) work for the run instead of
     O(cols * width)."""
-    end = len(rprev) - 1  # the last residual
     span = len(w) - 1  # vb - va
-    first = max(va, low)
-    # residual t = 1..count is p = first + t - 1; none when first is above
-    # the demand or above what the band can reach
-    count = min(end, reach + va + span) - first + 1
+    first = max(pa, va + qa)
+    # residual t = 1..count is p = first + t - 1; none when the run cannot
+    # reach the band from the previous band
+    count = min(pb, va + span + qb) - first + 1
     size = 1
     while size <= count:
         size <<= 1
-    opt = [reach] * (size + 1)  # rightmost argmin q per residual; sentinels at 0 and past count
-    opt[0] = 0
+    opt = [qb] * (size + 1)  # rightmost argmin q per residual; sentinels at 0 and past count
+    opt[0] = qa
     off = first - va - 1
     h = size >> 1
     while h:
@@ -284,64 +451,59 @@ def _run_minima(rprev, reach, w, va, low, row):
             if i < qr:
                 qr = i
             if ql == qr:
-                val = rprev[end - qr] + w[i - qr]
+                val = rband[qb - qr] + w[i - qr]
             else:
                 # candidates in descending q, so index() finds the largest q of a tie
-                vals = list(map(add, rprev[end - qr:end - ql + 1], w[i - qr:i - ql + 1]))
+                vals = list(map(add, rband[qb - qr:qb - ql + 1], w[i - qr:i - ql + 1]))
                 val = min(vals)
                 qr -= vals.index(val)
             opt[t] = qr
             p = va + i
-            if row[p] is None or val < row[p]:
+            if val < row[p]:
                 row[p] = val
         h >>= 1
 
 
-def _fill_row(prev, reach, lo, hi, ck, low, convex=False):
-    """Row k of a table from row k-1 ``prev``, whose top covered index at or
-    above its own low is ``reach`` (0 when there is none), and supplier k's
-    cost row ``ck`` over the volumes lo..hi: returns (row, reach) with reach
-    that of the new row.  The fill computes values only; which volume attains
-    a cell is left to :func:`_choice`.
+def _fill_row(prev, prev_band, lo, hi, ck, band, convex=False):
+    """Row k of a table from row k-1 ``prev`` and supplier k's cost row ``ck``
+    over the volumes lo..hi.  Only the residuals of ``band`` = (first, last)
+    are computed, from prev at 0 and at the residuals of ``prev_band``; every
+    other cell keeps the skip entry prev[p].  The fill computes values only;
+    which volume attains a cell is left to :func:`_choice`.
 
-    The row is exact at residual 0 and at every p >= ``low``, provided prev is
-    exact at 0 and at every p >= max(0, low - hi); the other cells keep the
-    skip entry, prev[p].  Residual 0 costs nothing in every row, as
-    every batch costs more than 0.  With low = 0 the whole row is exact.
+    Every cell of prev is an integer, and prev[0] = 0: residual 0 costs
+    nothing in every row, as no batch costs less than 0.  With every band
+    (1, P*den) and row 0 at 0 and a sentinel above every plan's cost
+    elsewhere, the rows are the full table, the sentinel standing for no plan.
 
-    ``convex`` says ck is one convex run.  A row that computes one residual
-    only (low = P*den, as the last row does) needs no cut either: a single
-    residual's scan over the whole window is exact whatever the row's shape."""
-    cols = len(prev)
-    # interior branch: the cheapest volume v <= p on top of prev[p - v],
-    # convex run by convex run in ascending volume order
-    rprev = prev[::-1]
-    row = prev[:]  # the skip entry, lowered by any cheaper candidate below
-    runs = [(0, len(ck) - 1)] if convex or low >= cols - 1 else _convex_runs(ck)
-    for a, b in runs:
-        _run_minima(rprev, reach, ck[a:b + 1], lo + a, low, row)
-    # over-delivery: the cheapest batch above p closes the plan at p.  The
-    # running minimum starts with the batches above the last residual and
-    # takes in volume p once p is done
-    best = min(ck[max(0, cols - lo):], default=None)
-    rest = prev[0]  # suppliers 1..k-1 with nothing left to cover
-    nxt = None  # row[p + 1]
-    reach = 0
-    for p in range(cols - 1, low - 1, -1):
-        val = row[p]
-        if best is not None and (val is None or best + rest < val):
-            row[p] = val = best + rest
-        assert val is None or prev[p] is None or val <= prev[p]
-        if val is None:
-            assert nxt is None
-        elif nxt is None:
-            reach = p  # the first covered cell from the top
-        else:
-            assert nxt >= val
-        nxt = val
-        if lo <= p <= hi and (best is None or ck[p - lo] < best):
-            best = ck[p - lo]
-    return row, reach
+    ``convex`` says ck is one convex run.  A band of one residual (the last
+    row's) needs no cut either: a single residual's scan over the whole
+    window is exact whatever the row's shape."""
+    pa, pb = band
+    row = prev[:]  # the skip entry, lowered by any cheaper candidate
+    if pa > pb:
+        return row
+    # one volume v >= p alone, on top of prev[0] = 0: exactly p, or a batch
+    # above p that closes the plan (over-delivery).  Suffix minima of the row
+    # from the top of the band down to its bottom: over[j] is the cheapest
+    # volume >= first + j, and the residuals below first all take over[0]
+    top = min(pb, hi)
+    if pa <= top:
+        first, seed = max(pa, lo), max(top, lo)
+        over = list(accumulate(reversed(ck[first - lo:seed - lo]), min, initial=min(ck[seed - lo:])))
+        over.reverse()
+        row[pa:top + 1] = map(min, row[pa:top + 1], chain([over[0]] * (first - pa), over))
+    # volume p - q on top of prev[q] for q in the previous band, convex run
+    # by convex run over the volumes that reach from that band into this one
+    qa, qb = prev_band
+    va, vb = max(lo, pa - qb), min(hi, pb - qa)
+    if qa <= qb and va <= vb:
+        w = ck[va - lo:vb - lo + 1]
+        runs = [(0, len(w) - 1)] if convex or pa == pb else _convex_runs(w)
+        rband = prev[qb:qa - 1:-1]
+        for a, b in runs:
+            _run_minima(rband, qa, qb, w[a:b + 1], va + a, pa, pb, row)
+    return row
 
 
 def _fill(
@@ -352,35 +514,39 @@ def _fill(
     max_cells: int | None,
 ) -> DPTable:
     """Fill the table of one grid from its cost rows, row by row with
-    :func:`_fill_row`, each row k only at p = 0 and p >= lows[k] (see the
+    :func:`_fill_row`, each row k only at p = 0 and in its band (see the
     module docstring).  ``max_cells`` caps the table's size, ``cells``, and
     the fill computes at most that many."""
     n = inst.n
-    cols = grid.demand_points
     cells = grid.cells
     if max_cells is not None and cells > max_cells:
         raise ResourceLimitError(
             f"table for H={grid.H} needs {cells} cells, above the cap {max_cells}"
         )
-
-    # phi(n, P) reads row k only at 0 and at p >= lows[k]: P*den less the
-    # most that the suppliers after k can deliver
-    lows = [0] * (n + 1)
-    low = cols - 1
-    for k in range(n, 0, -1):
-        lows[k] = low
-        low = max(0, low - grid.spans[k - 1][1])
-    prev = [None] * cols
-    prev[0] = 0
-    reach = 0  # the top covered index of prev at or above its low, else 0
-    phi_rows = [prev]
+    total = grid.demand_points - 1
+    incs = [
+        _increments(ck, lo, hi, total, costs.convex) for ck, (lo, hi) in zip(costs, grid.spans)
+    ]
+    pre, suf = _relaxations(incs, total)
+    if len(suf[0]) <= total:  # the windows together hold less than P
+        return DPTable(
+            H=grid.H, grid=grid, kind=kind, den=costs.den, costs=costs, cells=cells,
+            phi=[[0] + [None] * total for _ in range(n + 1)], bands=(EMPTY,) * (n + 1),
+        )
+    ub = _upper_bound(grid, costs, incs, suf[0])
+    prev = [0] + [ub + 1] * total
+    phi_rows, bands = [prev], [EMPTY]
     for k in range(1, n + 1):
         lo, hi = grid.spans[k - 1]
-        prev, reach = _fill_row(prev, reach, lo, hi, costs[k - 1], lows[k], costs.convex)
+        band = _band(pre[k], suf[k], total, ub)
+        prev = _fill_row(prev, bands[-1], lo, hi, costs[k - 1], band, costs.convex)
         phi_rows.append(prev)
+        bands.append(band)
+    # the relaxation bounds every plan from below, UB is one plan's cost
+    assert suf[0][total] <= prev[total] <= ub
     return DPTable(
         H=grid.H, grid=grid, kind=kind, phi=phi_rows, den=costs.den,
-        costs=costs, cells=cells, lows=tuple(lows),
+        costs=costs, cells=cells, bands=tuple(bands),
     )
 
 
@@ -400,8 +566,12 @@ def solve_fixed_H(inst: Instance, H: int, *, max_cells: int | None = None) -> DP
 def _choice(table: DPTable, k: int, p: int) -> int | None:
     """The tie rule, stated once: the volume index supplier k takes at
     residual p, or None when it is skipped.  Reads only phi[k][p], phi[k-1]
-    at p, at p - v for the window volumes v <= p, and at 0, so at an exact
-    cell (p = 0 or p >= lows[k]) it reads exact cells only.
+    at p, at p - v for the window volumes v <= p, and at 0.  At a cell whose
+    exact value plus the bound of suppliers k+1..n is at most UB (every cell
+    of a backtrack, see :class:`DPTable`), a candidate that attains the cell
+    in the full table reads a cell of the same kind, so it attains it here
+    too, and no other candidate can: it reads a value at least its exact one,
+    or one above UB less the bound.  So the choice is that of the full table.
 
     Skipping wins when it costs the same.  Otherwise the smallest volume v
     with cost(v) + phi[k-1][p - v] (or phi[k-1][0] when v > p, an
@@ -573,8 +743,11 @@ def _interior_count(inst: Instance, solution: Solution) -> int:
 
 def _sweep_cells(inst: Instance, L_count: int) -> int:
     """Cells the sweep may fill, from the grid definition alone: the tables
-    H = 1..L_count.  The sweep fills the tables 1..L, and L <= L_count."""
-    return sum(build_grid(inst, H).cells for H in range(1, L_count + 1))
+    H = 1..L_count.  The sweep fills the tables 1..L, and L <= L_count.
+    Table H holds (n + 1) * (P*H*c_hold*den(lam) + 1) cells (``Grid.cells``),
+    so the sum has a closed form and no grid is built."""
+    step = inst.P * inst.c_hold * inst.lam.denominator
+    return (inst.n + 1) * (step * L_count * (L_count + 1) // 2 + L_count)
 
 
 def _require_sweep_budget(inst: Instance, L_count: int, max_cells: int | None) -> None:

@@ -80,11 +80,13 @@ class TestSolve:
         assert report["table_cells_filled"] == sum(h["cells"] for h in report["per_H"])
 
     def test_report_counts_the_computed_cells(self, golden_file, capsys):
-        # the pruned fill evaluates 21 of 33 and 37 of 63 cells
+        # the golden relaxation costs what the optimum does, so each row's
+        # band is one residual: the fill evaluates 5 of 33 and 5 of 63 cells
+        # (see test_cells_computed_on_the_golden_instance)
         assert cli.main(["solve", "--trace", golden_file]) == 0
         err = capsys.readouterr().err
         report = json.loads(err[:err.index("H,phi_nP_num")])
-        assert [(h["cells"], h["computed"]) for h in report["per_H"]] == [(33, 21), (63, 37)]
+        assert [(h["cells"], h["computed"]) for h in report["per_H"]] == [(33, 5), (63, 5)]
         assert report["table_cells_filled"] == 96
         assert "H,phi_nP_num,phi_nP_den,cells,micros\n1,35,2,33," in err
 
@@ -282,6 +284,38 @@ class TestBadFiles:
         err = self.refused(argv + ["--out", str(target)], capsys)
         assert str(target) in err and "No such file" in err
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_unwritable_out_is_refused_before_any_solve(
+        self, command, golden_file, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: calls.append(args))
+        argv = {
+            "solve": ["solve", golden_file],
+            "bench": ["bench", "--sweep", "P", "--values", "12"],
+        }[command]
+        target = tmp_path / "missing" / "o.json"
+        assert str(target) in self.refused(argv + ["--out", str(target)], capsys)
+        assert calls == []
+
+    def test_failed_solve_leaves_an_existing_out_file_alone(self, tmp_path, capsys):
+        # demand 9 above the one window [1, 2]: the solve exits 2
+        inst = Instance(suppliers=(Supplier(0, 1, 1, 2),), P=9)
+        target = tmp_path / "o.json"
+        target.write_text("kept\n")
+        argv = ["solve", write_instance(tmp_path / "i.json", inst), "--out", str(target)]
+        assert cli.main(argv) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith("error:")
+        assert target.read_text() == "kept\n"
+
+    def test_writable_out_probe_leaves_no_file_behind(self, tmp_path, capsys):
+        target = tmp_path / "o.json"
+        inst = Instance(suppliers=(Supplier(0, 1, 1, 2),), P=9)
+        argv = ["solve", write_instance(tmp_path / "i.json", inst), "--out", str(target)]
+        assert cli.main(argv) == cli.EXIT_INFEASIBLE
+        capsys.readouterr()
+        assert not target.exists()
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_instance_file_not_in_utf8_exits_1(self, command, tmp_path, capsys):

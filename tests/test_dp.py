@@ -24,6 +24,7 @@ from lotdp import (
     structural_oracle,
 )
 from lotdp import dp
+from test_pricing import full_chain
 
 
 def test_grid_points():
@@ -106,7 +107,9 @@ class TestEqualSplits:
 
 
 def test_table_shape_and_monotonicity(golden):
-    table = solve_fixed_H(golden, 2)
+    # the whole table: the row routine chained with full bands
+    grid = build_grid(golden, 2)
+    table = full_chain(grid, dp._single_candidate_costs(golden, grid), "single")
     assert table.final == F(35, 2)
     assert table.cells == 3 * (5 * 4 + 1)
     for row in table.phi:
@@ -121,13 +124,21 @@ def test_table_shape_and_monotonicity(golden):
 
 
 def test_cells_computed_on_the_golden_instance(golden):
-    # row k is computed at p = 0 and p >= lows[k]; row 0 is the base row.
-    # H = 1: 11 columns, lows (0, 4, 10): 11 + (7 + 1) + (1 + 1) = 21
-    # H = 2: 21 columns, lows (0, 8, 20): 21 + (13 + 1) + (1 + 1) = 37
-    assert [solve_fixed_H(golden, H).lows for H in (1, 2)] == [(0, 4, 10), (0, 8, 20)]
+    # row k is computed at p = 0 and in its band; row 0's band is empty.
+    # H = 1: den 2, volumes 4..6 cost 4i + 2i**2 over B = 8, least per unit
+    # at t = 4 (slope 12), then the row adds 22, 26.  The water-fill of 10
+    # units is 5 + 5, UB = 70 + 70 = 140, the relaxation at 10 is 8 * 12 +
+    # 2 * 22 = 140 too: row 1's bound is 144, 140, 144 at p = 4, 5, 6.
+    # H = 2: den 4, 8i + 2i**2 over B = 32, slope 24 to t = 8, then 42, 46,
+    # ...; UB = 280 + 280, and row 1's bound is 564 at p = 9 and 11.
+    # Each table computes 1 + (1 + 1) + (1 + 1) = 5 cells
+    assert [solve_fixed_H(golden, H).bands for H in (1, 2)] == [
+        ((1, 0), (5, 5), (10, 10)),
+        ((1, 0), (10, 10), (20, 20)),
+    ]
     report = solve(golden)
-    assert [(t.cells, t.computed) for t in report.trace] == [(33, 21), (63, 37)]
-    assert report.cells_computed == 58
+    assert [(t.cells, t.computed) for t in report.trace] == [(33, 5), (63, 5)]
+    assert report.cells_computed == 10
     assert report.table_cells_filled == 96
 
 
@@ -562,6 +573,33 @@ def test_cells_filled_never_exceed_the_guard(seed, multi):
     assert report.cells_computed <= report.table_cells_filled
     # a cap at the guard's total admits the solve
     assert (solve_multi if multi else solve)(inst, max_cells=guard).solution == report.solution
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), multi=st.booleans(), L_count=st.integers(1, 12))
+def test_sweep_cells_closed_form_is_the_sum_of_the_tables(seed, multi, L_count):
+    rng = random.Random(seed)
+    inst = random_instance(rng, n_max=5, p_max=20, c_max=3, mode=MULTI if multi else "single")
+    inst = replace(inst, lam=F(rng.randint(1, 5), rng.randint(1, 4)))
+    assert dp._sweep_cells(inst, L_count) == sum(
+        build_grid(inst, H).cells for H in range(1, L_count + 1)
+    )
+
+
+def test_cell_guard_builds_no_grid(monkeypatch):
+    # m = 1 lets L_count reach about P - 1: the guard's count must not build
+    # a grid per H before it refuses the sweep
+    built = []
+    original = dp.build_grid
+    monkeypatch.setattr(dp, "build_grid", lambda *args: built.append(args) or original(*args))
+    counts = []
+    for P in (10**4, 10**5):
+        inst = Instance(suppliers=(Supplier(1, 1, 1, P),) * 3, P=P, mode=MULTI)
+        assert dp.interior_limit(inst) == P - 1
+        with pytest.raises(ResourceLimitError, match=f"H=1\\.\\.{P - 1} needs"):
+            solve_multi(inst, max_cells=10**6)
+        counts.append(len(built))
+    assert counts == [0, 0]
 
 
 def test_cell_budget_counts_the_bounded_sweep(monkeypatch):

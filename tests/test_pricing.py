@@ -4,10 +4,11 @@ The references below price every grid volume with Fraction arithmetic, try
 every batch count in a loop, and fill the Bellman table in the most direct
 way; the fast path must reproduce their costs, batch counts and phi values
 exactly, and the choice ``_choice`` derives from a table must equal the
-reference's stored choice.  The row routine chained with low = 0 fills whole
-tables and must match the reference at every cell; ``_fill`` computes only
-the cells phi(n, P) can read and must match it at each of those, and
-backtrack to the same plan.
+reference's stored choice.  The row routine chained with full bands fills
+whole tables and must match the reference at every cell; ``_fill`` computes
+only the bands its cost bound leaves open and must match it at p = 0 and at
+every cell whose exact value plus the bound of the later suppliers is at
+most UB, and backtrack to the same plan.
 """
 
 import math
@@ -32,6 +33,7 @@ from lotdp import (
 from lotdp import dp
 from lotdp.closed_form import best_batch_count
 from lotdp.dp import (
+    EMPTY,
     CostRows,
     Grid,
     _aggregated_candidate_costs,
@@ -41,7 +43,10 @@ from lotdp.dp import (
     _convex_runs,
     _fill,
     _fill_row,
+    _increments,
+    _relaxations,
     _single_candidate_costs,
+    _upper_bound,
 )
 from lotdp.oracle import _duplication_candidate_costs
 
@@ -214,19 +219,22 @@ def test_integer_numerators_equal_the_fraction_costs(inst, H, kind):
 
 
 def full_chain(grid, costs, kind):
-    """The row routine chained with low = 0 over every supplier: the whole
-    table, exact at every cell."""
+    """The row routine chained with every band full, (1, P*den): the whole
+    table, exact at every cell.  Past residual 0, row 0 holds a sentinel
+    above the cost of every plan, and cells at or above it read as None."""
     cols = grid.demand_points
-    prev = [0] + [None] * (cols - 1)
-    reach = 0
+    full = (1, cols - 1)
+    none = 1 + sum(max(ck) for ck in costs)
+    prev = [0] + [none] * (cols - 1)
     phi = [prev]
     for (lo, hi), ck in zip(grid.spans, costs):
-        prev, reach = _fill_row(prev, reach, lo, hi, ck, 0)
+        prev = _fill_row(prev, full, lo, hi, ck, full)
         phi.append(prev)
+    phi = [[None if v >= none else v for v in row] for row in phi]
     rows = len(phi)
     return DPTable(
         H=grid.H, grid=grid, kind=kind, phi=phi, den=costs.den, costs=costs,
-        cells=rows * cols, lows=(0,) * rows,
+        cells=rows * cols, bands=(EMPTY,) + (full,) * (rows - 1),
     )
 
 
@@ -234,11 +242,29 @@ def as_fractions(table):
     return [[None if v is None else F(v, table.den) for v in row] for row in table.phi]
 
 
-def expected_lows(inst, grid):
-    """Row k >= 1 starts at P*den less the largest total of suppliers k+1..n."""
-    last = grid.demand_points - 1
-    after = [sum(hi for _, hi in grid.spans[k:]) for k in range(1, inst.n + 1)]
-    return (0, *(max(0, last - rest) for rest in after))
+def bounds(grid, costs):
+    """(LBpre, LBsuf, UB) of a grid's cost rows, UB None when the windows
+    cannot cover the demand."""
+    total = grid.demand_points - 1
+    incs = [_increments(ck, lo, hi, total, costs.convex) for ck, (lo, hi) in zip(costs, grid.spans)]
+    pre, suf = _relaxations(incs, total)
+    ub = _upper_bound(grid, costs, incs, suf[0]) if len(suf[0]) > total else None
+    return pre, suf, ub
+
+
+def open_cells(full, suf, ub):
+    """The cells the pruned table must hold exactly: p = 0 in every row, and
+    each cell whose exact value plus LBsuf_k(P*den - p) is at most UB."""
+    last = full.grid.demand_points - 1
+    cells = [(k, 0) for k in range(len(full.phi))]
+    if ub is not None:
+        cells += [
+            (k, p)
+            for k, row in enumerate(full.phi)
+            for p in range(1, last + 1)
+            if row[p] is not None and last - p < len(suf[k]) and row[p] + suf[k][last - p] <= ub
+        ]
+    return cells
 
 
 def choices(table, cells):
@@ -246,10 +272,50 @@ def choices(table, cells):
     return [_choice(table, k, p) for k, p in cells]
 
 
+def check_pruned(inst, table, full):
+    """The pruned table against the full one: exact at p = 0 and at every
+    open cell, with the same choice there; every cell at least its exact
+    value or, plus LBsuf_k(P*den - p), above UB; each band exactly the
+    residuals whose bound is at most UB; LBpre below every exact cell and UB
+    at least the final; the same final and backtrack."""
+    grid, costs = table.grid, table.costs
+    pre, suf, ub = bounds(grid, costs)
+    last = grid.demand_points - 1
+    exact = open_cells(full, suf, ub)
+    assert [table.phi[k][p] for k, p in exact] == [full.phi[k][p] for k, p in exact]
+    rows = [(k, p) for k, p in exact if k >= 1]
+    assert choices(table, rows) == choices(full, rows)
+    for k, ref in enumerate(full.phi):
+        # LBpre_k bounds every exact cell, and reaches exactly the cells
+        # suppliers 1..k can cover
+        assert [r is None for r in ref] == [p >= len(pre[k]) for p in range(last + 1)]
+        assert all(r is None or pre[k][p] <= r for p, r in enumerate(ref))
+    assert table.final == full.final
+    if ub is None:
+        assert table.phi == [[0] + [None] * last] * len(full.phi)
+        assert table.bands == (EMPTY,) * len(full.phi)
+        assert table.computed == len(full.phi)
+        return
+    for k, (row, ref) in enumerate(zip(table.phi, full.phi)):
+        for p, (v, r) in enumerate(zip(row, ref)):
+            assert r is None or v >= r or last - p >= len(suf[k]) or v + suf[k][last - p] > ub
+    assert suf[0][last] <= full.phi[-1][-1] <= ub
+    for k, band in enumerate(table.bands):
+        inside = [
+            p for p in range(1, last + 1)
+            if k and p < len(pre[k]) and last - p < len(suf[k]) and pre[k][p] + suf[k][last - p] <= ub
+        ]
+        assert band == ((inside[0], inside[-1]) if inside else EMPTY)
+        assert inside == list(range(band[0], band[1] + 1))
+    assert table.computed == sum(1 + b - a + 1 if a <= b else 1 for a, b in table.bands)
+    assert table.computed <= table.cells == full.cells
+    assert _chosen_indices(table, inst) == _chosen_indices(full, inst)
+
+
 def reference_table(inst, grid, costs, ref_rows, kind):
     """The full chain must equal ref_fill at every cell, phi and the choice
-    _choice derives.  _fill must equal it at every cell it computes (p = 0
-    and p >= lows[k]) and backtrack to the same plan.  Returns the full
+    _choice derives.  _fill must equal it at p = 0 and at every open cell,
+    and backtrack to the same plan (see check_pruned).  Returns the full
     chain's table."""
     phi, choice = ref_fill(grid, ref_rows)
     full = full_chain(grid, costs, kind)
@@ -257,17 +323,7 @@ def reference_table(inst, grid, costs, ref_rows, kind):
     cols = grid.demand_points
     every = [(k, p) for k in range(1, len(phi)) for p in range(cols)]
     assert choices(full, every) == [choice[k][p] for k, p in every]
-    table = _fill(inst, grid, costs, kind, None)
-    assert table.lows == expected_lows(inst, grid)
-    exact = [(k, p) for k, low in enumerate(table.lows) for p in range(cols) if p == 0 or p >= low]
-    assert len(exact) == table.computed <= table.cells == full.cells
-    pruned = as_fractions(table)
-    assert [pruned[k][p] for k, p in exact] == [phi[k][p] for k, p in exact]
-    exact_rows = [(k, p) for k, p in exact if k >= 1]
-    assert choices(table, exact_rows) == [choice[k][p] for k, p in exact_rows]
-    assert table.final == full.final == phi[-1][-1]
-    if table.final is not None:
-        assert _chosen_indices(table, inst) == _chosen_indices(full, inst)
+    check_pruned(inst, _fill(inst, grid, costs, kind, None), full)
     return full
 
 
@@ -431,71 +487,162 @@ def test_window_entirely_above_the_demand():
     assert choices(table, [(2, p) for p in range(4)]) == [None, 5, 5, 5]
 
 
-# --- demand-pruned rows -----------------------------------------------------------
+# --- cost-bounded rows -------------------------------------------------------------
 
 
-def test_row_below_its_low_is_left_as_the_skip_entry():
-    # supplier 2 delivers at most 3 of the demand 8, so row 1 = n - 1 starts
-    # at low 5.  The full chain covers the residuals 1..4 of both rows, and
-    # the cheapest covered cell of its last row, p = 1, lies below that low;
-    # the pruned rows keep row 0's None there, and _choice reads a skip
+def test_row_outside_its_band_keeps_the_skip_entry():
+    # unit grid, B = 2: the rows are 2i + i**2 and 6i + i**2, their increments
+    # [3, 5, 7, ..., 17] (chord to t = 1, then the row) and [7, 9, 11].  The
+    # water-fill of 8 units takes 5 and 3, already above both m: UB = 35 + 27.
+    # Row 1's bound pre + suf is 62 at p = 5 and 64 at p = 6, and p < 5 is
+    # beyond what supplier 2 can add, so its band is the one residual 5
     inst = Instance(suppliers=(Supplier(0, 1, 1, 10), Supplier(0, 3, 1, 3)), P=8)
     full = checked_table(inst, 1, SINGLE)
     table = solve_fixed_H(inst, 1)
-    assert table.lows == (0, 5, 8)
+    assert table.bands == (EMPTY, (5, 5), (8, 8))
+    assert table.computed == 1 + 2 + 2
+    # the full table covers 1..4 of both rows; the pruned rows keep row 0's
+    # sentinel there, UB + 1, and _choice reads a skip
     assert as_fractions(full)[2][1:5] == [F(3, 2), 4, F(15, 2), 11]
-    assert table.phi[1][1:5] == table.phi[2][1:5] == [None] * 4
+    assert table.phi[1][1:5] == table.phi[2][1:5] == [63] * 4
     assert choices(table, [(k, p) for k in (1, 2) for p in range(1, 5)]) == [None] * 8
-    # phi(2, 8) = phi(1, 5) + cost(3) = 35/2 + 27/2
+    # phi(2, 8) = phi(1, 5) + cost(3) = 35/2 + 27/2, the water-fill's own plan
     assert table.final == F(31)
     assert _chosen_indices(table, inst) == [(1, 5), (2, 3)]
 
 
 def test_over_delivery_from_a_pruned_row_reads_residual_zero():
-    # supplier 3 delivers exactly 2, so row 2 starts at low 3; there supplier
-    # 2's smallest batch, 4, closes residual 3 on top of phi(1, 0) = 0
+    # costs 2*alpha + i**2 over B = 2; increments [69]*3, [4]*4 + [9], [2, 2].
+    # The water-fill of 5 units gives supplier 2 three units, below its m = 4:
+    # lifted to 4, the plan (0, 4, 2) has no spare unit above an m, so it
+    # costs 16 + 4; dropping supplier 2 instead gives (3, 0, 2) at 209 + 4,
+    # so UB = 20.  Row 1's bound is at least 69 > 20, so its band is empty;
+    # row 2's is 16, 18, 25 at p = 3, 4, 5.  At p = 3 supplier 2's smallest
+    # batch, 4, closes residual 3 on top of phi(1, 0) = 0
     inst = Instance(
         suppliers=(Supplier(100, 0, 1, 3), Supplier(0, 0, 4, 6), Supplier(0, 0, 2, 2)), P=5
     )
     checked_table(inst, 1, SINGLE)
     table = solve_fixed_H(inst, 1)
-    assert table.lows == (0, 0, 3, 5)
+    assert table.bands == (EMPTY, EMPTY, (3, 4), (5, 5))
     assert (F(table.phi[2][3], table.den), _choice(table, 2, 3)) == (8, 4)
     assert table.final == 10
     assert _chosen_indices(table, inst) == [(2, 4), (3, 2)]
 
 
-def test_row_with_nothing_covered_at_or_above_its_low():
-    # the windows hold 4 of the demand 5 in all, so row 1 starts at low 3 but
-    # covers only up to 2: its reach is 0 and the last row is empty
+def test_windows_short_of_the_demand_leave_an_infeasible_table():
+    # the windows hold 4 of the demand 5 in all: no band, None past p = 0
     inst = Instance(suppliers=(Supplier(0, 0, 1, 2),) * 2, P=5)
-    grid = build_grid(inst, 1)
-    costs = _single_candidate_costs(inst, grid)
-    row, reach = _fill_row([0] + [None] * 5, 0, 1, 2, costs[0], 3)
-    assert (row, reach) == ([0] + [None] * 5, 0)
-    assert _fill_row(row, reach, 1, 2, costs[1], 5)[1] == 0
-    # the full chain's row 1 covers 1..2, which nothing reads
-    assert checked_table(inst, 1, SINGLE).phi[1][2] is not None
+    checked_table(inst, 1, SINGLE)
     table = solve_fixed_H(inst, 1)
-    assert table.lows == (0, 3, 5)
+    assert table.bands == (EMPTY,) * 3
+    assert table.phi == [[0] + [None] * 5] * 3
     assert table.final is None
+    assert table.computed == 3
+    # an empty band leaves the whole row as the skip entry
+    costs = _single_candidate_costs(inst, build_grid(inst, 1))
+    prev = [0, 7, 7, 7, 7, 7]
+    assert _fill_row(prev, (1, 5), 1, 2, costs[0], EMPTY) == prev
 
 
-def test_lows_of_a_window_entirely_above_the_demand():
+def test_bands_of_a_window_entirely_above_the_demand():
     # supplier 1's smallest batch, 4, exceeds the demand 3, and supplier 2
-    # delivers at most 1, so row 1 starts at 3 - 1 on the unit grid and at
-    # 6 - 2 on the half grid; every cell there is an over-delivery
+    # delivers at most 1.  Unit grid: increments [4, 4, 4] and [1]; the
+    # water-fill gives (2, 1), lifted to (4, 1): UB = 16 + 1, and row 1's
+    # bound is 9 and 12 at p = 2, 3.  Half grid (den 2, B = 8): increments
+    # [8]*6 and [2, 2], UB = 64 + 4, and p = 4..6 reach 36 at most.  Every
+    # cell of row 1 in the band is an over-delivery
     inst = Instance(suppliers=(Supplier(0, 0, 4, 6), Supplier(0, 0, 1, 1)), P=3)
-    for H, lows in ((1, (0, 2, 3)), (2, (0, 4, 6))):
+    for H, bands in ((1, (EMPTY, (2, 3), (3, 3))), (2, (EMPTY, (4, 6), (6, 6)))):
         checked_table(inst, H, SINGLE)
         table = solve_fixed_H(inst, H)
-        assert table.lows == lows
-        assert [F(table.phi[1][p], table.den) for p in range(lows[1], lows[2] + 1)] == [8] * (H + 1)
+        assert table.bands == bands
+        first, last = bands[1]
+        assert [F(table.phi[1][p], table.den) for p in range(first, last + 1)] == [8] * (H + 1)
         assert table.final == 8
         assert _chosen_indices(table, inst) == [(1, 4 * H)]
-    # a window above the demand in the last row leaves row 1 unpruned
+    # the same window in the last row: the water-fill's (2, 1) is lifted to
+    # (2, 4), one unit too many, and supplier 1 hands back its unit of
+    # increment 3: UB = 1 + 16, and row 1's band runs from 1 to 2
     inst = Instance(suppliers=(Supplier(0, 0, 1, 2), Supplier(0, 0, 4, 6)), P=3)
-    assert solve_fixed_H(inst, 1).lows == (0, 0, 3)
+    assert solve_fixed_H(inst, 1).bands == (EMPTY, (1, 2), (3, 3))
+
+
+def test_a_zero_gap_table_computes_the_optimal_path_only():
+    # the golden relaxation costs what the optimum does (LB = UB = 140 over
+    # B = 8 on the unit-half grid), so the band of each row is the one
+    # residual of the optimal path; a band edge taken strictly would lose it
+    inst = Instance(suppliers=(Supplier(0, 1, 2, 3),) * 2, P=5, c_hold=2)
+    grid = build_grid(inst, 1)
+    pre, suf, ub = bounds(grid, _single_candidate_costs(inst, grid))
+    assert suf[0][10] == ub == 140
+    table = checked_table(inst, 1, SINGLE)
+    pruned = solve_fixed_H(inst, 1)
+    assert pruned.bands == (EMPTY, (5, 5), (10, 10))
+    assert pruned.phi[1][5] == table.phi[1][5] == 70
+
+
+def test_increments_are_the_floored_chord_then_the_row():
+    # cost 10 + i**2 over the volumes 2..6: cost/v is 7, 19/3, 13/2, 7, 23/3,
+    # least at t = 3; the chord's slope floors 19/3 to 6, then the row adds
+    # 7, 9, 11.  Capped at the demand, 4 increments remain
+    row = [10 + i * i for i in range(2, 7)]
+    assert _increments(row, 2, 6, 20, True) == [6, 6, 6, 7, 9, 11]
+    assert _increments(row, 2, 6, 4, True) == [6, 6, 6, 7]
+    # the chord lies below the row at every volume
+    assert all(sum(_increments(row, 2, 6, 20, True)[:v]) <= row[v - 2] for v in range(2, 7))
+    # any other row: the line at the least cost per unit, floored: 23/4 -> 5
+    assert _increments([11, 30, 23, 50], 2, 5, 9, False) == [5] * 5
+
+
+def test_upper_bound_lifts_to_m_and_hands_back_the_largest_increments():
+    # supplier 1 with increments 1, 2, ..., supplier 2 on 4..6 at 5 each.
+    # The water-fill of 8 units takes 1, 2, 3, 4, 5 from supplier 1 and three
+    # 5s from supplier 2, below its m = 4: lifted to 4 it overshoots by one,
+    # and supplier 1 hands back its last increment, 5.  On 1..6 supplier 1
+    # cannot cover 8 alone, so the plan (4, 4), 40 + 100, is UB
+    incs = [list(range(1, 7)), [5] * 6]
+    relaxed = [0, 1, 3, 6, 10, 15, 20, 25, 30]
+    costs = CostRows([[10 * v for v in range(1, 7)], [100, 200, 300]], 1)
+    grid = Grid(H=1, denominator=1, demand_points=9, spans=((1, 6), (4, 6)))
+    assert _upper_bound(grid, costs, incs, relaxed) == 140
+    # on 1..10 it can: dropping supplier 2 and water-filling again gives the
+    # cheaper plan (8, 0)
+    incs = [list(range(1, 9)), [5] * 6]
+    costs = CostRows([[10 * v for v in range(1, 11)], [100, 200, 300]], 1)
+    grid = Grid(H=1, denominator=1, demand_points=9, spans=((1, 10), (4, 6)))
+    assert _upper_bound(grid, costs, incs, relaxed) == 80
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    inst=st.one_of(instances(n_max=4, bound_max=8), wide_window_instances()),
+    H=st.integers(1, 3),
+    multi=st.booleans(),
+)
+def test_pruned_fill_is_exact_wherever_a_plan_under_ub_can_pass(inst, H, multi):
+    # both modes, lam = a/b and c_hold up to 3: the pruned fill equals the
+    # reference at p = 0 and at every cell whose exact value plus LBsuf is at
+    # most UB, its final always, and _choice along the backtrack
+    kind = "multi-aggregated" if multi else SINGLE
+    inst = Instance(inst.suppliers, inst.P, inst.lam, inst.c_hold, MULTI if multi else SINGLE)
+    grid = build_grid(inst, H)
+    costs = BUILDERS[kind](inst, grid)
+    phi, _ = ref_fill(grid, ref_costs(inst, grid, kind))
+    full = full_chain(grid, costs, kind)
+    assert as_fractions(full) == phi
+    table = solve_fixed_H(inst, H)
+    check_pruned(inst, table, full)
+    if full.final is not None:
+        # every cell of the backtrack is open, and _choice agrees there
+        walk = open_cells(full, *bounds(grid, costs)[1:])
+        p = grid.demand_points - 1
+        for k in range(inst.n, 0, -1):
+            v = _choice(full, k, p)
+            assert _choice(table, k, p) == v
+            assert (k, p) in walk
+            p = p if v is None else (p - v if v < p else 0)
+        assert backtrack(table, inst) == backtrack(full, inst)
 
 
 @settings(max_examples=80, deadline=None)
@@ -557,17 +704,18 @@ def test_a_row_of_one_residual_scans_its_window_whole():
     assert _convex_runs(ck) == [(0, 2), (3, 4)]
     grid = Grid(H=1, denominator=1, demand_points=6, spans=((1, 5),))
 
-    def one_row(row, low):
+    def one_row(row, band):
         return DPTable(
             H=1, grid=grid, kind="hand-built", phi=[prev, row], den=1,
-            costs=CostRows([ck], 1), cells=12, lows=(0, low),
+            costs=CostRows([ck], 1), cells=12, bands=(EMPTY, band),
         )
 
-    full, _ = _fill_row(prev, 5, 1, 5, ck, 0)
+    full = _fill_row(prev, (1, 5), 1, 5, ck, (1, 5))
     assert full == [0, 1, 1, 2, 2, 4]
-    assert choices(one_row(full, 0), [(1, p) for p in range(6)]) == [None, 2, 2, 4, 4, 2]
-    row, reach = _fill_row(prev, 5, 1, 5, ck, 5)
-    assert (row[5], _choice(one_row(row, 5), 1, 5), reach) == (4, 2, 5)
+    assert choices(one_row(full, (1, 5)), [(1, p) for p in range(6)]) == [None, 2, 2, 4, 4, 2]
+    row = _fill_row(prev, (1, 5), 1, 5, ck, (5, 5))
+    assert row == prev[:5] + [4]
+    assert _choice(one_row(row, (5, 5)), 1, 5) == 2
 
 
 def test_convex_runs_are_cut_only_on_rows_of_many_residuals(monkeypatch):
@@ -577,10 +725,13 @@ def test_convex_runs_are_cut_only_on_rows_of_many_residuals(monkeypatch):
     single = Instance(suppliers=(Supplier(1, 1, 1, 6),) * 3, P=8)
     solve_fixed_H(single, 2)
     assert cut == []
-    # 17 residuals on grid 2; rows 1 and 2 compute from 0 and 4 up, and the
-    # last row computes P*den = 16 alone
+    # 17 residuals on grid 2.  The aggregated rows cost at least 115 per
+    # unit, floored, and UB is 1872 (the water-fill's 12 + 4 units): the
+    # bands are 1..12, 4..16 and 16.  Row 1 reads row 0 at 0 only, row 2
+    # cuts the volumes 2..12 that reach from row 1's band into its own, and
+    # the last row computes P*den = 16 alone
     multi = replace(single, mode=MULTI)
     table = solve_fixed_H(multi, 2)
-    assert table.lows == (0, 0, 4, 16)
+    assert table.bands == (EMPTY, (1, 12), (4, 16), (16, 16))
     costs = _aggregated_candidate_costs(multi, build_grid(multi, 2))
-    assert cut == costs[:2]
+    assert cut == costs[1:2]
