@@ -11,8 +11,9 @@ variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve, counted
 before the sweep starts: the grids H = 1..L_count (the interior bound from
 the volume windows alone) together.  The sweep fills the grids 1..L, and
 L <= L_count, so it never fills more; the fill computes only part of each
-table's cells (``computed`` in the report's ``per_H``).  A solve over the cap
-is refused with exit code 1 before any table is filled.
+table's cells (``computed`` in the report's ``per_H``, the ``--trace`` CSV
+and the ``bench`` CSV).  A solve over the cap is refused with exit code 1
+before any table is filled.
 """
 
 from __future__ import annotations
@@ -157,11 +158,11 @@ def report_to_json(report: SolveReport) -> dict:
 
 
 def trace_to_csv(report: SolveReport) -> str:
-    lines = ["H,phi_nP_num,phi_nP_den,cells,micros"]
+    lines = ["H,phi_nP_num,phi_nP_den,cells,computed,micros"]
     for t in report.trace:
         num = "" if t.objective is None else t.objective.numerator
         den = "" if t.objective is None else t.objective.denominator
-        lines.append(f"{t.H},{num},{den},{t.cells},{t.micros}")
+        lines.append(f"{t.H},{num},{den},{t.cells},{t.computed},{t.micros}")
     return "\n".join(lines) + "\n"
 
 
@@ -279,7 +280,7 @@ def cmd_bench(args) -> int:
     else:
         values = {"P": [50, 100, 200], "n": [2, 4, 8], "c": [1, 2, 3]}[args.sweep]
     _require_writable(args.out)
-    rows = ["n,P,c_hold,cells,wall_micros,objective_num,objective_den"]
+    rows = ["n,P,c_hold,cells,computed,wall_micros,objective_num,objective_den"]
     for value in values:
         n, P, c_hold = 5, 60, 1
         if args.sweep == "P":
@@ -293,7 +294,7 @@ def cmd_bench(args) -> int:
         report = solve(inst, max_cells=max_cells)
         obj = report.solution.objective
         rows.append(
-            f"{n},{P},{c_hold},{report.table_cells_filled},"
+            f"{n},{P},{c_hold},{report.table_cells_filled},{report.cells_computed},"
             f"{int(report.elapsed_seconds * 1_000_000)},{obj.numerator},{obj.denominator}"
         )
     _write_text("\n".join(rows) + "\n", args.out)

@@ -71,7 +71,9 @@ residual p closes the plan on its own.  In multi-delivery mode the aggregated
 cost is not monotone in the total (a new batch count unlocks at each multiple
 of m), so every larger grid total is a candidate.  Suffix minima of the cost
 row, taken from the top of the row's band down to its bottom, give each
-residual its cheapest single batch at or above it, on top of nothing.
+residual its cheapest single batch at or above it, on top of nothing.  A
+single batch's cost rises with its volume, so there that batch is max(p, m)
+and the row is read as it is.
 
 A solve reads phi(n, P) and the cells its backtrack walks through, and the
 fill computes only the cells a plan cheaper than one it already holds could
@@ -109,8 +111,8 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
-from operator import add, floordiv, sub
+from itertools import accumulate, chain, repeat
+from operator import add, eq, floordiv, indexOf, sub
 
 from .closed_form import multi_delivery_cost
 from .errors import InfeasibleInstanceError, ResourceLimitError
@@ -198,7 +200,9 @@ EMPTY = (1, 0)  # a band with no residual
 class CostRows(list):
     """Candidate costs of one grid: per supplier, one integer numerator for
     each grid volume m..M, all over the common denominator ``den``.
-    ``convex`` says every row is one convex run (see :func:`_convex_runs`)."""
+    ``convex`` says every row is one convex run (see :func:`_convex_runs`)
+    whose first differences form an arithmetic progression, and that it
+    rises strictly with the volume: the rows of a single batch."""
 
     def __init__(self, rows, den: int, convex: bool = False):
         super().__init__(rows)
@@ -216,15 +220,22 @@ def _base_denominator(lam: Fraction, den: int) -> int:
 
 
 def _single_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
-    """Cost of one batch of each grid volume: alpha + beta*v + c*v^2/(2*lam)."""
+    """Cost of one batch of each grid volume: alpha + beta*v + c*v^2/(2*lam).
+
+    Over B the volume index i costs alpha*B + unit*i + cb*i**2, so its first
+    differences form an arithmetic progression of step 2*cb > 0, and each row
+    is their running sum from cost(lo): one convex run that rises with i."""
     B = _base_denominator(inst.lam, grid.denominator)
     per_unit = 2 * inst.lam.numerator * grid.denominator
     cb = inst.c_hold * inst.lam.denominator
+    step = 2 * cb  # cost(i + 1) - cost(i) = unit + cb*(2i + 1) rises by 2*cb
     rows = []
     for (lo, hi), s in zip(grid.spans, inst.suppliers):
-        fixed, unit = s.alpha * B, s.beta * per_unit
-        rows.append([fixed + unit * i + cb * i * i for i in range(lo, hi + 1)])
-    return CostRows(rows, B, convex=True)  # second difference 2*cb > 0
+        unit = s.beta * per_unit
+        first = unit + cb * (2 * lo + 1)
+        start = s.alpha * B + unit * lo + cb * lo * lo
+        rows.append(list(accumulate(range(first, first + step * (hi - lo), step), initial=start)))
+    return CostRows(rows, B, convex=True)
 
 
 def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
@@ -283,7 +294,9 @@ def _increments(row: list, lo: int, hi: int, total: int, convex: bool) -> list[i
 
     A one-run row (a single batch) lies above its chord from the origin to
     t = argmin cost(v)/v, and its own differences after t are at least that
-    chord's slope, so g is the chord, then the row.  cost(v)/v is
+    chord's slope, so g is the chord, then the row, whose differences are
+    an arithmetic progression (see :class:`CostRows`): the first difference
+    after t and the row's second difference give them all.  cost(v)/v is
     quasi-convex, so bisection finds t.  Any other row lies above the line
     through the origin of slope min cost(v)/v, and the floor of that minimum
     is the minimum of the floors.  Every increment is at least 0: costs are
@@ -305,7 +318,10 @@ def _increments(row: list, lo: int, hi: int, total: int, convex: bool) -> list[i
     if t >= cap:
         return [slope] * cap
     inc = [slope] * t
-    inc += map(sub, row[j + 1:cap + 1 - lo], row[j:cap - lo])
+    first = row[j + 1] - row[j]
+    # cap - t > 1 differences reach row[j + 2], cap <= hi
+    step = row[j + 2] - 2 * row[j + 1] + row[j] if cap - t > 1 else 1
+    inc += range(first, first + step * (cap - t), step)
     return inc
 
 
@@ -476,23 +492,31 @@ def _fill_row(prev, prev_band, lo, hi, ck, band, convex=False):
     (1, P*den) and row 0 at 0 and a sentinel above every plan's cost
     elsewhere, the rows are the full table, the sentinel standing for no plan.
 
-    ``convex`` says ck is one convex run.  A band of one residual (the last
-    row's) needs no cut either: a single residual's scan over the whole
-    window is exact whatever the row's shape."""
+    ``convex`` says ck is one convex run that rises with the volume (see
+    :class:`CostRows`).  Then the cheapest batch of at least p is max(p, lo)
+    and the over-delivery pass reads ck as it is; any other row takes suffix
+    minima.  A band of one residual (the last row's) needs no cut either: a
+    single residual's scan over the whole window is exact whatever the row's
+    shape."""
     pa, pb = band
     row = prev[:]  # the skip entry, lowered by any cheaper candidate
     if pa > pb:
         return row
     # one volume v >= p alone, on top of prev[0] = 0: exactly p, or a batch
-    # above p that closes the plan (over-delivery).  Suffix minima of the row
-    # from the top of the band down to its bottom: over[j] is the cheapest
-    # volume >= first + j, and the residuals below first all take over[0]
+    # above p that closes the plan (over-delivery).  over[j] is the cheapest
+    # volume >= first + j, and the residuals below first all take over[0]:
+    # ck itself on a rising row, else suffix minima of the row from the top
+    # of the band down to its bottom
     top = min(pb, hi)
     if pa <= top:
-        first, seed = max(pa, lo), max(top, lo)
-        over = list(accumulate(reversed(ck[first - lo:seed - lo]), min, initial=min(ck[seed - lo:])))
-        over.reverse()
-        row[pa:top + 1] = map(min, row[pa:top + 1], chain([over[0]] * (first - pa), over))
+        first = max(pa, lo)
+        if convex:
+            over = ck[first - lo:top - lo + 1] if first <= top else ck[:1]
+        else:
+            seed = max(top, lo)
+            over = list(accumulate(reversed(ck[first - lo:seed - lo]), min, initial=min(ck[seed - lo:])))
+            over.reverse()
+        row[pa:top + 1] = map(min, row[pa:top + 1], chain(repeat(over[0], first - pa), over))
     # volume p - q on top of prev[q] for q in the previous band, convex run
     # by convex run over the volumes that reach from that band into this one
     qa, qb = prev_band
@@ -577,16 +601,20 @@ def _choice(table: DPTable, k: int, p: int) -> int | None:
     with cost(v) + phi[k-1][p - v] (or phi[k-1][0] when v > p, an
     over-delivery) equal to phi[k][p] wins: an interior volume (v <= p)
     before any over-delivery, and the smaller volume among equals.  So a
-    table backtracks to its lexicographically smallest optimal plan."""
+    table backtracks to its lexicographically smallest optimal plan.  One
+    pass in ascending volume order does both kinds: volume v attains the
+    cell when val - cost(v) equals the rest it stands on, phi[k-1] read from
+    p - lo down over the interior volumes, then phi[k-1][0]."""
     prev, val = table.phi[k - 1], table.phi[k][p]
     if val == prev[p]:
         return None
-    lo, _ = table.grid.spans[k - 1]
-    for v, cost in enumerate(table.costs[k - 1], lo):
-        rest = prev[p - v] if v <= p else prev[0]
-        if rest is not None and cost + rest == val:
-            return v
-    raise AssertionError(f"no volume attains phi[{k}][{p}] on the H={table.H} grid")
+    lo, hi = table.grid.spans[k - 1]
+    # a None cell (no plan) equals no cost
+    rest = chain(reversed(prev[max(p - hi, 0):max(p - lo + 1, 0)]), repeat(prev[0]))
+    try:
+        return lo + indexOf(map(eq, map(sub, repeat(val), table.costs[k - 1]), rest), True)
+    except ValueError:
+        raise AssertionError(f"no volume attains phi[{k}][{p}] on the H={table.H} grid") from None
 
 
 def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
@@ -596,7 +624,7 @@ def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
 
     Raises InfeasibleInstanceError when the table carries no feasible plan.
     """
-    if table.final is None:
+    if table.phi[-1][-1] is None:
         raise InfeasibleInstanceError(
             f"no feasible plan exists on the H={table.H} grid"
         )
@@ -799,22 +827,21 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     _require_sweep_budget(inst, L_count, max_cells)
     traces = []
 
-    def fill(H: int) -> DPTable:
+    def fill(H: int) -> tuple[DPTable, Fraction | None]:
         t0 = time.perf_counter()
         table = solve_fixed_H(inst, H)
         micros = int((time.perf_counter() - t0) * 1_000_000)
-        traces.append(HTrace(H, table.final, table.cells, micros, table.computed))
-        return table
+        final = table.final
+        traces.append(HTrace(H, final, table.cells, micros, table.computed))
+        return table, final
 
-    table = fill(1)
-    best_val = table.final
+    table, best_val = fill(1)
     if best_val is None:
         raise InfeasibleInstanceError("no grid admits a feasible plan")
     L = interior_limit(inst, best_val)
     reaching = {1: table}  # H -> table, for the tables at best_val
     for H in range(2, L + 1):
-        table = fill(H)
-        val = table.final
+        table, val = fill(H)
         if val is not None and val <= best_val:
             if val < best_val:
                 best_val = val

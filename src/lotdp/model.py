@@ -14,6 +14,7 @@ cost computations.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,47 +122,68 @@ def holding_cost(volume, lam, c_hold) -> Fraction:
     return v * v * c_hold / (2 * as_rational(lam))
 
 
+def _scaled(deliveries) -> tuple[int, list[int]]:
+    """D, the lcm of the volume denominators, and each volume times D: every
+    volume of the plan is an integer over D."""
+    D = math.lcm(*{d.volume.denominator for d in deliveries})
+    return D, [d.volume.numerator * (D // d.volume.denominator) for d in deliveries]
+
+
 def _delivery_violations(inst: Instance, deliveries) -> tuple[list[str], list[Fraction]]:
-    """Every feasibility problem of a plan, and each supplier's total volume."""
+    """Every feasibility problem of a plan, and each supplier's total volume.
+    Volumes and totals are compared as integers over one denominator D."""
     problems = []
-    totals = [Fraction(0)] * inst.n
+    D, scaled = _scaled(deliveries)
+    totals = [0] * inst.n
     batches = [0] * inst.n
-    for d in deliveries:
-        if not 1 <= d.supplier_index <= inst.n:
+    for d, x in zip(deliveries, scaled):
+        i = d.supplier_index - 1
+        if not 0 <= i < inst.n:
             problems.append(
                 f"delivery names supplier {d.supplier_index}, "
                 f"but the instance has suppliers 1..{inst.n}"
             )
             continue
-        s = inst.suppliers[d.supplier_index - 1]
-        if d.volume < s.m or d.volume > s.M:
+        s = inst.suppliers[i]
+        if x < s.m * D or x > s.M * D:
             problems.append(
                 f"batch of {d.volume} from supplier {d.supplier_index} "
                 f"outside its window [{s.m}, {s.M}]"
             )
-        if inst.mode == SINGLE and batches[d.supplier_index - 1] == 1:
+        if inst.mode == SINGLE and batches[i] == 1:
             problems.append(
                 f"supplier {d.supplier_index} delivers more than one batch "
                 f"in single-delivery mode"
             )
-        batches[d.supplier_index - 1] += 1
-        totals[d.supplier_index - 1] += d.volume
-    for i, t in enumerate(totals):
-        cap = inst.suppliers[i].M
-        if t > cap:
-            problems.append(f"supplier {i + 1} delivers {t} in total, above its cap {cap}")
-    delivered = sum(totals, Fraction(0))
-    if delivered < inst.P:
-        problems.append(f"total delivered volume {delivered} is below the demand {inst.P}")
-    return problems, totals
+        batches[i] += 1
+        totals[i] += x
+    for i, (t, s) in enumerate(zip(totals, inst.suppliers)):
+        if t > s.M * D:
+            problems.append(f"supplier {i + 1} delivers {Fraction(t, D)} in total, above its cap {s.M}")
+    delivered = sum(totals)
+    if delivered < inst.P * D:
+        problems.append(
+            f"total delivered volume {Fraction(delivered, D)} is below the demand {inst.P}"
+        )
+    return problems, [Fraction(t, D) for t in totals]
 
 
 def _cost_of(inst: Instance, deliveries) -> Fraction:
-    total = Fraction(0)
-    for d in deliveries:
+    """The plan's cost, the sum of delivery_cost + holding_cost over its
+    batches, for a plan whose batches lie in their windows.  With lam = a/b
+    and every volume x/D, one batch costs
+
+        alpha + beta*x/D + c*b*x**2/(2*a*D**2)
+
+    so the sum is one integer over 2*a*D**2, and one Fraction is built."""
+    D, scaled = _scaled(deliveries)
+    a, b = inst.lam.numerator, inst.lam.denominator
+    fixed, unit, square = 2 * a * D * D, 2 * a * D, inst.c_hold * b
+    total = 0
+    for d, x in zip(deliveries, scaled):
         s = inst.suppliers[d.supplier_index - 1]
-        total += delivery_cost(s, d.volume) + holding_cost(d.volume, inst.lam, inst.c_hold)
-    return total
+        total += s.alpha * fixed + s.beta * unit * x + square * x * x
+    return Fraction(total, fixed)
 
 
 def solution_cost(inst: Instance, sol: Solution) -> Fraction:
@@ -391,7 +413,10 @@ def solution_from_json(obj, inst: Instance) -> Solution:
         idx = _int_field(raw, "supplier", where)
         if "volume" not in raw:
             raise SchemaError(f"{where}: missing field 'volume'")
-        pairs.append((idx, rational_from_json(raw["volume"], f"{where}.volume")))
+        volume = rational_from_json(raw["volume"], f"{where}.volume")
+        if volume < 0:
+            raise SchemaError(f"{where}.volume: delivery volume must not be negative, got {volume}")
+        pairs.append((idx, volume))
     sol = make_solution(inst, pairs)
     if sol.objective != stated:
         raise SchemaError(

@@ -62,7 +62,7 @@ class TestSolve:
     def test_trace_csv_on_stderr(self, golden_file, capsys):
         assert cli.main(["solve", "--trace", golden_file]) == 0
         err = capsys.readouterr().err
-        assert "H,phi_nP_num,phi_nP_den,cells,micros" in err
+        assert "H,phi_nP_num,phi_nP_den,cells,computed,micros" in err
         assert "\n1,35,2," in err
 
     def test_report_names_the_skipped_grids(self, tmp_path, capsys):
@@ -88,7 +88,7 @@ class TestSolve:
         report = json.loads(err[:err.index("H,phi_nP_num")])
         assert [(h["cells"], h["computed"]) for h in report["per_H"]] == [(33, 5), (63, 5)]
         assert report["table_cells_filled"] == 96
-        assert "H,phi_nP_num,phi_nP_den,cells,micros\n1,35,2,33," in err
+        assert "H,phi_nP_num,phi_nP_den,cells,computed,micros\n1,35,2,33,5," in err
 
     def test_golden_report_skips_no_grid(self, golden_file, capsys):
         assert cli.main(["solve", golden_file]) == 0
@@ -255,7 +255,7 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert cli.main(["bench", "--sweep", "P", "--values", "12,24", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "n,P,c_hold,cells,wall_micros,objective_num,objective_den"
+        assert lines[0] == "n,P,c_hold,cells,computed,wall_micros,objective_num,objective_den"
         assert len(lines) == 3
         assert lines[1].startswith("5,12,1,")
         assert lines[2].startswith("5,24,1,")

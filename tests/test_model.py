@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lotdp import (
@@ -29,6 +29,7 @@ from lotdp import (
     solution_to_json,
     validate_instance,
 )
+from lotdp.model import _cost_of, _delivery_violations
 
 
 def test_delivery_cost_values():
@@ -245,3 +246,169 @@ def test_single_mode_refuses_a_supplier_split_into_batches():
 def test_solution_json_rejects_deliveries_that_are_not_a_list(golden):
     with pytest.raises(SchemaError, match="solution.deliveries: expected a list"):
         solution_from_json({"objective": 12, "deliveries": 5}, golden)
+
+
+def test_solution_json_names_a_negative_volume(golden):
+    doc = {"objective": 0, "deliveries": [{"supplier": 2, "volume": 3},
+                                          {"supplier": 1, "volume": -2}]}
+    with pytest.raises(SchemaError, match=r"solution\.deliveries\[1\]\.volume") as err:
+        solution_from_json(doc, golden)
+    assert isinstance(err.value, ValueError)
+    # a zero volume stays an omitted batch
+    doc["deliveries"][1]["volume"] = 0
+    with pytest.raises(FeasibilityError, match="below the demand"):
+        solution_from_json(doc, golden)
+
+
+# --- the integer audit against a Fraction reference ------------------------------
+
+
+def ref_violations(inst, deliveries):
+    """The audit's checks in plain Fraction arithmetic, one delivery at a time."""
+    problems = []
+    totals = [F(0)] * inst.n
+    batches = [0] * inst.n
+    for d in deliveries:
+        if not 1 <= d.supplier_index <= inst.n:
+            problems.append(
+                f"delivery names supplier {d.supplier_index}, "
+                f"but the instance has suppliers 1..{inst.n}"
+            )
+            continue
+        s = inst.suppliers[d.supplier_index - 1]
+        if d.volume < s.m or d.volume > s.M:
+            problems.append(
+                f"batch of {d.volume} from supplier {d.supplier_index} "
+                f"outside its window [{s.m}, {s.M}]"
+            )
+        if inst.mode == "single" and batches[d.supplier_index - 1] == 1:
+            problems.append(
+                f"supplier {d.supplier_index} delivers more than one batch "
+                f"in single-delivery mode"
+            )
+        batches[d.supplier_index - 1] += 1
+        totals[d.supplier_index - 1] += d.volume
+    for i, t in enumerate(totals):
+        cap = inst.suppliers[i].M
+        if t > cap:
+            problems.append(f"supplier {i + 1} delivers {t} in total, above its cap {cap}")
+    delivered = sum(totals, F(0))
+    if delivered < inst.P:
+        problems.append(f"total delivered volume {delivered} is below the demand {inst.P}")
+    return problems, totals
+
+
+def ref_cost(inst, deliveries):
+    return sum(
+        (
+            delivery_cost(inst.suppliers[d.supplier_index - 1], d.volume)
+            + holding_cost(d.volume, inst.lam, inst.c_hold)
+            for d in deliveries
+        ),
+        F(0),
+    )
+
+
+def check_audit(inst, deliveries):
+    """The integer audit equals the reference: problems, totals, and on a plan
+    whose batches lie in their windows the cost; a feasible plan passes
+    make_solution and solution_cost with that cost."""
+    problems, totals = _delivery_violations(inst, deliveries)
+    assert (problems, totals) == ref_violations(inst, deliveries)
+    assert all(type(t) is F for t in totals)
+    in_windows = all(
+        1 <= d.supplier_index <= inst.n
+        and inst.suppliers[d.supplier_index - 1].m <= d.volume <= inst.suppliers[d.supplier_index - 1].M
+        for d in deliveries
+    )
+    if in_windows:
+        cost = _cost_of(inst, deliveries)
+        assert type(cost) is F and cost == ref_cost(inst, deliveries)
+    if problems:
+        with pytest.raises(FeasibilityError) as err:
+            make_solution(inst, deliveries)
+        assert err.value.violations == tuple(problems)
+    else:
+        sol = make_solution(inst, deliveries)
+        assert sol.objective == solution_cost(inst, sol) == ref_cost(inst, deliveries)
+        assert sol.per_supplier_totals == tuple(totals)
+    return problems
+
+
+@st.composite
+def audited_plans(draw):
+    n = draw(st.integers(1, 4))
+    sups = []
+    for _ in range(n):
+        m = draw(st.integers(1, 5))
+        sups.append(Supplier(draw(st.integers(0, 20)), draw(st.integers(0, 9)), m,
+                             draw(st.integers(m, 12))))
+    inst = Instance(
+        suppliers=tuple(sups),
+        P=draw(st.integers(0, sum(s.M for s in sups))),
+        # non-integer intensities and holding rates above 1
+        lam=draw(st.builds(F, st.integers(1, 7), st.integers(1, 5))),
+        c_hold=draw(st.integers(1, 4)),
+        mode=draw(st.sampled_from(["single", MULTI])),
+    )
+    deliveries = []
+    for _ in range(draw(st.integers(0, 6))):
+        # mostly real suppliers, now and then a name outside 1..n
+        idx = draw(st.integers(0, n + 1)) if draw(st.integers(0, 9)) == 0 else draw(st.integers(1, n))
+        top = inst.suppliers[idx - 1].M + 2 if 1 <= idx <= n else 12
+        den = draw(st.integers(1, 7))  # mixed volume denominators
+        deliveries.append(Delivery(idx, F(draw(st.integers(1, top * den)), den)))
+    return inst, deliveries
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=audited_plans())
+def test_integer_audit_matches_the_fraction_reference(plan):
+    check_audit(*plan)
+
+
+@st.composite
+def in_window_plans(draw):
+    # every batch inside its window, several per supplier in multi mode: the
+    # cost is compared on every example
+    inst, _ = draw(audited_plans())
+    deliveries = []
+    for i, s in enumerate(inst.suppliers, 1):
+        for _ in range(draw(st.integers(0, 3 if inst.mode == MULTI else 1))):
+            den = draw(st.integers(1, 7))
+            deliveries.append(Delivery(i, s.m + F(draw(st.integers(0, (s.M - s.m) * den)), den)))
+    return inst, draw(st.permutations(deliveries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=in_window_plans())
+def test_integer_audit_prices_in_window_plans_like_the_fraction_sum(plan):
+    check_audit(*plan)
+
+
+AUDIT_INST = Instance(
+    suppliers=(Supplier(3, 2, 2, 5), Supplier(1, 4, 1, 3)), P=6, lam=F(3, 2), c_hold=2
+)
+
+
+@pytest.mark.parametrize(
+    "mode, deliveries, problem",
+    [
+        ("single", [(1, F(7, 2)), (2, F(5, 2))], None),
+        ("single", [(1, F(3, 2)), (2, 3)], "outside its window"),
+        ("single", [(1, F(11, 2)), (2, 1)], "outside its window"),
+        ("multi", [(1, 4), (1, F(5, 3)), (2, 1)], "outside its window"),
+        ("multi", [(1, 3), (1, F(5, 2)), (2, F(2, 3))], "above its cap"),
+        ("single", [(1, F(5, 2)), (2, F(7, 3))], "below the demand"),
+        ("single", [(1, 2), (1, 2), (2, 2)], "more than one batch"),
+        ("single", [(3, 2), (1, 5), (2, 1)], "names supplier 3"),
+        ("multi", [(1, 2), (1, F(5, 2)), (2, F(3, 2))], None),
+    ],
+)
+def test_integer_audit_on_each_kind_of_plan(mode, deliveries, problem):
+    inst = replace(AUDIT_INST, mode=mode)
+    problems = check_audit(inst, [Delivery(i, v) for i, v in deliveries])
+    if problem is None:
+        assert problems == []
+    else:
+        assert any(problem in text for text in problems)

@@ -8,12 +8,16 @@ reference's stored choice.  The row routine chained with full bands fills
 whole tables and must match the reference at every cell; ``_fill`` computes
 only the bands its cost bound leaves open and must match it at p = 0 and at
 every cell whose exact value plus the bound of the later suppliers is at
-most UB, and backtrack to the same plan.
+most UB, and backtrack to the same plan.  The single-batch kernels keep
+their per-volume references: the plain loop for ``_choice``, the row's own
+differences for ``_increments``, and suffix minima for the over-delivery
+read of a rising row.
 """
 
 import math
 from dataclasses import replace
 from fractions import Fraction as F
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -735,3 +739,137 @@ def test_convex_runs_are_cut_only_on_rows_of_many_residuals(monkeypatch):
     assert table.bands == (EMPTY, (1, 12), (4, 16), (16, 16))
     costs = _aggregated_candidate_costs(multi, build_grid(multi, 2))
     assert cut == costs[1:2]
+
+
+# --- the single-batch kernels against their per-volume references -----------------
+
+
+def ref_choice(table, k, p):
+    """_choice as a loop over the window in ascending volume order: skip on a
+    tie with skipping, else the first volume that attains the cell."""
+    prev, val = table.phi[k - 1], table.phi[k][p]
+    if val == prev[p]:
+        return None
+    lo, _ = table.grid.spans[k - 1]
+    for v, cost in enumerate(table.costs[k - 1], lo):
+        rest = prev[p - v] if v <= p else prev[0]
+        if rest is not None and cost + rest == val:
+            return v
+    raise AssertionError(f"no volume attains phi[{k}][{p}]")
+
+
+def choice_outcome(choose, table, k, p):
+    try:
+        return choose(table, k, p)
+    except AssertionError:
+        return "unattained"
+
+
+def check_choice_everywhere(table):
+    """_choice equals the loop at every (k, p), k >= 1; a cell no volume
+    attains (a pruned cell holding its bound) fails the same way in both."""
+    cols = table.grid.demand_points
+    for k in range(1, len(table.phi)):
+        for p in range(cols):
+            assert choice_outcome(_choice, table, k, p) == choice_outcome(ref_choice, table, k, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    inst=st.one_of(instances(n_max=3, bound_max=7), wide_window_instances(n_max=3)),
+    H=st.integers(1, 3),
+    multi=st.booleans(),
+)
+def test_choice_matches_the_volume_loop_on_full_and_pruned_tables(inst, H, multi):
+    kind = "multi-aggregated" if multi else SINGLE
+    inst = replace(inst, mode=MULTI if multi else SINGLE)
+    grid = build_grid(inst, H)
+    costs = BUILDERS[kind](inst, grid)
+    check_choice_everywhere(full_chain(grid, costs, kind))
+    check_choice_everywhere(_fill(inst, grid, costs, kind, None))
+
+
+@st.composite
+def hand_built_rows(draw):
+    # unit grid, costs 0..5: over-delivery ties, skip ties and ties between
+    # volumes are common
+    inst = draw(instances(n_max=3, bound_max=6))
+    inst = replace(inst, lam=F(1), c_hold=1)
+    grid = build_grid(inst, 1)
+    rows = [
+        draw(st.lists(st.integers(0, 5), min_size=hi - lo + 1, max_size=hi - lo + 1))
+        for lo, hi in grid.spans
+    ]
+    return inst, grid, CostRows(rows, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(built=hand_built_rows())
+def test_choice_matches_the_volume_loop_on_rows_full_of_ties(built):
+    inst, grid, costs = built
+    check_choice_everywhere(full_chain(grid, costs, "hand-built"))
+    check_choice_everywhere(_fill(inst, grid, costs, "hand-built", None))
+
+
+def test_choice_breaks_over_delivery_and_skip_ties_like_the_loop():
+    # supplier 2 over volumes 1..4 costs [4, 1, 1, 6].  With supplier 1 at
+    # [3, 3], residual 1 is closed by the batches 2 and 3 at cost 1 each and
+    # 2 wins; at residual 2 volume 2 itself ties the over-delivery 3 and wins
+    inst = Instance(suppliers=(Supplier(0, 0, 1, 2), Supplier(0, 0, 1, 4)), P=3)
+    rows = [[3, 3], [4, 1, 1, 6]]
+    table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
+    assert table.phi[2] == [0, 1, 1, 1]
+    assert [ref_choice(table, 2, p) for p in (1, 2, 3)] == [2, 2, 3]
+    check_choice_everywhere(table)
+    # with supplier 1 at [3, 1], skipping supplier 2 costs 1 at residuals 1
+    # and 2 too, and the skip wins both ties
+    rows = [[3, 1], [4, 1, 1, 6]]
+    table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
+    assert table.phi[1][1:3] == table.phi[2][1:3] == [1, 1]
+    assert [ref_choice(table, 2, p) for p in (1, 2, 3)] == [None, None, 3]
+    check_choice_everywhere(table)
+
+
+def ref_increments(row, lo, hi, total, convex):
+    """The bound's increments with the row's own differences after t taken
+    as ``map(sub, ...)`` of the row."""
+    cap = min(hi, total)
+    if not convex:
+        return [min(v // i for v, i in zip(row, range(lo, hi + 1)))] * cap
+    t = min(range(lo, hi + 1), key=lambda v: (F(row[v - lo], v), v))
+    slope = row[t - lo] // t
+    if t >= cap:
+        return [slope] * cap
+    return [slope] * t + list(map(sub, row[t - lo + 1:cap + 1 - lo], row[t - lo:cap - lo]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(n_max=3, bound_max=12), H=st.integers(1, 3))
+def test_increments_continue_with_the_rows_own_differences(inst, H):
+    grid = build_grid(inst, H)
+    costs = _single_candidate_costs(inst, grid)
+    for ck, (lo, hi) in zip(costs, grid.spans):
+        for total in {0, lo, hi - 1, hi, grid.demand_points - 1, hi + 3}:
+            assert _increments(ck, lo, hi, total, True) == ref_increments(ck, lo, hi, total, True)
+        assert _increments(ck, lo, hi, hi, False) == ref_increments(ck, lo, hi, hi, False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inst=instances(n_max=1, bound_max=10),
+    H=st.integers(1, 3),
+    data=st.data(),
+)
+def test_rising_rows_skip_the_suffix_minima(inst, H, data):
+    # a single-batch row rises, so its cheapest batch of at least p is
+    # max(p, lo): the row read as it is equals the suffix-minima pass
+    grid = build_grid(inst, H)
+    (ck,), ((lo, hi),) = _single_candidate_costs(inst, grid), grid.spans
+    assert all(a < b for a, b in zip(ck, ck[1:]))
+    cols = grid.demand_points
+    prev = [0] + data.draw(st.lists(st.integers(0, 2 * max(ck)), min_size=cols - 1, max_size=cols - 1))
+    points = st.integers(1, cols - 1) if cols > 1 else st.just(1)
+    band = tuple(sorted(data.draw(st.tuples(points, points))))
+    prev_band = data.draw(st.sampled_from([EMPTY, (1, cols - 1), band]))
+    for b in (band, (band[0], band[0]), EMPTY):
+        assert _fill_row(prev, prev_band, lo, hi, ck, b, True) == _fill_row(prev, prev_band, lo, hi, ck, b)
