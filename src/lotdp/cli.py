@@ -237,9 +237,10 @@ def cmd_verify(args) -> int:
 
     inst = _load_instance(args.path)
     require_valid(inst)  # before the size refusal, so bad data names its own fault
-    if inst.n > MAX_VERIFY_SUPPLIERS:
+    if inst.mode == SINGLE and inst.n > MAX_VERIFY_SUPPLIERS:
         return _fail(
-            f"verify enumerates 4**n assignments and refuses n > {MAX_VERIFY_SUPPLIERS}",
+            f"verify enumerates 4**n assignments in single mode and refuses "
+            f"n > {MAX_VERIFY_SUPPLIERS}",
             EXIT_INPUT,
         )
     results, agree = _verify_one(inst, max_cells)

@@ -48,18 +48,16 @@ one denominator, so ``DPTable.final`` is the only Fraction a table produces.
 
 The interior branch of the fill, phi[k-1][p - v] + cost(v) minimized over the
 window volumes v <= p, is a min-plus convolution with the supplier's cost row.
-A single batch costs alpha + beta*v + c*v**2/(2*lam), convex in v; an
-aggregated row is a minimum over batch counts of such convex pieces.  The fill
-therefore cuts the part of each cost row that reaches from the previous row's
-band into maximal convex runs (second differences >= 0); a single-batch row
-is one run, and its pricing says so.  On one run
-the matrix phi[k-1][q] + cost(p - q) is Monge, so the cheapest q of residual
-p never decreases with p, and divide and conquer over those monotone argmins
-(Galil & Park 1992) finds every residual's best
-candidate in O((cols + width) * log cols) per run instead of O(cols * width)
-per supplier.  Only the values matter there: which volume attains a cell is
-read off phi and the cost rows at backtrack, and only on the n cells of the
-path.
+A convex row (a single batch, alpha + beta*v + c*v**2/(2*lam)) gets three
+structured kernels, and any other row (an aggregated multi-mode row, a
+minimum of convex pieces) gets plain scans.  The kernels are divide and
+conquer here, and the over-delivery read and the bound's increments below.
+On a convex row the matrix phi[k-1][q] + cost(p - q) is Monge, so the
+cheapest q of residual p never decreases with p, and divide and conquer over
+those monotone argmins (Galil & Park 1992) finds every residual's best
+candidate in O((cols + width) * log cols) instead of the scans' O(cols *
+width).  Only the values matter there: which volume attains a cell is read
+off phi and the cost rows at backtrack, and only on the n cells of the path.
 
 A cell cap, when given, bounds the total cells of the whole sweep and is
 checked before any table is filled, so before L is known: it counts the
@@ -156,9 +154,9 @@ class DPTable:
     """One filled Bellman table.
 
     ``phi[k][p]`` is the integer numerator, over the table-wide denominator
-    ``den``, of the cheapest way found to cover residual demand index p with
-    suppliers 1..k.  ``costs`` are the cost rows it was filled from, which
-    the backtrack reads to name each step's volume (:func:`_choice`).
+    ``costs.den``, of the cheapest way found to cover residual demand index p
+    with suppliers 1..k.  ``costs`` are the cost rows it was filled from,
+    which the backtrack reads to name each step's volume (:func:`_choice`).
 
     Row k is computed at p = 0 and in ``bands[k]`` = (first, last), the
     residuals whose lower bound, the relaxation of suppliers 1..k at p plus
@@ -168,18 +166,15 @@ class DPTable:
     whose exact value plus the second bound is at most UB holds it exactly;
     phi(n, P) and every cell of its backtrack are such cells.  A cell outside
     the band keeps row k-1's value, and row 0 holds a sentinel above UB at
-    p >= 1.  An infeasible table holds None at every p > 0.  ``cells`` is
-    the size of the table, the unit of the cell guard, and ``computed`` the
-    cells the fill evaluated.
+    p >= 1.  An infeasible table holds None at every p > 0.  ``grid.cells``
+    is the size of the table, the unit of the cell guard, and ``computed``
+    the cells the fill evaluated.
     """
 
-    H: int
     grid: Grid
     kind: str  # "single" | "multi-aggregated", or a cross-check's own label
-    phi: list  # (n+1) x demand_points, int numerators over den, or None
-    den: int
+    phi: list  # (n+1) x demand_points, int numerators over costs.den, or None
     costs: CostRows
-    cells: int
     bands: tuple[tuple[int, int], ...]  # row k is computed at 0 and in first..last
 
     @property
@@ -191,7 +186,7 @@ class DPTable:
     def final(self) -> Fraction | None:
         """phi(n, P): cheapest cover of the full demand, if any."""
         last = self.phi[-1][-1]
-        return None if last is None else Fraction(last, self.den)
+        return None if last is None else Fraction(last, self.costs.den)
 
 
 EMPTY = (1, 0)  # a band with no residual
@@ -200,9 +195,9 @@ EMPTY = (1, 0)  # a band with no residual
 class CostRows(list):
     """Candidate costs of one grid: per supplier, one integer numerator for
     each grid volume m..M, all over the common denominator ``den``.
-    ``convex`` says every row is one convex run (see :func:`_convex_runs`)
-    whose first differences form an arithmetic progression, and that it
-    rises strictly with the volume: the rows of a single batch."""
+    ``convex`` says every row is convex, its first differences an arithmetic
+    progression, and rises strictly with the volume: the rows of a single
+    batch."""
 
     def __init__(self, rows, den: int, convex: bool = False):
         super().__init__(rows)
@@ -224,7 +219,7 @@ def _single_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
 
     Over B the volume index i costs alpha*B + unit*i + cb*i**2, so its first
     differences form an arithmetic progression of step 2*cb > 0, and each row
-    is their running sum from cost(lo): one convex run that rises with i."""
+    is their running sum from cost(lo): a convex row that rises with i."""
     B = _base_denominator(inst.lam, grid.denominator)
     per_unit = 2 * inst.lam.numerator * grid.denominator
     cb = inst.c_hold * inst.lam.denominator
@@ -268,23 +263,6 @@ def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
     return CostRows(
         [[head * K + Q * (K // r) for r, head, Q in row] for row in priced], B * K
     )
-
-
-def _convex_runs(row: list) -> list[tuple[int, int]]:
-    """Cut a cost row into maximal convex runs, in order: (first, last) index
-    pairs that partition the row, each with no negative second difference.
-
-    A single-batch row is one run (its second difference is 2*c*b > 0).  An
-    aggregated or split-priced row is a minimum of convex pieces and breaks
-    where the best piece changes."""
-    runs = []
-    start = 0
-    for j in range(1, len(row) - 1):
-        if j > start and row[j - 1] - 2 * row[j] + row[j + 1] < 0:
-            runs.append((start, j))
-            start = j + 1
-    runs.append((start, len(row) - 1))
-    return runs
 
 
 def _increments(row: list, lo: int, hi: int, total: int, convex: bool) -> list[int]:
@@ -432,7 +410,7 @@ def _band(pre: list[int], suf: list[int], total: int, ub: int) -> tuple[int, int
 
 
 def _run_minima(rband, qa, qb, w, va, pa, pb, row):
-    """Lower ``row`` with one convex run of volumes: w[v - va] is the cost of
+    """Lower ``row`` with a convex cost row: w[v - va] is the cost of
     volume index v for v = va..vb, vb = va + len(w) - 1, on top of the
     previous row at the residuals q = qa..qb, which ``rband`` holds reversed.
 
@@ -443,7 +421,7 @@ def _run_minima(rband, qa, qb, w, va, pa, pb, row):
     qb right of the last stay valid bounds.  Divide and conquer uses that:
     level by level the stride between solved residuals halves, and each new
     residual scans only the q between the argmins of its two solved
-    neighbours: O((cols + width) * log cols) work for the run instead of
+    neighbours: O((cols + width) * log cols) work instead of
     O(cols * width)."""
     span = len(w) - 1  # vb - va
     first = max(pa, va + qa)
@@ -492,12 +470,11 @@ def _fill_row(prev, prev_band, lo, hi, ck, band, convex=False):
     (1, P*den) and row 0 at 0 and a sentinel above every plan's cost
     elsewhere, the rows are the full table, the sentinel standing for no plan.
 
-    ``convex`` says ck is one convex run that rises with the volume (see
-    :class:`CostRows`).  Then the cheapest batch of at least p is max(p, lo)
-    and the over-delivery pass reads ck as it is; any other row takes suffix
-    minima.  A band of one residual (the last row's) needs no cut either: a
-    single residual's scan over the whole window is exact whatever the row's
-    shape."""
+    ``convex`` says ck is convex and rises with the volume (see
+    :class:`CostRows`).  Then the cheapest batch of at least p is max(p, lo),
+    so the over-delivery pass reads ck as it is, and the interior pass is
+    :func:`_run_minima`; any other row takes suffix minima and scans each
+    residual's whole window."""
     pa, pb = band
     row = prev[:]  # the skip entry, lowered by any cheaper candidate
     if pa > pb:
@@ -517,16 +494,20 @@ def _fill_row(prev, prev_band, lo, hi, ck, band, convex=False):
             over = list(accumulate(reversed(ck[first - lo:seed - lo]), min, initial=min(ck[seed - lo:])))
             over.reverse()
         row[pa:top + 1] = map(min, row[pa:top + 1], chain(repeat(over[0], first - pa), over))
-    # volume p - q on top of prev[q] for q in the previous band, convex run
-    # by convex run over the volumes that reach from that band into this one
+    # volume p - q on top of prev[q] for q in the previous band, over the
+    # volumes that reach from that band into this one
     qa, qb = prev_band
     va, vb = max(lo, pa - qb), min(hi, pb - qa)
     if qa <= qb and va <= vb:
-        w = ck[va - lo:vb - lo + 1]
-        runs = [(0, len(w) - 1)] if convex or pa == pb else _convex_runs(w)
         rband = prev[qb:qa - 1:-1]
-        for a, b in runs:
-            _run_minima(rband, qa, qb, w[a:b + 1], va + a, pa, pb, row)
+        if convex:
+            _run_minima(rband, qa, qb, ck[va - lo:vb - lo + 1], va, pa, pb, row)
+        else:
+            for p in range(max(pa, va + qa), min(pb, vb + qb) + 1):
+                ql, qr = max(qa, p - hi), min(qb, p - lo)
+                val = min(map(add, rband[qb - qr:qb - ql + 1], ck[p - qr - lo:p - ql - lo + 1]))
+                if val < row[p]:
+                    row[p] = val
     return row
 
 
@@ -539,8 +520,8 @@ def _fill(
 ) -> DPTable:
     """Fill the table of one grid from its cost rows, row by row with
     :func:`_fill_row`, each row k only at p = 0 and in its band (see the
-    module docstring).  ``max_cells`` caps the table's size, ``cells``, and
-    the fill computes at most that many."""
+    module docstring).  ``max_cells`` caps the table's size, ``grid.cells``,
+    and the fill computes at most that many."""
     n = inst.n
     cells = grid.cells
     if max_cells is not None and cells > max_cells:
@@ -554,7 +535,7 @@ def _fill(
     pre, suf = _relaxations(incs, total)
     if len(suf[0]) <= total:  # the windows together hold less than P
         return DPTable(
-            H=grid.H, grid=grid, kind=kind, den=costs.den, costs=costs, cells=cells,
+            grid=grid, kind=kind, costs=costs,
             phi=[[0] + [None] * total for _ in range(n + 1)], bands=(EMPTY,) * (n + 1),
         )
     ub = _upper_bound(grid, costs, incs, suf[0])
@@ -568,10 +549,7 @@ def _fill(
         bands.append(band)
     # the relaxation bounds every plan from below, UB is one plan's cost
     assert suf[0][total] <= prev[total] <= ub
-    return DPTable(
-        H=grid.H, grid=grid, kind=kind, phi=phi_rows, den=costs.den,
-        costs=costs, cells=cells, bands=tuple(bands),
-    )
+    return DPTable(grid=grid, kind=kind, phi=phi_rows, costs=costs, bands=tuple(bands))
 
 
 def solve_fixed_H(inst: Instance, H: int, *, max_cells: int | None = None) -> DPTable:
@@ -614,7 +592,7 @@ def _choice(table: DPTable, k: int, p: int) -> int | None:
     try:
         return lo + indexOf(map(eq, map(sub, repeat(val), table.costs[k - 1]), rest), True)
     except ValueError:
-        raise AssertionError(f"no volume attains phi[{k}][{p}] on the H={table.H} grid") from None
+        raise AssertionError(f"no volume attains phi[{k}][{p}] on the H={table.grid.H} grid") from None
 
 
 def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
@@ -626,7 +604,7 @@ def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
     """
     if table.phi[-1][-1] is None:
         raise InfeasibleInstanceError(
-            f"no feasible plan exists on the H={table.H} grid"
+            f"no feasible plan exists on the H={table.grid.H} grid"
         )
     chosen = []
     p = table.grid.demand_points - 1
@@ -792,8 +770,8 @@ def _require_sweep_budget(inst: Instance, L_count: int, max_cells: int | None) -
 
 def _lex_key(table: DPTable, inst: Instance, H: int) -> list[int]:
     """The volumes of a table's plan as indices on grid H (a multiple of
-    table.H), supplier n first, a skip counting as 0."""
-    scale = H // table.H
+    table.grid.H), supplier n first, a skip counting as 0."""
+    scale = H // table.grid.H
     key = [0] * inst.n
     for k, idx in _chosen_indices(table, inst):
         key[inst.n - k] = idx * scale
@@ -832,7 +810,7 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
         table = solve_fixed_H(inst, H)
         micros = int((time.perf_counter() - t0) * 1_000_000)
         final = table.final
-        traces.append(HTrace(H, final, table.cells, micros, table.computed))
+        traces.append(HTrace(H, final, table.grid.cells, micros, table.computed))
         return table, final
 
     table, best_val = fill(1)

@@ -177,7 +177,7 @@ def test_criterion_8_table_size_grows_linearly_in_demand():
         for P in demands:
             rng = random.Random(f"bench:{P}")
             inst = bench_instance(rng, n=5, P=P, c_hold=1)
-            cells.append(solve_fixed_H(inst, 1).cells)
+            cells.append(solve_fixed_H(inst, 1).grid.cells)
         assert cells == sorted(cells)
         fit = np.polyfit(demands, cells, 1)
         predicted = np.polyval(fit, demands)

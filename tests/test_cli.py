@@ -199,6 +199,16 @@ class TestVerify:
         assert cli.main(["verify", path]) == 1
         assert "refuses" in capsys.readouterr().err
 
+    def test_verifies_a_multi_mode_instance_of_many_suppliers(self, tmp_path, capsys):
+        # neither solve_multi nor the duplication oracle enumerates
+        # assignments, so the single-mode size refusal does not apply
+        suppliers = tuple(Supplier(alpha, 1, 1, 3) for alpha in range(1, 10))
+        path = write_instance(tmp_path / "wide-multi.json", Instance(suppliers, P=7, mode=MULTI))
+        assert cli.main(["verify", path]) == 0
+        out = capsys.readouterr().out
+        for line in ("aggregated: 81/4", "duplication: 81/4", "agreement: yes"):
+            assert line in out
+
     def test_disagreement_exits_3(self, golden_file, capsys, monkeypatch):
         def skewed(inst, **kwargs):
             sol = structural_oracle(inst, **kwargs)

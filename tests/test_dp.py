@@ -111,7 +111,7 @@ def test_table_shape_and_monotonicity(golden):
     grid = build_grid(golden, 2)
     table = full_chain(grid, dp._single_candidate_costs(golden, grid), "single")
     assert table.final == F(35, 2)
-    assert table.cells == 3 * (5 * 4 + 1)
+    assert table.grid.cells == 3 * (5 * 4 + 1)
     for row in table.phi:
         assert row[0] == 0  # zero residual demand costs nothing
         reachable = [v for v in row if v is not None]
@@ -263,7 +263,7 @@ def ref_sweep(inst):
             best = table
     if best is None:
         raise InfeasibleInstanceError("no grid admits a feasible plan")
-    return best.H, backtrack(best, inst)
+    return best.grid.H, backtrack(best, inst)
 
 
 def assert_matches_full_sweep(inst):
@@ -446,7 +446,7 @@ def count_walks(monkeypatch):
     original = dp._chosen_indices
 
     def counted(table, inst):
-        walked.append(table.H)
+        walked.append(table.grid.H)
         return original(table, inst)
 
     monkeypatch.setattr(dp, "_chosen_indices", counted)

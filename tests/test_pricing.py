@@ -44,7 +44,6 @@ from lotdp.dp import (
     _base_denominator,
     _choice,
     _chosen_indices,
-    _convex_runs,
     _fill,
     _fill_row,
     _increments,
@@ -126,6 +125,11 @@ def ref_fill(grid, costs):
         choice.append(ch)
         prev = row
     return phi, choice
+
+
+def is_convex(row):
+    """No negative second difference."""
+    return all(row[j - 1] - 2 * row[j] + row[j + 1] >= 0 for j in range(1, len(row) - 1))
 
 
 BUILDERS = {
@@ -225,7 +229,9 @@ def test_integer_numerators_equal_the_fraction_costs(inst, H, kind):
 def full_chain(grid, costs, kind):
     """The row routine chained with every band full, (1, P*den): the whole
     table, exact at every cell.  Past residual 0, row 0 holds a sentinel
-    above the cost of every plan, and cells at or above it read as None."""
+    above the cost of every plan, and cells at or above it read as None.
+    No row is marked convex, so every row takes the plain scans, and the
+    pruned fill's structured kernels are checked against them."""
     cols = grid.demand_points
     full = (1, cols - 1)
     none = 1 + sum(max(ck) for ck in costs)
@@ -235,15 +241,13 @@ def full_chain(grid, costs, kind):
         prev = _fill_row(prev, full, lo, hi, ck, full)
         phi.append(prev)
     phi = [[None if v >= none else v for v in row] for row in phi]
-    rows = len(phi)
     return DPTable(
-        H=grid.H, grid=grid, kind=kind, phi=phi, den=costs.den, costs=costs,
-        cells=rows * cols, bands=(EMPTY,) + (full,) * (rows - 1),
+        grid=grid, kind=kind, phi=phi, costs=costs, bands=(EMPTY,) + (full,) * (len(phi) - 1)
     )
 
 
 def as_fractions(table):
-    return [[None if v is None else F(v, table.den) for v in row] for row in table.phi]
+    return [[None if v is None else F(v, table.costs.den) for v in row] for row in table.phi]
 
 
 def bounds(grid, costs):
@@ -312,7 +316,7 @@ def check_pruned(inst, table, full):
         assert band == ((inside[0], inside[-1]) if inside else EMPTY)
         assert inside == list(range(band[0], band[1] + 1))
     assert table.computed == sum(1 + b - a + 1 if a <= b else 1 for a, b in table.bands)
-    assert table.computed <= table.cells == full.cells
+    assert table.computed <= table.grid.cells == full.grid.cells
     assert _chosen_indices(table, inst) == _chosen_indices(full, inst)
 
 
@@ -396,11 +400,12 @@ def test_equal_totals_go_to_the_smaller_volume():
 
 
 def test_equal_totals_across_convex_runs_go_to_the_smaller_volume():
-    # hand-built rows over volumes 1..4: the second row splits into the runs
-    # {1, 2} and {3, 4}, and at p = 4 volume 1 (4 + 2) ties volume 3 (4 + 2)
+    # hand-built rows over volumes 1..4: the second row is not convex (its
+    # second difference at volume 2 is -6), and at p = 4 volume 1 (4 + 2)
+    # ties volume 3 (4 + 2)
     inst = Instance(suppliers=(Supplier(0, 0, 1, 4),) * 2, P=4)
     rows = [[4, 4, 4, 10], [2, 5, 2, 9]]
-    assert _convex_runs(rows[1]) == [(0, 1), (2, 3)]
+    assert not is_convex(rows[1])
     table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
     assert table.phi[2][4] == 6
     assert _choice(table, 2, 4) == 1
@@ -431,7 +436,7 @@ def test_aggregated_row_whose_batch_count_changes_inside_the_window():
     grid = build_grid(inst, 1)
     counts = [multi_delivery_cost(inst.suppliers[0], x, inst.lam, inst.c_hold)[0] for x in range(1, 9)]
     assert counts[0] < counts[-1]
-    assert len(_convex_runs(_aggregated_candidate_costs(inst, grid)[0])) > 1
+    assert not is_convex(_aggregated_candidate_costs(inst, grid)[0])
     for H in (1, 2, 3):
         checked_table(inst, H, "multi-aggregated")
 
@@ -529,7 +534,7 @@ def test_over_delivery_from_a_pruned_row_reads_residual_zero():
     checked_table(inst, 1, SINGLE)
     table = solve_fixed_H(inst, 1)
     assert table.bands == (EMPTY, EMPTY, (3, 4), (5, 5))
-    assert (F(table.phi[2][3], table.den), _choice(table, 2, 3)) == (8, 4)
+    assert (F(table.phi[2][3], table.costs.den), _choice(table, 2, 3)) == (8, 4)
     assert table.final == 10
     assert _chosen_indices(table, inst) == [(2, 4), (3, 2)]
 
@@ -562,7 +567,7 @@ def test_bands_of_a_window_entirely_above_the_demand():
         table = solve_fixed_H(inst, H)
         assert table.bands == bands
         first, last = bands[1]
-        assert [F(table.phi[1][p], table.den) for p in range(first, last + 1)] == [8] * (H + 1)
+        assert [F(table.phi[1][p], table.costs.den) for p in range(first, last + 1)] == [8] * (H + 1)
         assert table.final == 8
         assert _chosen_indices(table, inst) == [(1, 4 * H)]
     # the same window in the last row: the water-fill's (2, 1) is lifted to
@@ -667,22 +672,7 @@ def test_pruned_fill_keeps_the_final_cell_and_the_plan(inst, H, multi):
         assert backtrack(table, inst) == backtrack(full, inst)
 
 
-# --- convex runs ------------------------------------------------------------------
-
-
-def is_convex(seg):
-    return all(seg[j - 1] - 2 * seg[j] + seg[j + 1] >= 0 for j in range(1, len(seg) - 1))
-
-
-@given(row=st.lists(st.integers(-20, 20), min_size=1, max_size=30))
-def test_convex_runs_partition_the_row_into_maximal_convex_pieces(row):
-    runs = _convex_runs(row)
-    assert runs[0][0] == 0 and runs[-1][1] == len(row) - 1
-    assert all(a <= b for a, b in runs)
-    assert all(b + 1 == a for (_, b), (a, _) in zip(runs, runs[1:]))
-    assert all(is_convex(row[a:b + 1]) for a, b in runs)
-    # a run ends only where taking the next volume would break convexity
-    assert all(not is_convex(row[a:b + 2]) for a, b in runs[:-1])
+# --- convex and other rows ---------------------------------------------------------
 
 
 @settings(max_examples=40, deadline=None)
@@ -691,7 +681,7 @@ def test_single_batch_rows_are_one_convex_run(inst, H):
     costs = _single_candidate_costs(inst, build_grid(inst, H))
     assert costs.convex
     for row in costs:
-        assert _convex_runs(row) == [(0, len(row) - 1)]
+        assert is_convex(row)
 
 
 def test_only_single_batch_pricing_claims_one_convex_run():
@@ -702,16 +692,16 @@ def test_only_single_batch_pricing_claims_one_convex_run():
 
 
 def test_a_row_of_one_residual_scans_its_window_whole():
-    # volumes 1..5 cost [4, 1, 5, 2, 6], two convex runs; at p = 5 the
-    # volumes 2 and 4 tie at 4 on top of prev, and the smaller one wins
+    # volumes 1..5 cost [4, 1, 5, 2, 6], not convex; at p = 5 the volumes 2
+    # and 4 tie at 4 on top of prev, and the smaller one wins
     prev, ck = [0, 2, 3, 3, 8, 9], [4, 1, 5, 2, 6]
-    assert _convex_runs(ck) == [(0, 2), (3, 4)]
+    assert not is_convex(ck)
     grid = Grid(H=1, denominator=1, demand_points=6, spans=((1, 5),))
 
     def one_row(row, band):
         return DPTable(
-            H=1, grid=grid, kind="hand-built", phi=[prev, row], den=1,
-            costs=CostRows([ck], 1), cells=12, bands=(EMPTY, band),
+            grid=grid, kind="hand-built", phi=[prev, row], costs=CostRows([ck], 1),
+            bands=(EMPTY, band),
         )
 
     full = _fill_row(prev, (1, 5), 1, 5, ck, (1, 5))
@@ -722,23 +712,25 @@ def test_a_row_of_one_residual_scans_its_window_whole():
     assert _choice(one_row(row, (5, 5)), 1, 5) == 2
 
 
-def test_convex_runs_are_cut_only_on_rows_of_many_residuals(monkeypatch):
-    cut = []
-    original = dp._convex_runs
-    monkeypatch.setattr(dp, "_convex_runs", lambda row: cut.append(row) or original(row))
+def test_run_minima_runs_on_single_batch_rows_only(monkeypatch):
+    bands = []  # the band of each row _run_minima lowers
+    original = dp._run_minima
+    monkeypatch.setattr(dp, "_run_minima", lambda *args: bands.append(args[5:7]) or original(*args))
     single = Instance(suppliers=(Supplier(1, 1, 1, 6),) * 3, P=8)
-    solve_fixed_H(single, 2)
-    assert cut == []
+    table = solve_fixed_H(single, 2)
+    # row 1 reads row 0 at 0 only; rows 2 and 3 reach from the band above
+    assert table.bands == (EMPTY, (4, 7), (9, 12), (16, 16))
+    assert bands == [(9, 12), (16, 16)]
     # 17 residuals on grid 2.  The aggregated rows cost at least 115 per
     # unit, floored, and UB is 1872 (the water-fill's 12 + 4 units): the
-    # bands are 1..12, 4..16 and 16.  Row 1 reads row 0 at 0 only, row 2
-    # cuts the volumes 2..12 that reach from row 1's band into its own, and
-    # the last row computes P*den = 16 alone
+    # bands are 1..12, 4..16 and 16.  Row 1 reads row 0 at 0 only, and rows
+    # 2 and 3, not convex, scan each residual's window instead
+    bands.clear()
     multi = replace(single, mode=MULTI)
     table = solve_fixed_H(multi, 2)
     assert table.bands == (EMPTY, (1, 12), (4, 16), (16, 16))
-    costs = _aggregated_candidate_costs(multi, build_grid(multi, 2))
-    assert cut == costs[1:2]
+    assert bands == []
+    assert not is_convex(_aggregated_candidate_costs(multi, build_grid(multi, 2))[1])
 
 
 # --- the single-batch kernels against their per-volume references -----------------
