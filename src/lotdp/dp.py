@@ -98,8 +98,10 @@ LBsuf_k(P*den - p) is at most UB lies in the band, and so does each
 predecessor on its optimal plans, for the same reason, so it is exact by
 induction.  phi(n, P) is such a cell, as UB is at least phi(n, P), and so is
 every cell its backtrack walks through: every table's final and plan are
-those of the full table.  No float is involved, and None appears only in a table that
-has no plan.  The cell guard still counts whole tables.
+those of the full table.  No float is involved.  Whether a grid has a plan
+does not depend on H: the windows cover P on every grid or on none, and the
+fill refuses a grid whose windows fall short, so every table it returns holds
+integers only.  The cell guard still counts whole tables.
 """
 
 from __future__ import annotations
@@ -166,14 +168,13 @@ class DPTable:
     whose exact value plus the second bound is at most UB holds it exactly;
     phi(n, P) and every cell of its backtrack are such cells.  A cell outside
     the band keeps row k-1's value, and row 0 holds a sentinel above UB at
-    p >= 1.  An infeasible table holds None at every p > 0.  ``grid.cells``
-    is the size of the table, the unit of the cell guard, and ``computed``
-    the cells the fill evaluated.
+    p >= 1.  ``grid.cells`` is the size of the table, the unit of the cell
+    guard, and ``computed`` the cells the fill evaluated.
     """
 
     grid: Grid
     kind: str  # "single" | "multi-aggregated", or a cross-check's own label
-    phi: list  # (n+1) x demand_points, int numerators over costs.den, or None
+    phi: list  # (n+1) x demand_points, int numerators over costs.den
     costs: CostRows
     bands: tuple[tuple[int, int], ...]  # row k is computed at 0 and in first..last
 
@@ -183,10 +184,9 @@ class DPTable:
         return sum(1 + max(0, last - first + 1) for first, last in self.bands)
 
     @property
-    def final(self) -> Fraction | None:
-        """phi(n, P): cheapest cover of the full demand, if any."""
-        last = self.phi[-1][-1]
-        return None if last is None else Fraction(last, self.costs.den)
+    def final(self) -> Fraction:
+        """phi(n, P): cheapest cover of the full demand."""
+        return Fraction(self.phi[-1][-1], self.costs.den)
 
 
 EMPTY = (1, 0)  # a band with no residual
@@ -521,7 +521,10 @@ def _fill(
     """Fill the table of one grid from its cost rows, row by row with
     :func:`_fill_row`, each row k only at p = 0 and in its band (see the
     module docstring).  ``max_cells`` caps the table's size, ``grid.cells``,
-    and the fill computes at most that many."""
+    and the fill computes at most that many.
+
+    Raises InfeasibleInstanceError when the windows together hold less than
+    P, which is so on every grid or on none."""
     n = inst.n
     cells = grid.cells
     if max_cells is not None and cells > max_cells:
@@ -534,10 +537,7 @@ def _fill(
     ]
     pre, suf = _relaxations(incs, total)
     if len(suf[0]) <= total:  # the windows together hold less than P
-        return DPTable(
-            grid=grid, kind=kind, costs=costs,
-            phi=[[0] + [None] * total for _ in range(n + 1)], bands=(EMPTY,) * (n + 1),
-        )
+        raise InfeasibleInstanceError("no grid admits a feasible plan")
     ub = _upper_bound(grid, costs, incs, suf[0])
     prev = [0] + [ub + 1] * total
     phi_rows, bands = [prev], [EMPTY]
@@ -557,7 +557,8 @@ def solve_fixed_H(inst: Instance, H: int, *, max_cells: int | None = None) -> DP
 
     Single-delivery instances price each candidate volume as one batch;
     multi-delivery instances price it as the cheapest batch split.
-    ``max_cells`` caps the cells of this one table.
+    ``max_cells`` caps the cells of this one table.  Raises
+    InfeasibleInstanceError when the windows cannot cover P.
     """
     grid = build_grid(inst, H)
     if inst.mode == MULTI:
@@ -587,7 +588,7 @@ def _choice(table: DPTable, k: int, p: int) -> int | None:
     if val == prev[p]:
         return None
     lo, hi = table.grid.spans[k - 1]
-    # a None cell (no plan) equals no cost
+    # a None cell (no plan, in a test's reference table) equals no cost
     rest = chain(reversed(prev[max(p - hi, 0):max(p - lo + 1, 0)]), repeat(prev[0]))
     try:
         return lo + indexOf(map(eq, map(sub, repeat(val), table.costs[k - 1]), rest), True)
@@ -598,14 +599,7 @@ def _choice(table: DPTable, k: int, p: int) -> int | None:
 def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
     """Walk from phi(n, P) down, each step decided by :func:`_choice`:
     (supplier, volume index) for every supplier the winning plan uses, in
-    supplier order.
-
-    Raises InfeasibleInstanceError when the table carries no feasible plan.
-    """
-    if table.phi[-1][-1] is None:
-        raise InfeasibleInstanceError(
-            f"no feasible plan exists on the H={table.grid.H} grid"
-        )
+    supplier order."""
     chosen = []
     p = table.grid.demand_points - 1
     for k in range(inst.n, 0, -1):
@@ -618,10 +612,7 @@ def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
 
 
 def backtrack(table: DPTable, inst: Instance) -> Solution:
-    """Recover the winning volumes of a filled table.
-
-    Raises InfeasibleInstanceError when the table carries no feasible plan.
-    """
+    """Recover the winning volumes of a filled table."""
     den = table.grid.denominator
     deliveries: list[tuple[int, Fraction]] = []
     for k, idx in _chosen_indices(table, inst):
@@ -637,7 +628,7 @@ def backtrack(table: DPTable, inst: Instance) -> Solution:
 @dataclass(frozen=True)
 class HTrace:
     H: int
-    objective: Fraction | None
+    objective: Fraction
     cells: int  # the table's size
     micros: int
     computed: int  # the cells the fill evaluated, DPTable.computed
@@ -669,7 +660,7 @@ class SolveReport:
     interior: int  # the plan's interior batches, _interior_count
 
     @property
-    def per_H_objectives(self) -> tuple[tuple[int, Fraction | None], ...]:
+    def per_H_objectives(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple((t.H, t.objective) for t in self.trace)
 
     @property
@@ -786,8 +777,8 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     So the cheapest of the tables 1..L is the optimum v*, and table H reaches
     v* exactly when some g <= L whose table reaches v* divides H.  best_H is
     the largest such H up to H_top.  Table 1 is filled first: its cost bounds
-    v* and so L, and when it has no plan, no grid has one (the plan with
-    every supplier at M lies on it).
+    v* and so L.  A grid has a plan exactly when the windows cover P, so the
+    fill of table 1 refuses an instance that no grid can serve.
 
     best_H's plan is the backtrack of its table, the lexicographically
     smallest optimal plan on its grid.  An optimum on grid best_H lies on
@@ -805,7 +796,7 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     _require_sweep_budget(inst, L_count, max_cells)
     traces = []
 
-    def fill(H: int) -> tuple[DPTable, Fraction | None]:
+    def fill(H: int) -> tuple[DPTable, Fraction]:
         t0 = time.perf_counter()
         table = solve_fixed_H(inst, H)
         micros = int((time.perf_counter() - t0) * 1_000_000)
@@ -814,13 +805,11 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
         return table, final
 
     table, best_val = fill(1)
-    if best_val is None:
-        raise InfeasibleInstanceError("no grid admits a feasible plan")
     L = interior_limit(inst, best_val)
     reaching = {1: table}  # H -> table, for the tables at best_val
     for H in range(2, L + 1):
         table, val = fill(H)
-        if val is not None and val <= best_val:
+        if val <= best_val:
             if val < best_val:
                 best_val = val
                 reaching.clear()

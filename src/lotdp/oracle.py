@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import dp
 from .closed_form import lemma1_solution
-from .errors import InfeasibleInstanceError, ResourceLimitError
+from .errors import ResourceLimitError
 from .model import (
     MULTI,
     SINGLE,
@@ -207,12 +207,14 @@ def duplication_oracle(inst: Instance, *, max_cells: int | None = None) -> Solut
 
     Each supplier is cloned floor(P/m) times and every clone ships one batch
     on the grid; collapsed per supplier, a grid total costs its cheapest
-    equal-as-possible split into grid batches.  The tie rule (the finest
-    among equally cheap grids wins) is that of :func:`lotdp.dp.solve_multi`,
-    but the sweep is not: this oracle fills every grid H = 1..multi_h_limit
-    and relies on no interior-count bound, so it also checks the bound that
-    lets ``solve_multi`` skip the grids above it.  ``max_cells`` caps the
-    total cells of that full sweep and is checked before any table is filled.
+    equal-as-possible split into grid batches.  This oracle fills every grid
+    H = 1..multi_h_limit and relies on no interior-count bound, so it also
+    checks the bound that lets ``solve_multi`` skip the grids above it.  Its
+    tie rule is its own: the finest grid among the cheapest tables wins, and
+    its plan is that table's backtrack.  ``verify`` compares objectives only.
+    ``max_cells`` caps the total cells of the full sweep and is checked before
+    any table is filled.  Windows that cannot cover P raise
+    InfeasibleInstanceError.
     """
     require_valid(inst)
     if inst.mode != MULTI:
@@ -224,10 +226,8 @@ def duplication_oracle(inst: Instance, *, max_cells: int | None = None) -> Solut
         grid = dp.build_grid(inst, H)
         costs = _duplication_candidate_costs(inst, grid)
         table = dp._fill(inst, grid, costs, "multi-duplication", None)
-        if table.final is not None and (best is None or table.final <= best.final):
+        if best is None or table.final <= best.final:
             best = table
-    if best is None:
-        raise InfeasibleInstanceError("no grid admits a feasible plan")
     den = best.grid.denominator
     deliveries = []
     for k, idx in dp._chosen_indices(best, inst):

@@ -186,6 +186,29 @@ class TestVerify:
         for line in ("dp: 35/2", "structural: 35/2", "grid: 35/2", "agreement: yes"):
             assert line in out
 
+    @pytest.mark.parametrize(
+        "lam, c_hold, M, objective",
+        [(F(1, 7), 2, 11, "4983/14"), (F(1), 1, 200, "43")],
+        ids=["lambda-1/7", "windows-1-200"],
+    )
+    def test_grid_oracle_over_its_cap_is_left_out(
+        self, tmp_path, capsys, monkeypatch, lam, c_hold, M, objective
+    ):
+        # n = 3, P = 12 and c_hold <= 2 admit the grid oracle, but den(lambda)
+        # or the window widths put its enumeration above its candidate cap
+        suppliers = (Supplier(3, 1, 1, M), Supplier(0, 2, 1, M), Supplier(5, 0, 1, M))
+        inst = Instance(suppliers, P=12, lam=lam, c_hold=c_hold)
+        path = write_instance(tmp_path / "small.json", inst)
+        assert cli.main(["verify", path]) == 0
+        out = capsys.readouterr().out
+        assert f"dp: {objective}" in out and f"structural: {objective}" in out
+        assert "agreement: yes" in out
+        assert "grid:" not in out
+        # the solver's own cell cap is still a refusal
+        monkeypatch.setenv("LOTDP_MAX_CELLS", "10")
+        assert cli.main(["verify", path]) == 1
+        assert "above the cap 10" in capsys.readouterr().err
+
     def test_seed_batch(self, capsys):
         assert cli.main(["verify", "--seed-batch", "20", "--seed", "3"]) == 0
         assert "20/20 agree" in capsys.readouterr().out

@@ -27,6 +27,7 @@ from lotdp import (
     MULTI,
     SINGLE,
     DPTable,
+    InfeasibleInstanceError,
     Instance,
     Supplier,
     backtrack,
@@ -251,28 +252,35 @@ def as_fractions(table):
 
 
 def bounds(grid, costs):
-    """(LBpre, LBsuf, UB) of a grid's cost rows, UB None when the windows
-    cannot cover the demand."""
+    """(LBpre, LBsuf, UB) of the cost rows of a grid whose windows cover the
+    demand."""
     total = grid.demand_points - 1
     incs = [_increments(ck, lo, hi, total, costs.convex) for ck, (lo, hi) in zip(costs, grid.spans)]
     pre, suf = _relaxations(incs, total)
-    ub = _upper_bound(grid, costs, incs, suf[0]) if len(suf[0]) > total else None
-    return pre, suf, ub
+    return pre, suf, _upper_bound(grid, costs, incs, suf[0])
 
 
 def open_cells(full, suf, ub):
     """The cells the pruned table must hold exactly: p = 0 in every row, and
     each cell whose exact value plus LBsuf_k(P*den - p) is at most UB."""
     last = full.grid.demand_points - 1
-    cells = [(k, 0) for k in range(len(full.phi))]
-    if ub is not None:
-        cells += [
-            (k, p)
-            for k, row in enumerate(full.phi)
-            for p in range(1, last + 1)
-            if row[p] is not None and last - p < len(suf[k]) and row[p] + suf[k][last - p] <= ub
-        ]
-    return cells
+    return [(k, 0) for k in range(len(full.phi))] + [
+        (k, p)
+        for k, row in enumerate(full.phi)
+        for p in range(1, last + 1)
+        if row[p] is not None and last - p < len(suf[k]) and row[p] + suf[k][last - p] <= ub
+    ]
+
+
+def refused(inst, full, fill):
+    """Whether the windows hold less than the demand, which is exactly when
+    the full chain has no plan; then ``fill()`` must refuse the grid."""
+    short = inst.capacity < inst.P
+    assert (full.phi[-1][-1] is None) == short
+    if short:
+        with pytest.raises(InfeasibleInstanceError, match="^no grid admits a feasible plan$"):
+            fill()
+    return short
 
 
 def choices(table, cells):
@@ -299,11 +307,6 @@ def check_pruned(inst, table, full):
         assert [r is None for r in ref] == [p >= len(pre[k]) for p in range(last + 1)]
         assert all(r is None or pre[k][p] <= r for p, r in enumerate(ref))
     assert table.final == full.final
-    if ub is None:
-        assert table.phi == [[0] + [None] * last] * len(full.phi)
-        assert table.bands == (EMPTY,) * len(full.phi)
-        assert table.computed == len(full.phi)
-        return
     for k, (row, ref) in enumerate(zip(table.phi, full.phi)):
         for p, (v, r) in enumerate(zip(row, ref)):
             assert r is None or v >= r or last - p >= len(suf[k]) or v + suf[k][last - p] > ub
@@ -323,15 +326,17 @@ def check_pruned(inst, table, full):
 def reference_table(inst, grid, costs, ref_rows, kind):
     """The full chain must equal ref_fill at every cell, phi and the choice
     _choice derives.  _fill must equal it at p = 0 and at every open cell,
-    and backtrack to the same plan (see check_pruned).  Returns the full
-    chain's table."""
+    and backtrack to the same plan (see check_pruned), or refuse the grid
+    when its windows cannot cover the demand.  Returns the full chain's
+    table."""
     phi, choice = ref_fill(grid, ref_rows)
     full = full_chain(grid, costs, kind)
     assert as_fractions(full) == phi
     cols = grid.demand_points
     every = [(k, p) for k in range(1, len(phi)) for p in range(cols)]
     assert choices(full, every) == [choice[k][p] for k, p in every]
-    check_pruned(inst, _fill(inst, grid, costs, kind, None), full)
+    if not refused(inst, full, lambda: _fill(inst, grid, costs, kind, None)):
+        check_pruned(inst, _fill(inst, grid, costs, kind, None), full)
     return full
 
 
@@ -539,15 +544,17 @@ def test_over_delivery_from_a_pruned_row_reads_residual_zero():
     assert _chosen_indices(table, inst) == [(2, 4), (3, 2)]
 
 
-def test_windows_short_of_the_demand_leave_an_infeasible_table():
-    # the windows hold 4 of the demand 5 in all: no band, None past p = 0
+def test_windows_short_of_the_demand_are_refused():
+    # the windows hold 4 of the demand 5 in all, on every grid: the full chain
+    # has no plan, and the fill refuses the grid, priced or hand-built
     inst = Instance(suppliers=(Supplier(0, 0, 1, 2),) * 2, P=5)
-    checked_table(inst, 1, SINGLE)
-    table = solve_fixed_H(inst, 1)
-    assert table.bands == (EMPTY,) * 3
-    assert table.phi == [[0] + [None] * 5] * 3
-    assert table.final is None
-    assert table.computed == 3
+    for H in (1, 2):
+        checked_table(inst, H, SINGLE)
+        with pytest.raises(InfeasibleInstanceError, match="^no grid admits a feasible plan$"):
+            solve_fixed_H(inst, H)
+    rows = [[3, 1], [0, 0]]
+    full = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
+    assert full.phi[2] == [0, 0, 0, 1, 1, None]
     # an empty band leaves the whole row as the skip entry
     costs = _single_candidate_costs(inst, build_grid(inst, 1))
     prev = [0, 7, 7, 7, 7, 7]
@@ -640,18 +647,19 @@ def test_pruned_fill_is_exact_wherever_a_plan_under_ub_can_pass(inst, H, multi):
     phi, _ = ref_fill(grid, ref_costs(inst, grid, kind))
     full = full_chain(grid, costs, kind)
     assert as_fractions(full) == phi
+    if refused(inst, full, lambda: solve_fixed_H(inst, H)):
+        return
     table = solve_fixed_H(inst, H)
     check_pruned(inst, table, full)
-    if full.final is not None:
-        # every cell of the backtrack is open, and _choice agrees there
-        walk = open_cells(full, *bounds(grid, costs)[1:])
-        p = grid.demand_points - 1
-        for k in range(inst.n, 0, -1):
-            v = _choice(full, k, p)
-            assert _choice(table, k, p) == v
-            assert (k, p) in walk
-            p = p if v is None else (p - v if v < p else 0)
-        assert backtrack(table, inst) == backtrack(full, inst)
+    # every cell of the backtrack is open, and _choice agrees there
+    walk = open_cells(full, *bounds(grid, costs)[1:])
+    p = grid.demand_points - 1
+    for k in range(inst.n, 0, -1):
+        v = _choice(full, k, p)
+        assert _choice(table, k, p) == v
+        assert (k, p) in walk
+        p = p if v is None else (p - v if v < p else 0)
+    assert backtrack(table, inst) == backtrack(full, inst)
 
 
 @settings(max_examples=80, deadline=None)
@@ -663,13 +671,15 @@ def test_pruned_fill_is_exact_wherever_a_plan_under_ub_can_pass(inst, H, multi):
 def test_pruned_fill_keeps_the_final_cell_and_the_plan(inst, H, multi):
     kind = "multi-aggregated" if multi else SINGLE
     inst = Instance(inst.suppliers, inst.P, inst.lam, inst.c_hold, MULTI if multi else SINGLE)
-    table = solve_fixed_H(inst, H)
     grid = build_grid(inst, H)
     full = full_chain(grid, BUILDERS[kind](inst, grid), kind)
+    if refused(inst, full, lambda: solve_fixed_H(inst, H)):
+        assert as_fractions(full) == ref_fill(grid, ref_costs(inst, grid, kind))[0]
+        return
+    table = solve_fixed_H(inst, H)
     assert table.final == full.final
-    if full.final is not None:
-        assert _chosen_indices(table, inst) == _chosen_indices(full, inst)
-        assert backtrack(table, inst) == backtrack(full, inst)
+    assert _chosen_indices(table, inst) == _chosen_indices(full, inst)
+    assert backtrack(table, inst) == backtrack(full, inst)
 
 
 # --- convex and other rows ---------------------------------------------------------
@@ -777,8 +787,12 @@ def test_choice_matches_the_volume_loop_on_full_and_pruned_tables(inst, H, multi
     inst = replace(inst, mode=MULTI if multi else SINGLE)
     grid = build_grid(inst, H)
     costs = BUILDERS[kind](inst, grid)
-    check_choice_everywhere(full_chain(grid, costs, kind))
-    check_choice_everywhere(_fill(inst, grid, costs, kind, None))
+    full = full_chain(grid, costs, kind)
+    check_choice_everywhere(full)
+    if refused(inst, full, lambda: _fill(inst, grid, costs, kind, None)):
+        assert as_fractions(full) == ref_fill(grid, ref_costs(inst, grid, kind))[0]
+    else:
+        check_choice_everywhere(_fill(inst, grid, costs, kind, None))
 
 
 @st.composite
