@@ -45,6 +45,11 @@ cost on the grid of denominator den is an integer over B = 2*a*den**2 (single
 batches), or over B*K in the aggregated multi-delivery pricing, K the lcm of
 the batch counts chosen.  phi stays a table of integer numerators over that
 one denominator, so ``DPTable.final`` is the only Fraction a table produces.
+Both pricings build their rows with one kernel, ``_run_rows``: a row is a
+sequence of runs, each the totals priced as the same number r of equal
+batches, and a run's costs are the running sum of an arithmetic progression.
+An aggregated row has one run per batch count, its breakpoints found in
+closed form with math.isqrt, and a single-batch row is the one run r = 1.
 
 The interior branch of the fill, phi[k-1][p - v] + cost(v) minimized over the
 window volumes v <= p, is a min-plus convolution with the supplier's cost row.
@@ -140,6 +145,11 @@ class Grid:
 
 
 def build_grid(inst: Instance, H: int) -> Grid:
+    """The volume grid of hypothesis H, of step 1 / (H * c_hold * den(lam)).
+
+    Expects an instance that passed :func:`lotdp.model.require_valid`, which
+    ``solve`` and ``solve_multi`` check once per sweep; nothing here checks
+    it again."""
     if H < 1:
         raise ValueError("H must be a positive integer")
     den = H * inst.c_hold * inst.lam.denominator
@@ -214,55 +224,73 @@ def _base_denominator(lam: Fraction, den: int) -> int:
     return 2 * lam.numerator * den * den
 
 
+def _run_rows(inst: Instance, grid: Grid, runs: list, K: int, convex: bool = False) -> CostRows:
+    """The cost rows of a grid, built from runs: ``runs[k]`` lists supplier
+    k+1's runs (first, end, r), which cover its volume indices lo..hi in
+    order, each pricing the totals first..end-1 as r equal batches.  K is a
+    multiple of every r, and the rows are numerators over B*K.
+
+    Over B (see _base_denominator), r batches of total index i cost r*A +
+    unit*i + cb*i**2/r, with A = alpha*B and cb = c*b.  Over B*K that is
+    (r*A + unit*i)*K + q*i**2 with q = cb*K/r, whose first differences
+    unit*K + q*(2i + 1) rise by 2*q > 0: each run is the running sum of an
+    arithmetic progression, and a row with one run is convex."""
+    den = _base_denominator(inst.lam, grid.denominator) * K
+    per_unit = 2 * inst.lam.numerator * grid.denominator * K
+    cb = inst.c_hold * inst.lam.denominator
+    rows = []
+    for row_runs, s in zip(runs, inst.suppliers):
+        A, unit = s.alpha * den, s.beta * per_unit  # the docstring's A*K and unit*K
+        row = []
+        for first, end, r in row_runs:
+            q = cb * K // r
+            step = 2 * q
+            start = r * A + (unit + q * first) * first
+            d = unit + q + step * first  # cost(first + 1) - cost(first)
+            row += accumulate(range(d, d + step * (end - first - 1), step), initial=start)
+        rows.append(row)
+    return CostRows(rows, den, convex)
+
+
 def _single_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
     """Cost of one batch of each grid volume: alpha + beta*v + c*v^2/(2*lam).
 
-    Over B the volume index i costs alpha*B + unit*i + cb*i**2, so its first
-    differences form an arithmetic progression of step 2*cb > 0, and each row
-    is their running sum from cost(lo): a convex row that rises with i."""
-    B = _base_denominator(inst.lam, grid.denominator)
-    per_unit = 2 * inst.lam.numerator * grid.denominator
-    cb = inst.c_hold * inst.lam.denominator
-    step = 2 * cb  # cost(i + 1) - cost(i) = unit + cb*(2i + 1) rises by 2*cb
-    rows = []
-    for (lo, hi), s in zip(grid.spans, inst.suppliers):
-        unit = s.beta * per_unit
-        first = unit + cb * (2 * lo + 1)
-        start = s.alpha * B + unit * lo + cb * lo * lo
-        rows.append(list(accumulate(range(first, first + step * (hi - lo), step), initial=start)))
-    return CostRows(rows, B, convex=True)
+    Each row is the one run r = 1 of :func:`_run_rows` over the whole window,
+    with K = 1: a convex row that rises with the volume."""
+    return _run_rows(inst, grid, [((lo, hi + 1, 1),) for lo, hi in grid.spans], 1, convex=True)
+
+
+def _batch_count_runs(lo: int, hi: int, A: int, cb: int) -> list[tuple[int, int, int]]:
+    """The runs (first, end, r) of an aggregated row over the totals lo..hi,
+    r = 1, 2, ... in turn.  The best count at total i is best_batch_count(A,
+    cb*i**2, i // lo): the smallest r with r*(r+1)*A >= cb*i**2, capped at
+    i // lo (lo = m*den, so r <= floor(x/m)).  Both grow with i, so r + 1
+    beats r from the first i with i >= (r+1)*lo and cb*i**2 > r*(r+1)*A,
+    that is i > isqrt(r*(r+1)*A // cb).  That start rises strictly with r,
+    so the count steps up by one at a time and every count up to the last
+    prices some total."""
+    runs, first = [], lo
+    for r in range(1, hi // lo + 1):  # r <= i // lo, so the last run ends at hi + 1
+        end = min(max((r + 1) * lo, math.isqrt(r * (r + 1) * A // cb) + 1), hi + 1)
+        runs.append((first, end, r))
+        if end > hi:
+            break
+        first = end
+    return runs
 
 
 def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
     """Cheapest multi-batch purchase of each grid total, batch count free.
 
-    With r batches the total i/den costs (r*A + beta*i*2*a*den + Q/r) / B with
-    A = alpha*B and Q = c*b*i**2 (see _base_denominator).  The best r is
-    best_batch_count(A, Q, i // lo): the smallest r with r*(r+1)*A >= Q,
-    capped at i // lo (lo = m*den, so r <= floor(x/m)).  Both the uncapped
-    count and the cap grow with i, so one running count per row steps up to
-    it.  Rows are scaled to B*K, K the lcm of the chosen r."""
+    With r batches the total i/den costs (r*A + beta*i*2*a*den + cb*i**2/r)
+    / B with A = alpha*B and cb = c*b (see _base_denominator).  Each row is
+    the runs of :func:`_batch_count_runs`, one per batch count, priced by
+    :func:`_run_rows` over B*K, K the lcm of the counts in use: 1 up to the
+    most runs of a row."""
     B = _base_denominator(inst.lam, grid.denominator)
-    per_unit = 2 * inst.lam.numerator * grid.denominator
     cb = inst.c_hold * inst.lam.denominator
-    priced = []  # per supplier: (r, r*A + linear part, Q) for each grid total
-    counts = set()
-    for (lo, hi), s in zip(grid.spans, inst.suppliers):
-        A, unit = s.alpha * B, s.beta * per_unit
-        row = []
-        r = 1
-        for i in range(lo, hi + 1):
-            Q = cb * i * i
-            cap = i // lo
-            while r < cap and r * (r + 1) * A < Q:
-                r += 1
-            row.append((r, r * A + unit * i, Q))
-            counts.add(r)
-        priced.append(row)
-    K = math.lcm(*counts)
-    return CostRows(
-        [[head * K + Q * (K // r) for r, head, Q in row] for row in priced], B * K
-    )
+    runs = [_batch_count_runs(lo, hi, s.alpha * B, cb) for (lo, hi), s in zip(grid.spans, inst.suppliers)]
+    return _run_rows(inst, grid, runs, math.lcm(*range(1, max(map(len, runs), default=1) + 1)))
 
 
 def _increments(row: list, lo: int, hi: int, total: int, convex: bool) -> list[int]:
@@ -559,6 +587,13 @@ def solve_fixed_H(inst: Instance, H: int, *, max_cells: int | None = None) -> DP
     multi-delivery instances price it as the cheapest batch split.
     ``max_cells`` caps the cells of this one table.  Raises
     InfeasibleInstanceError when the windows cannot cover P.
+
+    Expects an instance that passed :func:`lotdp.model.require_valid`:
+    ``solve`` and ``solve_multi`` check it once per sweep, not once per
+    table, and this function does not check it.  On an invalid instance the
+    result is undefined: a negative alpha gives a negative cost, a supplier
+    with m > M may be silently left out, and a zero c_hold or m, or a float
+    field, raises a bare ValueError, ZeroDivisionError or TypeError.
     """
     grid = build_grid(inst, H)
     if inst.mode == MULTI:

@@ -17,10 +17,11 @@ read of a rising row.
 import math
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import chain, groupby
 from operator import sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lotdp import (
@@ -43,6 +44,7 @@ from lotdp.dp import (
     Grid,
     _aggregated_candidate_costs,
     _base_denominator,
+    _batch_count_runs,
     _choice,
     _chosen_indices,
     _fill,
@@ -446,23 +448,57 @@ def test_aggregated_row_whose_batch_count_changes_inside_the_window():
         checked_table(inst, H, "multi-aggregated")
 
 
-@pytest.mark.parametrize("alpha", [0, 1, 3, 40])
-def test_running_batch_count_matches_best_batch_count(alpha):
-    # totals 2..60 on the unit grid: the cap i // 2 binds for small alpha and
-    # the uncapped count for large alpha; with alpha = 3, two and three
-    # batches tie at total 6 (2 * 3 * A == 6**2)
-    inst = Instance(suppliers=(Supplier(alpha, 1, 2, 60),), P=60, mode=MULTI)
-    grid = build_grid(inst, 1)
-    (lo, hi), = grid.spans
+@st.composite
+def multi_instances(draw):
+    lam, c_hold = draw(lams), draw(st.integers(1, 3))
+    cb = c_hold * lam.denominator
+    sups = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 4))
+        M = draw(st.integers(m, 14))
+        # alpha = 0 takes the most batches allowed, a small alpha steps the
+        # count up inside the window, and alpha >= c*b*M**2 keeps r = 1
+        alpha = draw(st.sampled_from([0, draw(st.integers(1, 13)), cb * M * M]))
+        sups.append(Supplier(alpha, draw(st.integers(0, 9)), m, M))
+    return Instance(suppliers=tuple(sups), P=1, lam=lam, c_hold=c_hold, mode=MULTI)
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=multi_instances(), H=st.integers(1, 3))
+# totals 2..60 on the unit grid: the cap i // 2 binds for small alpha and the
+# uncapped count for large alpha; with alpha = 3, two and three batches tie at
+# total 6 (2 * 3 * A == 6**2)
+@example(inst=Instance(suppliers=(Supplier(0, 1, 2, 60),), P=60, mode=MULTI), H=1)
+@example(inst=Instance(suppliers=(Supplier(1, 1, 2, 60),), P=60, mode=MULTI), H=1)
+@example(inst=Instance(suppliers=(Supplier(3, 1, 2, 60),), P=60, mode=MULTI), H=1)
+@example(inst=Instance(suppliers=(Supplier(40, 1, 2, 60),), P=60, mode=MULTI), H=1)
+def test_batch_count_runs_match_best_batch_count(inst, H):
+    # at every total the row prices best_batch_count's r, and its runs are
+    # the stretches of equal r
+    grid = build_grid(inst, H)
     B = _base_denominator(inst.lam, grid.denominator)
-    A, unit = alpha * B, 2 * grid.denominator
-    totals = range(lo, hi + 1)
-    counts = [best_batch_count(A, i * i, i // lo) for i in totals]
-    K = math.lcm(*counts)
-    expected = [(r * A + unit * i) * K + i * i * (K // r) for r, i in zip(counts, totals)]
+    per_unit = 2 * inst.lam.numerator * grid.denominator
+    cb = inst.c_hold * inst.lam.denominator
+    counts = [
+        [best_batch_count(s.alpha * B, cb * i * i, i // lo) for i in range(lo, hi + 1)]
+        for (lo, hi), s in zip(grid.spans, inst.suppliers)
+    ]
+    K = math.lcm(*chain.from_iterable(counts))
+    expected = [
+        [(r * s.alpha * B + s.beta * per_unit * i) * K + cb * i * i * (K // r) for i, r in enumerate(row, lo)]
+        for row, (lo, _), s in zip(counts, grid.spans, inst.suppliers)
+    ]
     costs = _aggregated_candidate_costs(inst, grid)
-    assert costs == [expected]
+    assert costs == expected
     assert costs.den == B * K
+    for row, (lo, hi), s in zip(counts, grid.spans, inst.suppliers):
+        runs, i = [], lo
+        for r, group in groupby(row):
+            runs.append((i, i + len(list(group)), r))
+            i = runs[-1][1]
+        assert _batch_count_runs(lo, hi, s.alpha * B, cb) == runs
+        if s.alpha >= cb * s.M**2:
+            assert runs == [(lo, hi + 1, 1)]
 
 
 # --- over-delivery ----------------------------------------------------------------
