@@ -21,7 +21,7 @@ from itertools import chain, groupby
 from operator import sub
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lotdp import (
@@ -463,15 +463,27 @@ def multi_instances(draw):
     return Instance(suppliers=tuple(sups), P=1, lam=lam, c_hold=c_hold, mode=MULTI)
 
 
+@pytest.mark.parametrize("alpha", [0, 1, 3, 40])
+def test_running_batch_count_matches_best_batch_count(alpha):
+    # totals 2..60 on the unit grid: the cap i // 2 binds for small alpha and
+    # the uncapped count for large alpha; with alpha = 3, two and three
+    # batches tie at total 6 (2 * 3 * A == 6**2)
+    inst = Instance(suppliers=(Supplier(alpha, 1, 2, 60),), P=60, mode=MULTI)
+    grid = build_grid(inst, 1)
+    (lo, hi), = grid.spans
+    B = _base_denominator(inst.lam, grid.denominator)
+    A, unit = alpha * B, 2 * grid.denominator
+    totals = range(lo, hi + 1)
+    counts = [best_batch_count(A, i * i, i // lo) for i in totals]
+    K = math.lcm(*counts)
+    expected = [(r * A + unit * i) * K + i * i * (K // r) for r, i in zip(counts, totals)]
+    costs = _aggregated_candidate_costs(inst, grid)
+    assert costs == [expected]
+    assert costs.den == B * K
+
+
 @settings(max_examples=80, deadline=None)
 @given(inst=multi_instances(), H=st.integers(1, 3))
-# totals 2..60 on the unit grid: the cap i // 2 binds for small alpha and the
-# uncapped count for large alpha; with alpha = 3, two and three batches tie at
-# total 6 (2 * 3 * A == 6**2)
-@example(inst=Instance(suppliers=(Supplier(0, 1, 2, 60),), P=60, mode=MULTI), H=1)
-@example(inst=Instance(suppliers=(Supplier(1, 1, 2, 60),), P=60, mode=MULTI), H=1)
-@example(inst=Instance(suppliers=(Supplier(3, 1, 2, 60),), P=60, mode=MULTI), H=1)
-@example(inst=Instance(suppliers=(Supplier(40, 1, 2, 60),), P=60, mode=MULTI), H=1)
 def test_batch_count_runs_match_best_batch_count(inst, H):
     # at every total the row prices best_batch_count's r, and its runs are
     # the stretches of equal r
