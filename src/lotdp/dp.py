@@ -404,30 +404,25 @@ def _upper_bound(grid: Grid, costs: CostRows, incs: list[list[int]], relaxed: li
 def _band(pre: list[int], suf: list[int], total: int, ub: int) -> tuple[int, int]:
     """The residuals p >= 1 of row k with f(p) = pre[k][p] + suf[k][total - p]
     at most ub, as (first, last); EMPTY when there are none.  f is convex in
-    p, so they form one interval around its minimum, and three bisections
-    find the minimum and the interval's ends."""
+    p, so they form one interval around its minimum, and two bisections find
+    its ends."""
     a, b = max(1, total + 1 - len(suf)), min(total, len(pre) - 1)
     if a > b:
         return EMPTY
-    lo, hi = a, b  # the first p with f(p) <= f(p + 1)
+    # the first p with f(p) <= ub or f(p) <= f(p + 1): f falls strictly up to
+    # its minimum and never falls after it, so this holds from that p on
+    lo, hi = a, b
     while lo < hi:
         mid = (lo + hi) >> 1
-        if pre[mid] + suf[total - mid] <= pre[mid + 1] + suf[total - mid - 1]:
+        val = pre[mid] + suf[total - mid]
+        if val <= ub or val <= pre[mid + 1] + suf[total - mid - 1]:
             hi = mid
         else:
             lo = mid + 1
-    if pre[lo] + suf[total - lo] > ub:
+    if pre[lo] + suf[total - lo] > ub:  # the minimum lies above ub
         return EMPTY
-    low = lo
-    lo, hi = a, low  # the first p with f(p) <= ub, f falling up to low
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if pre[mid] + suf[total - mid] <= ub:
-            hi = mid
-        else:
-            lo = mid + 1
     first = lo
-    lo, hi = low, b  # the last p with f(p) <= ub, f rising from low
+    hi = b  # the last p with f(p) <= ub, the level set being an interval
     while lo < hi:
         mid = (lo + hi + 1) >> 1
         if pre[mid] + suf[total - mid] <= ub:
@@ -576,7 +571,7 @@ def _fill(
         phi_rows.append(prev)
         bands.append(band)
     # the relaxation bounds every plan from below, UB is one plan's cost
-    assert suf[0][total] <= prev[total] <= ub
+    assert suf[0][total] <= prev[total] <= ub, f"phi(n, P) outside its bounds on grid {grid.H}"
     return DPTable(grid=grid, kind=kind, phi=phi_rows, costs=costs, bands=tuple(bands))
 
 
@@ -824,8 +819,10 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     each is walked for its key (:func:`_lex_key`) and the smallest is
     backtracked.  The tables filled are exactly 1..L.
 
-    The bound is checked on the plan returned: its interior count is at most
-    L, and its totals lie on grid best_H."""
+    The plan returned is checked: its objective, recomputed by make_solution,
+    must be the cheapest table's, an explicit raise that ``python -O`` keeps;
+    its interior count is at most L and its totals lie on grid best_H, two
+    asserts that ``-O`` drops."""
     t_start = time.perf_counter()
     L_count = interior_limit(inst)
     _require_sweep_budget(inst, L_count, max_cells)
@@ -856,11 +853,12 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     else:
         table = min(eligible, key=lambda t: _lex_key(t, inst, best_H))
     solution = backtrack(table, inst)
-    assert solution.objective == best_val  # recomputed from scratch in make_solution
+    if solution.objective != best_val:  # recomputed from scratch in make_solution
+        raise AssertionError(f"the plan recomputes to {solution.objective}, its table holds {best_val}")
     den = build_grid(inst, best_H).denominator
-    assert all(den % t.denominator == 0 for t in solution.per_supplier_totals)
+    assert all(den % t.denominator == 0 for t in solution.per_supplier_totals), f"totals off grid {best_H}"
     interior = _interior_count(inst, solution)
-    assert interior <= L
+    assert interior <= L, f"the plan has {interior} interior batches, above L = {L}"
     return SolveReport(
         best_H=best_H,
         solution=solution,

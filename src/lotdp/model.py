@@ -122,21 +122,24 @@ def holding_cost(volume, lam, c_hold) -> Fraction:
     return v * v * c_hold / (2 * as_rational(lam))
 
 
-def _scaled(deliveries) -> tuple[int, list[int]]:
-    """D, the lcm of the volume denominators, and each volume times D: every
-    volume of the plan is an integer over D."""
-    D = math.lcm(*{d.volume.denominator for d in deliveries})
-    return D, [d.volume.numerator * (D // d.volume.denominator) for d in deliveries]
+def _audit(inst: Instance, deliveries) -> tuple[list[str], list[Fraction], Fraction | None]:
+    """Every feasibility problem of a plan, each supplier's total volume and,
+    when there is no problem, the plan's cost: the sum of delivery_cost +
+    holding_cost over its batches.  One pass puts every volume over D, the
+    lcm of the volume denominators, and compares windows, caps and the demand
+    as integers over D.  With lam = a/b and every volume x/D, one batch costs
 
+        alpha + beta*x/D + c*b*x**2/(2*a*D**2)
 
-def _delivery_violations(inst: Instance, deliveries) -> tuple[list[str], list[Fraction]]:
-    """Every feasibility problem of a plan, and each supplier's total volume.
-    Volumes and totals are compared as integers over one denominator D."""
+    so the cost is one integer over 2*a*D**2, and one Fraction is built."""
     problems = []
-    D, scaled = _scaled(deliveries)
+    D = math.lcm(*{d.volume.denominator for d in deliveries})
+    a, b = inst.lam.numerator, inst.lam.denominator
+    fixed, unit, square = 2 * a * D * D, 2 * a * D, inst.c_hold * b
     totals = [0] * inst.n
     batches = [0] * inst.n
-    for d, x in zip(deliveries, scaled):
+    cost = 0
+    for d in deliveries:
         i = d.supplier_index - 1
         if not 0 <= i < inst.n:
             problems.append(
@@ -145,6 +148,7 @@ def _delivery_violations(inst: Instance, deliveries) -> tuple[list[str], list[Fr
             )
             continue
         s = inst.suppliers[i]
+        x = d.volume.numerator * (D // d.volume.denominator)
         if x < s.m * D or x > s.M * D:
             problems.append(
                 f"batch of {d.volume} from supplier {d.supplier_index} "
@@ -157,6 +161,7 @@ def _delivery_violations(inst: Instance, deliveries) -> tuple[list[str], list[Fr
             )
         batches[i] += 1
         totals[i] += x
+        cost += s.alpha * fixed + s.beta * unit * x + square * x * x
     for i, (t, s) in enumerate(zip(totals, inst.suppliers)):
         if t > s.M * D:
             problems.append(f"supplier {i + 1} delivers {Fraction(t, D)} in total, above its cap {s.M}")
@@ -165,25 +170,7 @@ def _delivery_violations(inst: Instance, deliveries) -> tuple[list[str], list[Fr
         problems.append(
             f"total delivered volume {Fraction(delivered, D)} is below the demand {inst.P}"
         )
-    return problems, [Fraction(t, D) for t in totals]
-
-
-def _cost_of(inst: Instance, deliveries) -> Fraction:
-    """The plan's cost, the sum of delivery_cost + holding_cost over its
-    batches, for a plan whose batches lie in their windows.  With lam = a/b
-    and every volume x/D, one batch costs
-
-        alpha + beta*x/D + c*b*x**2/(2*a*D**2)
-
-    so the sum is one integer over 2*a*D**2, and one Fraction is built."""
-    D, scaled = _scaled(deliveries)
-    a, b = inst.lam.numerator, inst.lam.denominator
-    fixed, unit, square = 2 * a * D * D, 2 * a * D, inst.c_hold * b
-    total = 0
-    for d, x in zip(deliveries, scaled):
-        s = inst.suppliers[d.supplier_index - 1]
-        total += s.alpha * fixed + s.beta * unit * x + square * x * x
-    return Fraction(total, fixed)
+    return problems, [Fraction(t, D) for t in totals], None if problems else Fraction(cost, fixed)
 
 
 def solution_cost(inst: Instance, sol: Solution) -> Fraction:
@@ -193,10 +180,10 @@ def solution_cost(inst: Instance, sol: Solution) -> Fraction:
     per-supplier caps, per-batch volume windows, one batch per supplier in
     single-delivery mode).
     """
-    problems, _ = _delivery_violations(inst, sol.deliveries)
+    problems, _, cost = _audit(inst, sol.deliveries)
     if problems:
         raise FeasibilityError(problems)
-    return _cost_of(inst, sol.deliveries)
+    return cost
 
 
 def make_solution(inst: Instance, deliveries) -> Solution:
@@ -214,10 +201,10 @@ def make_solution(inst: Instance, deliveries) -> Solution:
                 continue
             d = Delivery(idx, vol)
         batch.append(d)
-    problems, totals = _delivery_violations(inst, batch)
+    problems, totals, cost = _audit(inst, batch)
     if problems:
         raise FeasibilityError(problems)
-    return Solution(tuple(batch), _cost_of(inst, batch), tuple(totals))
+    return Solution(tuple(batch), cost, tuple(totals))
 
 
 @dataclass(frozen=True)

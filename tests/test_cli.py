@@ -1,25 +1,50 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import lotdp
 from lotdp import (
     MULTI,
     Instance,
     Supplier,
     duplication_oracle,
     instance_to_json,
+    make_solution,
     structural_oracle,
 )
-from lotdp import cli, model
+from lotdp import cli, dp, model
 
 
 def write_instance(path, inst):
     path.write_text(json.dumps(instance_to_json(inst)) + "\n")
     return str(path)
+
+
+# optimum 73/2 from the plan (5, 4); (6, 3) is feasible at 75/2
+AUDITED = Instance(suppliers=(Supplier(3, 1, 2, 6), Supplier(0, 2, 1, 5)), P=9)
+
+
+def _lowered_fill(*args, fill=dp._fill):
+    table = fill(*args)
+    table.phi[-1][-1] -= 1
+    return table
+
+
+FAULTS = {
+    "objective": ("backtrack", lambda table, inst: make_solution(inst, [(1, 6), (2, 3)])),
+    "infeasible-plan": (
+        "_chosen_indices",
+        lambda table, inst, walk=dp._chosen_indices: walk(table, inst)[:-1],
+    ),
+    "phi": ("_fill", _lowered_fill),
+    "interior": ("_interior_count", lambda inst, solution: 99),
+}
 
 
 @pytest.fixture
@@ -109,25 +134,43 @@ class TestSolve:
         assert "capacity" in err and "demand" in err
 
     @pytest.mark.parametrize(
-        "skew, message",
+        "fault, message",
         [
-            (lambda sol: replace(sol, objective=sol.objective + 1), "does not recompute"),
-            (lambda sol: replace(sol, deliveries=sol.deliveries[:1]), "below the demand"),
+            ("objective", "the plan recomputes to 75/2, its table holds 73/2"),
+            ("infeasible-plan", "total delivered volume 5 is below the demand 9"),
+            ("phi", "no volume attains phi[2][9] on the H=1 grid"),
+            ("interior", "the plan has 99 interior batches, above L = 2"),
         ],
-        ids=["objective", "infeasible-plan"],
+        ids=["objective", "infeasible-plan", "phi", "interior"],
     )
-    def test_failed_audit_exits_3(self, golden_file, capsys, monkeypatch, skew, message):
-        solve = cli.solve
+    def test_failed_audit_exits_3(self, tmp_path, capsys, monkeypatch, fault, message):
+        # faults inside the solver: a feasible but dearer plan, a backtrack
+        # that drops the last supplier, a final cell one below its value, an
+        # interior count above the bound (an assert, which python -O drops)
+        monkeypatch.setattr(dp, *FAULTS[fault])
+        path = write_instance(tmp_path / "i.json", AUDITED)
+        for command in ("solve", "verify"):
+            assert cli.main([command, path]) == cli.EXIT_MISMATCH
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: internal audit failed: {message}\n"
 
-        def skewed(inst, **kwargs):
-            report = solve(inst, **kwargs)
-            return replace(report, solution=skew(report.solution))
-
-        monkeypatch.setattr(cli, "solve", skewed)
-        assert cli.main(["solve", golden_file]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "internal audit failed" in err and message in err
+    def test_objective_check_survives_python_O(self, tmp_path):
+        path = write_instance(tmp_path / "i.json", AUDITED)
+        script = (
+            "import sys\n"
+            "from lotdp import cli, dp, make_solution\n"
+            "dp.backtrack = lambda table, inst: make_solution(inst, [(1, 6), (2, 3)])\n"
+            f"sys.exit(cli.main(['solve', {path!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(lotdp.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_MISMATCH, "")
+        assert proc.stderr == "error: internal audit failed: the plan recomputes to 75/2, its table holds 73/2\n"
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert cli.main(["solve", str(tmp_path / "nope.json")]) == 1
@@ -174,9 +217,10 @@ class TestSolve:
         assert "cell" in capsys.readouterr().err
 
     def test_bad_cell_budget_env_var(self, golden_file, capsys, monkeypatch):
-        monkeypatch.setenv("LOTDP_MAX_CELLS", "many")
-        assert cli.main(["solve", golden_file]) == 1
-        assert "LOTDP_MAX_CELLS" in capsys.readouterr().err
+        for raw in ("many", "0"):
+            monkeypatch.setenv("LOTDP_MAX_CELLS", raw)
+            assert cli.main(["solve", golden_file]) == 1
+            assert f"LOTDP_MAX_CELLS must be a positive integer, got {raw!r}" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -240,6 +284,12 @@ class TestVerify:
         monkeypatch.setattr(cli, "structural_oracle", skewed)
         assert cli.main(["verify", golden_file]) == 3
         assert "disagreement" in capsys.readouterr().err
+        # a seed batch names each instance it disagrees on
+        assert cli.main(["verify", "--seed-batch", "2", "--seed", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "0/2 agree\n"
+        assert err.count("disagreement:") == 2
+        assert err.startswith("instance 0: {") and "\ninstance 1: {" in err
 
     def test_multi_mode_agreement(self, multi_file, capsys):
         assert cli.main(["verify", multi_file]) == 0
@@ -292,6 +342,19 @@ class TestBench:
         assert len(lines) == 3
         assert lines[1].startswith("5,12,1,")
         assert lines[2].startswith("5,24,1,")
+
+    @pytest.mark.parametrize(
+        "sweep, columns",
+        [
+            ("P", [(5, 50, 1), (5, 100, 1), (5, 200, 1)]),
+            ("n", [(2, 60, 1), (4, 60, 1), (8, 60, 1)]),
+            ("c", [(5, 60, 1), (5, 60, 2), (5, 60, 3)]),
+        ],
+    )
+    def test_sweep_with_default_values(self, sweep, columns, capsys):
+        assert cli.main(["bench", "--sweep", sweep]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [tuple(int(x) for x in row.split(",")[:3]) for row in rows] == columns
 
     def test_rejects_junk_values(self, capsys):
         assert cli.main(["bench", "--sweep", "P", "--values", "12,x"]) == 1

@@ -39,6 +39,11 @@ class TestLemma1:
         with pytest.raises(ValueError):
             lemma1_solution((), 5, 1, 1)
 
+    @pytest.mark.parametrize("lam", [0, F(-1, 2)])
+    def test_rejects_a_nonpositive_intensity(self, lam):
+        with pytest.raises(ValueError, match="intensity"):
+            lemma1_solution((1, 3), 10, lam, 1)
+
 
 rational = st.builds(F, st.integers(0, 50), st.integers(1, 4))
 

@@ -35,6 +35,8 @@ def test_grid_points():
     (lo, hi), = grid.spans
     volumes = [F(i, grid.denominator) for i in range(lo, hi + 1)]
     assert volumes == [2, F(9, 4), F(5, 2), F(11, 4), 3]
+    with pytest.raises(ValueError, match="positive"):
+        build_grid(inst, 0)
 
 
 def test_grid_respects_rational_intensity():
@@ -145,6 +147,13 @@ def test_cells_computed_on_the_golden_instance(golden):
 def test_cell_budget_is_enforced(golden):
     with pytest.raises(ResourceLimitError):
         solve(golden, max_cells=10)
+
+
+def test_one_table_cell_budget(golden):
+    cells = build_grid(golden, 2).cells
+    assert solve_fixed_H(golden, 2, max_cells=cells).grid.cells == cells
+    with pytest.raises(ResourceLimitError, match=f"H=2 needs {cells} cells, above the cap {cells - 1}"):
+        solve_fixed_H(golden, 2, max_cells=cells - 1)
 
 
 def test_cell_budget_covers_the_whole_sweep(golden):

@@ -29,7 +29,7 @@ from lotdp import (
     solution_to_json,
     validate_instance,
 )
-from lotdp.model import _cost_of, _delivery_violations
+from lotdp.model import _audit
 
 
 def test_delivery_cost_values():
@@ -157,10 +157,14 @@ def test_validate_flags_tight_capacity():
 
 def test_validate_bad_fields():
     inst = Instance(
-        suppliers=(Supplier(-1, 2, 0, 3),), P=-2, lam=F(1), c_hold=0, mode="weird"
+        suppliers=(Supplier(-1, 2, 0, 3), Supplier(1, -2, 1, 0)),
+        P=-2, lam=F(1), c_hold=0, mode="weird",
     )
     codes = {v.code for v in validate_instance(inst).violations}
-    assert {"bad_alpha", "bad_min_volume", "bad_demand", "bad_holding_rate", "bad_mode"} <= codes
+    assert {
+        "bad_alpha", "bad_beta", "bad_min_volume", "bad_max_volume",
+        "bad_demand", "bad_holding_rate", "bad_mode",
+    } <= codes
 
 
 def test_validate_nonpositive_intensity():
@@ -209,6 +213,38 @@ def test_instance_json_missing_field_names_the_path():
                             "suppliers": [{"alpha": 0, "beta": 0, "m": 1}]})
     assert "suppliers[0]" in str(err.value)
     assert "'M'" in str(err.value)
+
+
+GOOD_INSTANCE_DOC = {"P": 1, "lambda": 1, "c_hold": 1, "mode": "single",
+                     "suppliers": [{"alpha": 0, "beta": 0, "m": 1, "M": 2}]}
+
+
+@pytest.mark.parametrize(
+    "parse, doc, message",
+    [
+        ("rational", {"num": 1}, "value: missing field 'den'"),
+        ("rational", {"num": F(1, 2), "den": 2}, "value.num: expected an integer"),
+        ("rational", "1/2", "value: expected an integer or a num/den object"),
+        ("instance", [], "instance: top level must be a JSON object"),
+        ("instance", {**GOOD_INSTANCE_DOC, "P": "1"}, "instance.P: expected an integer"),
+        ("instance", {**GOOD_INSTANCE_DOC, "suppliers": {}}, "instance.suppliers: expected a list"),
+        ("instance", {**GOOD_INSTANCE_DOC, "suppliers": [3]}, r"instance.suppliers\[0\]: expected an object"),
+        ("instance", {**GOOD_INSTANCE_DOC, "mode": "many"}, "instance.mode: expected 'single' or 'multi'"),
+        ("solution", [], "solution: top level must be a JSON object"),
+        ("solution", {"objective": 1}, "solution: missing field 'deliveries'"),
+        ("solution", {"objective": 1, "deliveries": [1]}, r"solution.deliveries\[0\]: expected an object"),
+        ("solution", {"objective": 1, "deliveries": [{"supplier": 1}]},
+         r"solution.deliveries\[0\]: missing field 'volume'"),
+    ],
+)
+def test_schema_errors_name_the_field(parse, doc, message):
+    read = {
+        "rational": rational_from_json,
+        "instance": instance_from_json,
+        "solution": lambda obj: solution_from_json(obj, instance_from_json(GOOD_INSTANCE_DOC)),
+    }[parse]
+    with pytest.raises(SchemaError, match=message):
+        read(doc)
 
 
 def test_solution_json_roundtrip(golden):
@@ -310,27 +346,21 @@ def ref_cost(inst, deliveries):
 
 
 def check_audit(inst, deliveries):
-    """The integer audit equals the reference: problems, totals, and on a plan
-    whose batches lie in their windows the cost; a feasible plan passes
-    make_solution and solution_cost with that cost."""
-    problems, totals = _delivery_violations(inst, deliveries)
+    """The integer audit equals the reference: problems and totals on every
+    plan, and on a plan with no problem the cost, which make_solution and
+    solution_cost both return."""
+    problems, totals, cost = _audit(inst, deliveries)
     assert (problems, totals) == ref_violations(inst, deliveries)
     assert all(type(t) is F for t in totals)
-    in_windows = all(
-        1 <= d.supplier_index <= inst.n
-        and inst.suppliers[d.supplier_index - 1].m <= d.volume <= inst.suppliers[d.supplier_index - 1].M
-        for d in deliveries
-    )
-    if in_windows:
-        cost = _cost_of(inst, deliveries)
-        assert type(cost) is F and cost == ref_cost(inst, deliveries)
     if problems:
+        assert cost is None
         with pytest.raises(FeasibilityError) as err:
             make_solution(inst, deliveries)
         assert err.value.violations == tuple(problems)
     else:
+        assert type(cost) is F and cost == ref_cost(inst, deliveries)
         sol = make_solution(inst, deliveries)
-        assert sol.objective == solution_cost(inst, sol) == ref_cost(inst, deliveries)
+        assert sol.objective == solution_cost(inst, sol) == cost
         assert sol.per_supplier_totals == tuple(totals)
     return problems
 
@@ -368,22 +398,29 @@ def test_integer_audit_matches_the_fraction_reference(plan):
 
 
 @st.composite
-def in_window_plans(draw):
-    # every batch inside its window, several per supplier in multi mode: the
+def feasible_plans(draw):
+    # every batch inside its window and every total under its cap, several
+    # batches per supplier in multi mode, and a demand the plan covers: the
     # cost is compared on every example
     inst, _ = draw(audited_plans())
     deliveries = []
     for i, s in enumerate(inst.suppliers, 1):
+        total = 0
         for _ in range(draw(st.integers(0, 3 if inst.mode == MULTI else 1))):
             den = draw(st.integers(1, 7))
-            deliveries.append(Delivery(i, s.m + F(draw(st.integers(0, (s.M - s.m) * den)), den)))
+            volume = s.m + F(draw(st.integers(0, (s.M - s.m) * den)), den)
+            if total + volume <= s.M:
+                deliveries.append(Delivery(i, volume))
+                total += volume
+    delivered = sum((d.volume for d in deliveries), F(0))
+    inst = replace(inst, P=draw(st.integers(0, int(delivered))))
     return inst, draw(st.permutations(deliveries))
 
 
 @settings(max_examples=300, deadline=None)
-@given(plan=in_window_plans())
+@given(plan=feasible_plans())
 def test_integer_audit_prices_in_window_plans_like_the_fraction_sum(plan):
-    check_audit(*plan)
+    assert check_audit(*plan) == []
 
 
 AUDIT_INST = Instance(

@@ -10,6 +10,7 @@ from lotdp import (
     Instance,
     ResourceLimitError,
     Supplier,
+    duplication_oracle,
     grid_oracle,
     random_instance,
     structural_oracle,
@@ -62,6 +63,13 @@ def test_multi_mode_is_rejected(golden):
         structural_oracle(inst)
     with pytest.raises(ValueError):
         grid_oracle(inst, 1)
+    with pytest.raises(ValueError, match="multi-delivery instances only"):
+        duplication_oracle(golden)
+
+
+def test_grid_oracle_needs_a_positive_denominator_bound(golden):
+    with pytest.raises(ValueError, match="denominator_bound"):
+        grid_oracle(golden, 0)
 
 
 def test_supplier_cap(golden):
