@@ -16,7 +16,10 @@ the volume windows alone) together.  The sweep fills the grids 1..L, and
 L <= L_count, so it never fills more; the fill computes only part of each
 table's cells (``computed`` in the report's ``per_H``, the ``--trace`` CSV
 and the ``bench`` CSV).  A solve over the cap is refused with exit code 1
-before any table is filled.
+before any table is filled.  ``verify`` in multi mode passes the same cap to
+``duplication_oracle`` too, whose count covers every grid H =
+1..multi_h_limit, so ``verify`` may refuse an instance that ``solve``
+accepts under one cap.
 """
 
 from __future__ import annotations
@@ -226,11 +229,19 @@ def cmd_verify(args) -> int:
         disagreements = 0
         for i in range(args.seed_batch):
             inst = random_instance(rng)
-            results, agree = _verify_one(inst, max_cells)
+            try:
+                results, agree = _verify_one(inst, max_cells)
+            except (AssertionError, FeasibilityError) as exc:
+                # a solver's own check failed on this instance: a disagreement
+                # like any other, so the batch goes on
+                results, agree = exc, False
             if not agree:
                 disagreements += 1
                 print(f"instance {i}: {json.dumps(instance_to_json(inst))}", file=sys.stderr)
-                _print_mismatch(results)
+                if isinstance(results, Exception):
+                    print(f"  internal audit failed: {results}", file=sys.stderr)
+                else:
+                    _print_mismatch(results)
         print(f"{args.seed_batch - disagreements}/{args.seed_batch} agree")
         return EXIT_OK if disagreements == 0 else EXIT_MISMATCH
 

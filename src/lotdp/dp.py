@@ -34,11 +34,11 @@ backtrack is the lexicographically smallest optimal plan on its grid (volumes
 compared from supplier n down, a skip counting as 0).  The optimal plans on
 grid best_H are those of the reaching grids g <= L that divide best_H, so
 best_H's plan is the smallest of theirs, and no table above L is ever
-filled.  The sweep keeps the tables at the running optimum until it names
-best_H, then backtracks the one among those that divide best_H whose plan
-is smallest; a lone one is backtracked without a comparison.  It checks the
-bound on the plan it returns: its interior count (``_interior_count``) is at
-most L.
+filled.  The sweep keeps the tables 1..L until it names best_H, walks the
+plan of each one that reaches v* and divides best_H once (``DPTable.plan``),
+and backtracks the one whose plan, scaled to grid best_H, is smallest.  It
+checks the bound on the plan it returns: its interior count
+(``_interior_count``) is at most L.
 
 Pricing and the fill never build a Fraction.  With lam = a/b, every candidate
 cost on the grid of denominator den is an integer over B = 2*a*den**2 (single
@@ -66,8 +66,8 @@ off phi and the cost rows at backtrack, and only on the n cells of the path.
 
 A cell cap, when given, bounds the total cells of the whole sweep and is
 checked before any table is filled, so before L is known: it counts the
-tables 1..L_count, and L <= L_count.  The tables the sweep keeps are some of
-those it fills, so the cap bounds them too.
+tables 1..L_count, and L <= L_count.  The sweep keeps the tables it fills
+until it names best_H, so the cap bounds them too.
 
 Demand may also be covered by over-delivery: a batch larger than the open
 residual p closes the plan on its own.  In multi-delivery mode the aggregated
@@ -116,6 +116,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import add, eq, floordiv, indexOf, sub
 
@@ -197,6 +198,12 @@ class DPTable:
     def final(self) -> Fraction:
         """phi(n, P): cheapest cover of the full demand."""
         return Fraction(self.phi[-1][-1], self.costs.den)
+
+    @cached_property
+    def plan(self) -> list[tuple[int, int]]:
+        """The table's backtrack, (supplier, volume index) in supplier order:
+        :func:`_chosen_indices`, walked on first use and kept."""
+        return _chosen_indices(self)
 
 
 EMPTY = (1, 0)  # a band with no residual
@@ -626,13 +633,13 @@ def _choice(table: DPTable, k: int, p: int) -> int | None:
         raise AssertionError(f"no volume attains phi[{k}][{p}] on the H={table.grid.H} grid") from None
 
 
-def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
+def _chosen_indices(table: DPTable) -> list[tuple[int, int]]:
     """Walk from phi(n, P) down, each step decided by :func:`_choice`:
     (supplier, volume index) for every supplier the winning plan uses, in
-    supplier order."""
+    supplier order.  Read it through ``table.plan``, which walks once."""
     chosen = []
     p = table.grid.demand_points - 1
-    for k in range(inst.n, 0, -1):
+    for k in range(len(table.grid.spans), 0, -1):
         v = _choice(table, k, p)
         if v is None:
             continue
@@ -642,10 +649,10 @@ def _chosen_indices(table: DPTable, inst: Instance) -> list[tuple[int, int]]:
 
 
 def backtrack(table: DPTable, inst: Instance) -> Solution:
-    """Recover the winning volumes of a filled table."""
+    """Recover the winning volumes of a filled table from ``table.plan``."""
     den = table.grid.denominator
     deliveries: list[tuple[int, Fraction]] = []
-    for k, idx in _chosen_indices(table, inst):
+    for k, idx in table.plan:
         vol = Fraction(idx, den)
         if table.kind == "multi-aggregated":
             r, _ = multi_delivery_cost(inst.suppliers[k - 1], vol, inst.lam, inst.c_hold)
@@ -789,16 +796,6 @@ def _require_sweep_budget(inst: Instance, L_count: int, max_cells: int | None) -
         )
 
 
-def _lex_key(table: DPTable, inst: Instance, H: int) -> list[int]:
-    """The volumes of a table's plan as indices on grid H (a multiple of
-    table.grid.H), supplier n first, a skip counting as 0."""
-    scale = H // table.grid.H
-    key = [0] * inst.n
-    for k, idx in _chosen_indices(table, inst):
-        key[inst.n - k] = idx * scale
-    return key
-
-
 def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     """Fill the grids H = 1..L and name best_H among H = 1..H_top.
 
@@ -814,10 +811,12 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     smallest optimal plan on its grid.  An optimum on grid best_H lies on
     grid gcd(g, best_H) too, g its interior count, so that plan is the
     smallest of the plans of the reaching tables g <= L that divide best_H.
-    The sweep keeps the tables at the running optimum until it names best_H.
-    When one kept table divides best_H its backtrack is the plan; otherwise
-    each is walked for its key (:func:`_lex_key`) and the smallest is
-    backtracked.  The tables filled are exactly 1..L.
+    The sweep keeps the tables 1..L, takes v* and the reaching grids from
+    their traces, and backtracks the table among those that divide best_H
+    whose plan, its volumes scaled to grid best_H, is smallest from supplier
+    n down; each of their plans is walked once (``DPTable.plan``), and the
+    backtrack reads the winner's kept plan.  The tables filled are exactly
+    1..L.
 
     The plan returned is checked: its objective, recomputed by make_solution,
     must be the cheapest table's, an explicit raise that ``python -O`` keeps;
@@ -826,32 +825,30 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     t_start = time.perf_counter()
     L_count = interior_limit(inst)
     _require_sweep_budget(inst, L_count, max_cells)
-    traces = []
+    tables, traces = [], []  # table H is tables[H - 1]
 
-    def fill(H: int) -> tuple[DPTable, Fraction]:
+    def fill(H: int) -> None:
         t0 = time.perf_counter()
         table = solve_fixed_H(inst, H)
         micros = int((time.perf_counter() - t0) * 1_000_000)
-        final = table.final
-        traces.append(HTrace(H, final, table.grid.cells, micros, table.computed))
-        return table, final
+        tables.append(table)
+        traces.append(HTrace(H, table.final, table.grid.cells, micros, table.computed))
 
-    table, best_val = fill(1)
-    L = interior_limit(inst, best_val)
-    reaching = {1: table}  # H -> table, for the tables at best_val
+    fill(1)
+    L = interior_limit(inst, traces[0].objective)
     for H in range(2, L + 1):
-        table, val = fill(H)
-        if val <= best_val:
-            if val < best_val:
-                best_val = val
-                reaching.clear()
-            reaching[H] = table
+        fill(H)
+    best_val = min(t.objective for t in traces)
+    reaching = [t.H for t in traces if t.objective == best_val]
     best_H = next(H for H in range(H_top, 0, -1) if any(H % g == 0 for g in reaching))
-    eligible = [t for g, t in reaching.items() if best_H % g == 0]
-    if len(eligible) == 1:
-        table = eligible[0]
-    else:
-        table = min(eligible, key=lambda t: _lex_key(t, inst, best_H))
+    # each plan as (supplier, index on grid best_H) pairs from supplier n down:
+    # where two plans first differ, either both use the supplier and the pairs
+    # compare its volumes, or one skips a supplier the other uses and its
+    # lower next supplier (or its end) sorts first, as a skip counts as 0
+    table = min(
+        (tables[g - 1] for g in reaching if best_H % g == 0),
+        key=lambda t: [(k, idx * (best_H // t.grid.H)) for k, idx in reversed(t.plan)],
+    )
     solution = backtrack(table, inst)
     if solution.objective != best_val:  # recomputed from scratch in make_solution
         raise AssertionError(f"the plan recomputes to {solution.objective}, its table holds {best_val}")

@@ -32,7 +32,8 @@ MULTI = "multi"
 
 
 def is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int, the common case, answers without the ABC checks
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def as_rational(value) -> Fraction:
@@ -303,14 +304,10 @@ def rational_from_json(obj, where: str = "value") -> Fraction:
     if is_integer(obj):
         return Fraction(int(obj))
     if isinstance(obj, dict):
-        for key in ("num", "den"):
-            if key not in obj:
-                raise SchemaError(f"{where}: missing field {key!r}")
-            if not is_integer(obj[key]):
-                raise SchemaError(f"{where}.{key}: expected an integer, got {obj[key]!r}")
-        if obj["den"] < 1:
-            raise SchemaError(f"{where}.den: denominator must be >= 1, got {obj['den']}")
-        return Fraction(obj["num"], obj["den"])
+        num, den = _int_field(obj, "num", where), _int_field(obj, "den", where)
+        if den < 1:
+            raise SchemaError(f"{where}.den: denominator must be >= 1, got {den}")
+        return Fraction(num, den)
     raise SchemaError(f"{where}: expected an integer or a num/den object, got {obj!r}")
 
 

@@ -230,7 +230,7 @@ def duplication_oracle(inst: Instance, *, max_cells: int | None = None) -> Solut
             best = table
     den = best.grid.denominator
     deliveries = []
-    for k, idx in dp._chosen_indices(best, inst):
+    for k, idx in best.plan:
         j, _ = _best_balanced_split(inst.suppliers[k - 1], idx, den, inst.lam, inst.c_hold)
         q, rem = divmod(idx, j)
         deliveries.extend((k, Fraction(q + 1, den)) for _ in range(rem))

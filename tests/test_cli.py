@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -40,7 +41,7 @@ FAULTS = {
     "objective": ("backtrack", lambda table, inst: make_solution(inst, [(1, 6), (2, 3)])),
     "infeasible-plan": (
         "_chosen_indices",
-        lambda table, inst, walk=dp._chosen_indices: walk(table, inst)[:-1],
+        lambda table, walk=dp._chosen_indices: walk(table)[:-1],
     ),
     "phi": ("_fill", _lowered_fill),
     "interior": ("_interior_count", lambda inst, solution: 99),
@@ -253,6 +254,17 @@ class TestVerify:
         assert cli.main(["verify", path]) == 1
         assert "above the cap 10" in capsys.readouterr().err
 
+    def test_cell_cap_also_bounds_the_duplication_oracle(self, tmp_path, capsys, monkeypatch):
+        # solve fills the grids 1..L_count = 1..3, 153 cells; the duplication
+        # oracle counts every grid 1..multi_h_limit = 1..8, 888 cells
+        inst = Instance(suppliers=(Supplier(1, 1, 2, 5), Supplier(0, 2, 2, 5)), P=8, mode=MULTI)
+        path = write_instance(tmp_path / "cap.json", inst)
+        monkeypatch.setenv("LOTDP_MAX_CELLS", "200")
+        assert cli.main(["solve", path]) == 0
+        assert json.loads(capsys.readouterr().err)["table_cells_filled"] == 153
+        assert cli.main(["verify", path]) == 1
+        assert capsys.readouterr() == ("", "error: the sweep over H=1..8 needs 888 table cells, above the cap 200\n")
+
     def test_seed_batch(self, capsys):
         assert cli.main(["verify", "--seed-batch", "20", "--seed", "3"]) == 0
         assert "20/20 agree" in capsys.readouterr().out
@@ -290,6 +302,25 @@ class TestVerify:
         assert out == "0/2 agree\n"
         assert err.count("disagreement:") == 2
         assert err.startswith("instance 0: {") and "\ninstance 1: {" in err
+
+    def test_seed_batch_counts_a_failed_audit_and_goes_on(self, capsys, monkeypatch):
+        # a backtrack that drops the last supplier when P = 7 breaks its own
+        # plan's feasibility check on those instances only
+        def walk(table, original=dp._chosen_indices):
+            plan = original(table)
+            return plan[:-1] if table.grid.demand_points - 1 == 7 * table.grid.denominator else plan
+
+        monkeypatch.setattr(dp, "_chosen_indices", walk)
+        rng = random.Random(1)
+        failing = [i for i in range(50) if lotdp.random_instance(rng).P == 7]
+        assert failing == [29, 38]
+        assert cli.main(["verify", "--seed-batch", "50", "--seed", "1"]) == cli.EXIT_MISMATCH
+        out, err = capsys.readouterr()
+        assert out == "48/50 agree\n"
+        named = [line for line in err.splitlines() if line.startswith("instance ")]
+        assert [int(line.split()[1].rstrip(":")) for line in named] == failing
+        assert err.count("  internal audit failed: total delivered volume") == 2
+        assert "error:" not in err
 
     def test_multi_mode_agreement(self, multi_file, capsys):
         assert cli.main(["verify", multi_file]) == 0

@@ -454,9 +454,9 @@ def count_walks(monkeypatch):
     walked = []
     original = dp._chosen_indices
 
-    def counted(table, inst):
+    def counted(table):
         walked.append(table.grid.H)
-        return original(table, inst)
+        return original(table)
 
     monkeypatch.setattr(dp, "_chosen_indices", counted)
     return walked
@@ -464,9 +464,9 @@ def count_walks(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["single", MULTI])
 def test_solve_walks_only_the_kept_tables_that_divide_best_H(monkeypatch, mode):
-    # the sweep keeps the tables at v*; those whose grid divides best_H are
-    # walked once each for their keys, then the smallest once more for its
-    # plan, and a lone one is walked for its plan only
+    # the sweep keeps the tables 1..L; each one at v* whose grid divides
+    # best_H is walked exactly once, a lone one as well as several, and the
+    # backtrack reads the winner's plan without walking it again
     walked = count_walks(monkeypatch)
     rng = random.Random(5)
     lone = several = 0
@@ -479,12 +479,9 @@ def test_solve_walks_only_the_kept_tables_that_divide_best_H(monkeypatch, mode):
         report = solve_multi(inst) if mode == MULTI else solve(inst)
         v = report.solution.objective
         eligible = [H for H, val in report.per_H_objectives if val == v and report.best_H % H == 0]
-        if len(eligible) == 1:
-            assert walked == eligible
-            lone += 1
-        else:
-            assert walked[:-1] == eligible and walked[-1] in eligible
-            several += 1
+        assert walked == eligible
+        lone += len(eligible) == 1
+        several += len(eligible) > 1
     assert lone and several
 
 
@@ -502,15 +499,55 @@ def test_solve_walks_only_the_kept_tables_that_divide_best_H(monkeypatch, mode):
 )
 def test_best_H_at_most_L_ranks_its_own_table_with_its_divisors(monkeypatch, inst, best_H, eligible):
     # best_H <= L, so best_H's own table is kept, next to a smaller grid that
-    # divides best_H and reaches v* too; the smallest key among them is the
-    # plan best_H's own table backtracks to
+    # divides best_H and reaches v* too; each is walked once, and the
+    # smallest plan among them is the one best_H's own table backtracks to
     assert_matches_full_sweep(inst)
     own_plan = backtrack(solve_fixed_H(inst, best_H), inst)
     walked = count_walks(monkeypatch)
     report = solve_multi(inst) if inst.mode == MULTI else solve(inst)
     assert (report.best_H, report.L) == (best_H, best_H)
-    assert walked[:-1] == eligible
+    assert walked == eligible
     assert report.solution == own_plan
+
+
+def copied_pair(rng):
+    """Two copies of one multi-mode supplier sharing a demand of 2M - 7:
+    whole batches move between the copies at no cost, and in about a third
+    of these instances two eligible tables backtrack to different plans."""
+    M = rng.randint(8, 12)
+    s = Supplier(rng.randint(1, 4), rng.randint(0, 1), rng.randint(1, 2), M)
+    return Instance(suppliers=(s, s), P=2 * M - 7, c_hold=rng.randint(1, 2), mode=MULTI)
+
+
+@settings(max_examples=90, deadline=None)
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(["single", MULTI, "pair"]))
+def test_plan_is_the_smallest_of_the_eligible_tables_by_its_totals(seed, kind):
+    # an independent statement of the rule: among the tables 1..L that reach
+    # v* and divide best_H, the plan whose supplier totals, read from
+    # supplier n down as Fractions, are smallest; no table is walked twice
+    rng = random.Random(seed)
+    if kind == "pair":
+        inst = copied_pair(rng)
+    elif kind == MULTI:
+        inst = random_instance(rng, n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI)
+    else:
+        inst = random_instance(rng, n_max=6, p_max=24, c_max=2, bound_max=10)
+    tables = []
+    original = dp.solve_fixed_H
+
+    def kept(inst, H, **kwargs):
+        tables.append(original(inst, H, **kwargs))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp, "solve_fixed_H", kept)
+        walked = count_walks(mp)
+        report = solve_multi(inst) if inst.mode == MULTI else solve(inst)
+    assert len(walked) == len(set(walked))
+    assert [t.grid.H for t in tables] == list(range(1, report.L + 1))
+    v = report.solution.objective
+    plans = [backtrack(t, inst) for t in tables if t.final == v and report.best_H % t.grid.H == 0]
+    assert report.solution == min(plans, key=lambda s: s.per_supplier_totals[::-1])
 
 
 def test_interior_count():

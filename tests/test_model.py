@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from lotdp import (
     solution_to_json,
     validate_instance,
 )
-from lotdp.model import _audit
+from lotdp.model import _audit, is_integer
 
 
 def test_delivery_cost_values():
@@ -235,6 +236,7 @@ GOOD_INSTANCE_DOC = {"P": 1, "lambda": 1, "c_hold": 1, "mode": "single",
         ("solution", {"objective": 1, "deliveries": [1]}, r"solution.deliveries\[0\]: expected an object"),
         ("solution", {"objective": 1, "deliveries": [{"supplier": 1}]},
          r"solution.deliveries\[0\]: missing field 'volume'"),
+        ("rational", {"num": 1, "den": 0}, "value.den: denominator must be >= 1, got 0"),
     ],
 )
 def test_schema_errors_name_the_field(parse, doc, message):
@@ -245,6 +247,20 @@ def test_schema_errors_name_the_field(parse, doc, message):
     }[parse]
     with pytest.raises(SchemaError, match=message):
         read(doc)
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(3, True), (np.int64(3), True), (_Int(3), True), (True, False), (False, False),
+     (F(2), False), (2.0, False)],
+    ids=["int", "numpy-int64", "int-subclass", "True", "False", "Fraction", "float"],
+)
+def test_is_integer_accepts_integers_but_not_bools(value, expected):
+    assert is_integer(value) is expected
 
 
 def test_solution_json_roundtrip(golden):

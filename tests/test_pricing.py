@@ -322,7 +322,7 @@ def check_pruned(inst, table, full):
         assert inside == list(range(band[0], band[1] + 1))
     assert table.computed == sum(1 + b - a + 1 if a <= b else 1 for a, b in table.bands)
     assert table.computed <= table.grid.cells == full.grid.cells
-    assert _chosen_indices(table, inst) == _chosen_indices(full, inst)
+    assert _chosen_indices(table) == _chosen_indices(full)
 
 
 def reference_table(inst, grid, costs, ref_rows, kind):
@@ -570,7 +570,7 @@ def test_row_outside_its_band_keeps_the_skip_entry():
     assert choices(table, [(k, p) for k in (1, 2) for p in range(1, 5)]) == [None] * 8
     # phi(2, 8) = phi(1, 5) + cost(3) = 35/2 + 27/2, the water-fill's own plan
     assert table.final == F(31)
-    assert _chosen_indices(table, inst) == [(1, 5), (2, 3)]
+    assert _chosen_indices(table) == [(1, 5), (2, 3)]
 
 
 def test_over_delivery_from_a_pruned_row_reads_residual_zero():
@@ -589,7 +589,7 @@ def test_over_delivery_from_a_pruned_row_reads_residual_zero():
     assert table.bands == (EMPTY, EMPTY, (3, 4), (5, 5))
     assert (F(table.phi[2][3], table.costs.den), _choice(table, 2, 3)) == (8, 4)
     assert table.final == 10
-    assert _chosen_indices(table, inst) == [(2, 4), (3, 2)]
+    assert _chosen_indices(table) == [(2, 4), (3, 2)]
 
 
 def test_windows_short_of_the_demand_are_refused():
@@ -624,7 +624,7 @@ def test_bands_of_a_window_entirely_above_the_demand():
         first, last = bands[1]
         assert [F(table.phi[1][p], table.costs.den) for p in range(first, last + 1)] == [8] * (H + 1)
         assert table.final == 8
-        assert _chosen_indices(table, inst) == [(1, 4 * H)]
+        assert _chosen_indices(table) == [(1, 4 * H)]
     # the same window in the last row: the water-fill's (2, 1) is lifted to
     # (2, 4), one unit too many, and supplier 1 hands back its unit of
     # increment 3: UB = 1 + 16, and row 1's band runs from 1 to 2
@@ -726,7 +726,7 @@ def test_pruned_fill_keeps_the_final_cell_and_the_plan(inst, H, multi):
         return
     table = solve_fixed_H(inst, H)
     assert table.final == full.final
-    assert _chosen_indices(table, inst) == _chosen_indices(full, inst)
+    assert _chosen_indices(table) == _chosen_indices(full)
     assert backtrack(table, inst) == backtrack(full, inst)
 
 
