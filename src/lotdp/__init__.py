@@ -66,7 +66,6 @@ from .schedule import (
     holding_integral,
     schedule_deliveries,
     stock_at,
-    timeline_to_csv,
 )
 
 __version__ = "0.1.0"

@@ -14,12 +14,11 @@ variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve, counted
 before the sweep starts: the grids H = 1..L_count (the interior bound from
 the volume windows alone) together.  The sweep fills the grids 1..L, and
 L <= L_count, so it never fills more; the fill computes only part of each
-table's cells (``computed`` in the report's ``per_H``, the ``--trace`` CSV
-and the ``bench`` CSV).  A solve over the cap is refused with exit code 1
-before any table is filled.  ``verify`` in multi mode passes the same cap to
-``duplication_oracle`` too, whose count covers every grid H =
-1..multi_h_limit, so ``verify`` may refuse an instance that ``solve``
-accepts under one cap.
+table's cells (``computed`` in the report's ``per_H`` and in the ``bench``
+CSV).  A solve over the cap is refused with exit code 1 before any table is
+filled.  ``verify`` in multi mode passes the same cap to ``duplication_oracle``
+too, whose count covers every grid H = 1..multi_h_limit, so ``verify`` may
+refuse an instance that ``solve`` accepts under one cap.
 """
 
 from __future__ import annotations
@@ -162,14 +161,6 @@ def report_to_json(report: SolveReport) -> dict:
     }
 
 
-def trace_to_csv(report: SolveReport) -> str:
-    lines = ["H,phi_nP_num,phi_nP_den,cells,computed,micros"]
-    for t in report.trace:
-        obj = t.objective
-        lines.append(f"{t.H},{obj.numerator},{obj.denominator},{t.cells},{t.computed},{t.micros}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_solve(args) -> int:
     max_cells = _max_cells()
     inst = _load_instance(args.path)
@@ -185,8 +176,6 @@ def cmd_solve(args) -> int:
         args.out,
     )
     print(json.dumps(report_to_json(report), indent=2), file=sys.stderr)
-    if args.trace:
-        sys.stderr.write(trace_to_csv(report))
     return EXIT_OK
 
 
@@ -283,7 +272,7 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     max_cells = _max_cells()
-    if args.values:
+    if args.values is not None:
         try:
             values = [int(v) for v in args.values.split(",")]
         except ValueError:
@@ -324,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("path", help="instance JSON file")
     p_solve.add_argument("--mode", choices=[SINGLE, MULTI], help="override the instance mode")
     p_solve.add_argument("--out", help="write the solution JSON here instead of stdout")
-    p_solve.add_argument("--trace", action="store_true", help="emit a per-H CSV trace on stderr")
     p_solve.add_argument("--pretty", action="store_true", help="add decimal approximations")
     p_solve.set_defaults(func=cmd_solve)
 

@@ -804,8 +804,11 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     So the cheapest of the tables 1..L is the optimum v*, and table H reaches
     v* exactly when some g <= L whose table reaches v* divides H.  best_H is
     the largest such H up to H_top.  Table 1 is filled first: its cost bounds
-    v* and so L.  A grid has a plan exactly when the windows cover P, so the
-    fill of table 1 refuses an instance that no grid can serve.
+    v* and so L.  A grid has a plan exactly when the windows cover P.
+    ``solve`` and ``solve_multi`` refuse an instance that no grid can serve
+    in require_valid, before the sweep; the fill of table 1 refuses it
+    ("no grid admits a feasible plan") only when the sweep is called on an
+    instance that skipped that check.
 
     best_H's plan is the backtrack of its table, the lexicographically
     smallest optimal plan on its grid.  An optimum on grid best_H lies on
@@ -877,6 +880,13 @@ def solve(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
     before L is known, so it counts the tables H = 1..L_count (L's bound from
     the windows alone, never below L); a sweep over the cap raises
     ResourceLimitError before any table is filled.
+
+    Raises, before any table is filled: InvalidInstanceError on invalid
+    data, InfeasibleInstanceError when the capacity is below P (both from
+    require_valid), ValueError on a multi-mode instance, and
+    ResourceLimitError over the cap.  A failed self-check of the plan (its
+    recomputed objective, its feasibility, a cell no volume attains) raises
+    AssertionError or FeasibilityError.
     """
     require_valid(inst)
     if inst.mode != SINGLE:
@@ -902,6 +912,8 @@ def solve_multi(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
     before L is known, so it counts the tables H = 1..L_count (L's bound from
     the windows alone, never below L); a sweep over the cap raises
     ResourceLimitError before any table is filled.
+
+    Raises as :func:`solve` does, with ValueError on a single-mode instance.
     """
     require_valid(inst)
     if inst.mode != MULTI:

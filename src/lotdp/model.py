@@ -218,7 +218,6 @@ class Violation:
 class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...]
-    notes: tuple[str, ...] = ()
 
     @property
     def infeasible_demand(self) -> bool:
@@ -232,7 +231,6 @@ def validate_instance(inst: Instance) -> ValidationReport:
     collected into one report instead of failing fast on the first field.
     """
     violations: list[Violation] = []
-    notes: list[str] = []
 
     def bad(code, message):
         violations.append(Violation(code, message))
@@ -269,12 +267,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 "demand_exceeds_capacity",
                 f"total supplier capacity {cap} cannot cover the demand {inst.P}",
             )
-        elif cap == inst.P:
-            notes.append(
-                "capacity equals demand exactly: the only feasible plan delivers "
-                "every supplier's maximum volume"
-            )
-    return ValidationReport(not violations, tuple(violations), tuple(notes))
+    return ValidationReport(not violations, tuple(violations))
 
 
 def require_valid(inst: Instance) -> ValidationReport:

@@ -78,13 +78,3 @@ def holding_integral(timeline: Timeline, lam, c_hold) -> Fraction:
         area += (start + end) * (t1 - t0) / 2
     return area * c_hold
 
-
-def timeline_to_csv(timeline: Timeline) -> str:
-    """Render events as CSV: time_num,time_den,supplier,volume_num,volume_den."""
-    lines = ["time_num,time_den,supplier,volume_num,volume_den"]
-    for e in timeline.events:
-        lines.append(
-            f"{e.time.numerator},{e.time.denominator},{e.supplier_index},"
-            f"{e.volume.numerator},{e.volume.denominator}"
-        )
-    return "\n".join(lines) + "\n"

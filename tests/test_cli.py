@@ -85,12 +85,6 @@ class TestSolve:
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["objective"] == {"num": 35, "den": 2}
 
-    def test_trace_csv_on_stderr(self, golden_file, capsys):
-        assert cli.main(["solve", "--trace", golden_file]) == 0
-        err = capsys.readouterr().err
-        assert "H,phi_nP_num,phi_nP_den,cells,computed,micros" in err
-        assert "\n1,35,2," in err
-
     def test_report_names_the_skipped_grids(self, tmp_path, capsys):
         # at most (9 - 1) // 2 = 4 interior batches, while best_H ranges up to
         # 9 // 2 + 9 // 2 = 8; the sweep fills the grids up to 4 and takes
@@ -109,12 +103,24 @@ class TestSolve:
         # the golden relaxation costs what the optimum does, so each row's
         # band is one residual: the fill evaluates 5 of 33 and 5 of 63 cells
         # (see test_cells_computed_on_the_golden_instance)
-        assert cli.main(["solve", "--trace", golden_file]) == 0
-        err = capsys.readouterr().err
-        report = json.loads(err[:err.index("H,phi_nP_num")])
+        assert cli.main(["solve", golden_file]) == 0
+        report = json.loads(capsys.readouterr().err)
         assert [(h["cells"], h["computed"]) for h in report["per_H"]] == [(33, 5), (63, 5)]
         assert report["table_cells_filled"] == 96
-        assert "H,phi_nP_num,phi_nP_den,cells,computed,micros\n1,35,2,33,5," in err
+
+    @pytest.mark.parametrize("which", ["golden_file", "multi_file"])
+    def test_report_carries_every_table_of_the_trace(self, which, request, capsys):
+        # stderr is one JSON document, and its per_H is the solve's own trace
+        path = request.getfixturevalue(which)
+        assert cli.main(["solve", path]) == 0
+        report = json.loads(capsys.readouterr().err)
+        inst = model.instance_from_json(json.loads(Path(path).read_text()))
+        trace = (lotdp.solve_multi(inst) if inst.mode == MULTI else lotdp.solve(inst)).trace
+        per_H = [
+            (h["H"], model.rational_from_json(h["objective"]), h["cells"], h["computed"])
+            for h in report["per_H"]
+        ]
+        assert per_H == [(t.H, t.objective, t.cells, t.computed) for t in trace]
 
     def test_golden_report_skips_no_grid(self, golden_file, capsys):
         assert cli.main(["solve", golden_file]) == 0
@@ -391,6 +397,13 @@ class TestBench:
         assert cli.main(["bench", "--sweep", "P", "--values", "12,x"]) == 1
         assert "--values" in capsys.readouterr().err
 
+    def test_rejects_empty_values(self, capsys):
+        # an empty list is refused, not read as "use the default sweep"
+        assert cli.main(["bench", "--sweep", "P", "--values", ""]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --values must be comma-separated integers, got ''\n"
+
 
 class TestBadFiles:
     def refused(self, argv, capsys):
@@ -487,6 +500,10 @@ class TestUsageErrors:
     )
     def test_out_of_range_arguments_exit_1(self, argv, capsys):
         assert f"{argv[1]}: must be at least" in self.usage_error(argv, capsys)
+
+    def test_solve_has_no_trace_option(self, golden_file, capsys):
+        # the per-H trace is the report's per_H on stderr
+        assert "--trace" in self.usage_error(["solve", "--trace", golden_file], capsys)
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

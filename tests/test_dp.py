@@ -297,12 +297,45 @@ def test_bounded_sweep_matches_the_full_sweep_in_single_mode(seed):
     assert_matches_full_sweep(random_instance(rng, n_max=6, p_max=24, c_max=2, bound_max=10))
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6))
-def test_bounded_sweep_matches_the_full_sweep_in_multi_mode(seed):
+def copied_pair(rng):
+    """Two copies of one multi-mode supplier sharing a demand of 2M - 7:
+    whole batches move between the copies at no cost, and in about a third
+    of these instances two eligible tables backtrack to different plans."""
+    M = rng.randint(8, 12)
+    s = Supplier(rng.randint(1, 4), rng.randint(0, 1), rng.randint(1, 2), M)
+    return Instance(suppliers=(s, s), P=2 * M - 7, c_hold=rng.randint(1, 2), mode=MULTI)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), pair=st.booleans())
+def test_bounded_sweep_matches_the_full_sweep_in_multi_mode(seed, pair):
+    # copied pairs reach the cross-grid tie rule, which the random family
+    # almost never does (see test_copied_pairs_give_eligible_tables_different_plans)
     rng = random.Random(seed)
-    inst = random_instance(rng, n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI)
+    if pair:
+        inst = copied_pair(rng)
+    else:
+        inst = random_instance(rng, n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI)
     assert_matches_full_sweep(inst)
+
+
+def test_copied_pairs_give_eligible_tables_different_plans():
+    # the full sweep then picks among plans that differ, not only among
+    # tables that backtrack to one plan: the tables 1..L that reach v* and
+    # divide best_H backtrack to more than one set of totals
+    rng = random.Random(0)
+    differ = 0
+    for _ in range(12):
+        inst = copied_pair(rng)
+        report = assert_matches_full_sweep(inst)
+        tables = [solve_fixed_H(inst, H) for H in range(1, report.L + 1)]
+        totals = {
+            backtrack(t, inst).per_supplier_totals
+            for t in tables
+            if t.final == report.solution.objective and report.best_H % t.grid.H == 0
+        }
+        differ += len(totals) > 1
+    assert differ >= 1
 
 
 @pytest.mark.parametrize("mode", ["single", MULTI])
@@ -508,15 +541,6 @@ def test_best_H_at_most_L_ranks_its_own_table_with_its_divisors(monkeypatch, ins
     assert (report.best_H, report.L) == (best_H, best_H)
     assert walked == eligible
     assert report.solution == own_plan
-
-
-def copied_pair(rng):
-    """Two copies of one multi-mode supplier sharing a demand of 2M - 7:
-    whole batches move between the copies at no cost, and in about a third
-    of these instances two eligible tables backtrack to different plans."""
-    M = rng.randint(8, 12)
-    s = Supplier(rng.randint(1, 4), rng.randint(0, 1), rng.randint(1, 2), M)
-    return Instance(suppliers=(s, s), P=2 * M - 7, c_hold=rng.randint(1, 2), mode=MULTI)
 
 
 @settings(max_examples=90, deadline=None)

@@ -13,7 +13,6 @@ from lotdp import (
     schedule_deliveries,
     solve,
     stock_at,
-    timeline_to_csv,
 )
 
 
@@ -101,15 +100,6 @@ def test_builder_orders_by_supplier_then_size(golden):
     sol = make_solution(golden, [(2, F(5, 2)), (1, F(5, 2))])
     timeline = build_schedule(sol, golden.lam)
     assert [e.supplier_index for e in timeline.events] == [1, 2]
-
-
-def test_csv_rendering(golden_timeline):
-    text = timeline_to_csv(golden_timeline)
-    lines = text.splitlines()
-    assert lines[0] == "time_num,time_den,supplier,volume_num,volume_den"
-    assert lines[1] == "0,1,1,5,2"
-    assert lines[2] == "5,2,2,5,2"
-    assert text.endswith("\n")
 
 
 def test_nonpositive_intensity_rejected():
