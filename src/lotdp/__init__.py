@@ -8,7 +8,6 @@ optima, cross-checked by independent brute-force oracles.
 """
 
 from .closed_form import (
-    InteriorSolution,
     lemma1_solution,
     marginal_costs,
     multi_delivery_cost,
@@ -54,7 +53,6 @@ from .model import (
     rational_to_json,
     require_valid,
     solution_cost,
-    solution_from_json,
     solution_to_json,
     validate_instance,
 )

@@ -43,14 +43,12 @@ from .model import (
     require_valid,
     solution_to_json,
 )
-from .oracle import duplication_oracle, grid_oracle, structural_oracle
+from .oracle import MAX_SUPPLIERS, duplication_oracle, grid_oracle, structural_oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_MISMATCH = 3
-
-MAX_VERIFY_SUPPLIERS = 8
 
 
 def _max_cells() -> int | None:
@@ -193,7 +191,7 @@ def _verify_one(inst: Instance, max_cells: int | None) -> tuple[list[tuple[str, 
         results.append(("structural", structural_oracle(inst)))
         if inst.n <= 3 and inst.P <= 12 and inst.c_hold <= 2:
             try:
-                results.append(("grid", grid_oracle(inst, inst.n)))
+                results.append(("grid", grid_oracle(inst)))
             except ResourceLimitError as exc:
                 print(f"note: grid oracle left out: {exc}", file=sys.stderr)
     objectives = {sol.objective for _, sol in results}
@@ -236,10 +234,10 @@ def cmd_verify(args) -> int:
 
     inst = _load_instance(args.path)
     require_valid(inst)  # before the size refusal, so bad data names its own fault
-    if inst.mode == SINGLE and inst.n > MAX_VERIFY_SUPPLIERS:
+    if inst.mode == SINGLE and inst.n > MAX_SUPPLIERS:
         return _fail(
             f"verify enumerates 4**n assignments in single mode and refuses "
-            f"n > {MAX_VERIFY_SUPPLIERS}",
+            f"n > {MAX_SUPPLIERS}",
             EXIT_INPUT,
         )
     results, agree = _verify_one(inst, max_cells)

@@ -3,7 +3,8 @@
 Two small optimization problems admit exact formulas:
 
 * splitting a residual demand across a group of suppliers so that every one of
-  them ends at the same marginal cost, and
+  them ends at the same marginal cost (``lemma1_solution`` returns the tuple of
+  volumes, and ``marginal_costs`` takes that tuple back), and
 * splitting one supplier's total volume into the best number of equal batches,
   found in O(1) with an exact integer square root.
 """
@@ -11,21 +12,15 @@ Two small optimization problems admit exact formulas:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VolumeBoundsError
 from .model import Supplier, as_rational
 
 
-@dataclass(frozen=True)
-class InteriorSolution:
-    volumes: tuple[Fraction, ...]
-
-
-def lemma1_solution(betas, p, lam, c_hold) -> InteriorSolution:
+def lemma1_solution(betas, p, lam, c_hold) -> tuple[Fraction, ...]:
     """Cheapest split of demand ``p`` across suppliers with unit costs ``betas``
-    when volume windows are ignored.
+    when volume windows are ignored: one volume per beta, in order.
 
     Minimizing  sum_i (beta_i * x_i + c_hold * x_i**2 / (2*lam))  subject to
     sum_i x_i = p equalizes the marginal costs beta_i + c_hold * x_i / lam,
@@ -45,19 +40,14 @@ def lemma1_solution(betas, p, lam, c_hold) -> InteriorSolution:
     if lam <= 0:
         raise ValueError("consumption intensity must be positive")
     total_beta = sum(betas)
-    volumes = tuple(
-        p / H + lam * (total_beta - H * beta) / (H * c_hold) for beta in betas
-    )
-    return InteriorSolution(volumes)
+    return tuple(p / H + lam * (total_beta - H * beta) / (H * c_hold) for beta in betas)
 
 
-def marginal_costs(sol: InteriorSolution, betas, lam, c_hold) -> tuple[Fraction, ...]:
+def marginal_costs(volumes, betas, lam, c_hold) -> tuple[Fraction, ...]:
     """Per-supplier marginal cost beta_i + c_hold * x_i / lam; equal across the
-    group exactly when ``sol`` came from lemma1_solution with these betas."""
+    group exactly when ``volumes`` came from lemma1_solution with these betas."""
     lam = as_rational(lam)
-    return tuple(
-        beta + c_hold * x / lam for beta, x in zip(betas, sol.volumes, strict=True)
-    )
+    return tuple(beta + c_hold * x / lam for beta, x in zip(betas, volumes, strict=True))
 
 
 def best_batch_count(A: int, Q: int, r_max: int) -> int:

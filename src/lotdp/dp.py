@@ -697,10 +697,6 @@ class SolveReport:
     interior: int  # the plan's interior batches, _interior_count
 
     @property
-    def per_H_objectives(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple((t.H, t.objective) for t in self.trace)
-
-    @property
     def table_cells_filled(self) -> int:
         return sum(t.cells for t in self.trace)
 

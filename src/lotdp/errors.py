@@ -22,11 +22,8 @@ class FeasibilityError(LotSizingError):
 
 
 class InvalidInstanceError(LotSizingError):
-    """Instance data fails structural validation."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__("; ".join(v.message for v in report.violations))
+    """Instance data fails structural validation; the message joins every
+    violation found."""
 
 
 class InfeasibleInstanceError(LotSizingError):

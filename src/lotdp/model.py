@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -270,14 +271,14 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
-def require_valid(inst: Instance) -> ValidationReport:
+def require_valid(inst: Instance) -> None:
     """Raise on an invalid instance; used as the entry check of every solver."""
     report = validate_instance(inst)
     if report.ok:
-        return report
+        return
     if report.infeasible_demand and len(report.violations) == 1:
         raise InfeasibleInstanceError(report.violations[0].message)
-    raise InvalidInstanceError(report)
+    raise InvalidInstanceError("; ".join(v.message for v in report.violations))
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -287,6 +288,10 @@ def require_valid(inst: Instance) -> ValidationReport:
 #            "suppliers": [{"alpha", "beta", "m", "M"}, ...]}
 # Solution: {"objective": {"num", "den"},
 #            "deliveries": [{"supplier": int (1-based), "volume": {"num", "den"}}]}
+#
+# Instances are read and written; solutions are only written.  With approx,
+# a rational within float range also carries a decimal "approx"; num/den
+# stay the exact value.
 
 
 def rational_to_json(q: Fraction) -> dict:
@@ -367,37 +372,10 @@ def solution_to_json(sol: Solution, approx: bool = False) -> dict:
         ],
     }
     if approx:
-        out["objective"]["approx"] = float(sol.objective)
-        for entry, d in zip(out["deliveries"], sol.deliveries):
-            entry["volume"]["approx"] = float(d.volume)
+        pairs = [(out["objective"], sol.objective)]
+        pairs += [(entry["volume"], d.volume) for entry, d in zip(out["deliveries"], sol.deliveries)]
+        for entry, q in pairs:
+            if abs(q) <= sys.float_info.max:  # float() overflows beyond it
+                entry["approx"] = float(q)
     return out
 
-
-def solution_from_json(obj, inst: Instance) -> Solution:
-    if not isinstance(obj, dict):
-        raise SchemaError("solution: top level must be a JSON object")
-    for key in ("objective", "deliveries"):
-        if key not in obj:
-            raise SchemaError(f"solution: missing field {key!r}")
-    stated = rational_from_json(obj["objective"], "solution.objective")
-    if not isinstance(obj["deliveries"], list):
-        raise SchemaError("solution.deliveries: expected a list")
-    pairs = []
-    for i, raw in enumerate(obj["deliveries"]):
-        where = f"solution.deliveries[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: expected an object")
-        idx = _int_field(raw, "supplier", where)
-        if "volume" not in raw:
-            raise SchemaError(f"{where}: missing field 'volume'")
-        volume = rational_from_json(raw["volume"], f"{where}.volume")
-        if volume < 0:
-            raise SchemaError(f"{where}.volume: delivery volume must not be negative, got {volume}")
-        pairs.append((idx, volume))
-    sol = make_solution(inst, pairs)
-    if sol.objective != stated:
-        raise SchemaError(
-            f"solution.objective: stated value {stated} does not match the "
-            f"recomputed cost {sol.objective}"
-        )
-    return sol

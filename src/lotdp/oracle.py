@@ -1,7 +1,10 @@
 """Independent solvers used to cross-check the dynamic program.
 
 The two single-delivery oracles are exponential brute force, meant for small
-instances only, and share no table machinery with :mod:`lotdp.dp`.  The
+instances only, and share no table machinery with :mod:`lotdp.dp`.  Two module
+constants bound them: ``structural_oracle`` refuses more than ``MAX_SUPPLIERS``
+suppliers (``lotdp verify`` reads the same cap), and ``grid_oracle`` refuses
+menus that multiply to more than ``MAX_CANDIDATES`` plans.  The
 multi-delivery duplication oracle shares the grid, the cell guard, the Bellman
 fill and the backtrack with its tie rule (``_choice``) of :mod:`lotdp.dp`, but
 not its pricing (every batch is forced onto the grid instead of priced by the
@@ -32,13 +35,16 @@ from .model import (
 ZERO, AT_MIN, AT_MAX, INTERIOR = "zero", "at_m", "at_M", "interior"
 LABELS = (ZERO, AT_MIN, AT_MAX, INTERIOR)
 
+MAX_SUPPLIERS = 8  # structural_oracle enumerates 4**n assignments
+MAX_CANDIDATES = 2_000_000  # grid_oracle's cap on the plans its menus multiply to
+
 
 def _require_single(inst: Instance, caller: str) -> None:
     if inst.mode != SINGLE:
         raise ValueError(f"{caller} handles single-delivery instances only")
 
 
-def structural_oracle(inst: Instance, *, max_suppliers: int = 10) -> Solution:
+def structural_oracle(inst: Instance) -> Solution:
     """Exact optimum by enumerating boundary assignments.
 
     At an optimum every volume is 0, m_i, M_i, or strictly interior, and the
@@ -46,12 +52,13 @@ def structural_oracle(inst: Instance, *, max_suppliers: int = 10) -> Solution:
     demand the fixed volumes leave open.  Trying all 4**n assignments and
     keeping the cheapest consistent candidate is therefore exhaustive.  The
     enumeration order is deterministic, so ties resolve identically run to run.
+    More than ``MAX_SUPPLIERS`` suppliers raise ResourceLimitError.
     """
     require_valid(inst)
     _require_single(inst, "structural_oracle")
-    if inst.n > max_suppliers:
+    if inst.n > MAX_SUPPLIERS:
         raise ResourceLimitError(
-            f"{inst.n} suppliers means 4**{inst.n} assignments; cap is {max_suppliers}"
+            f"{inst.n} suppliers means 4**{inst.n} assignments; cap is {MAX_SUPPLIERS}"
         )
     if inst.capacity == inst.P:
         # Demand ties up every unit of capacity: the all-at-maximum plan is
@@ -84,7 +91,7 @@ def structural_oracle(inst: Instance, *, max_suppliers: int = 10) -> Solution:
                 inst.c_hold,
             )
             consistent = True
-            for i, x in zip(interior, group.volumes):
+            for i, x in zip(interior, group):
                 s = inst.suppliers[i]
                 if not s.m < x < s.M:
                     consistent = False
@@ -103,27 +110,25 @@ def structural_oracle(inst: Instance, *, max_suppliers: int = 10) -> Solution:
     return make_solution(inst, [(i + 1, v) for i, v in enumerate(best_volumes)])
 
 
-def grid_oracle(
-    inst: Instance, denominator_bound: int, *, max_candidates: int = 2_000_000
-) -> Solution:
+def grid_oracle(inst: Instance) -> Solution:
     """Exact optimum by exhausting every combination of grid volumes.
 
     Each supplier may take volume 0 or any point of [m, M] whose denominator
-    divides H * c_hold * den(lam) for some H up to ``denominator_bound``.
+    divides H * c_hold * den(lam) for some H in 1..n: an optimum's interior
+    group has at most n suppliers, so one of these grids holds it.
     Depth-first search with two safe prunes (a partial plan already costing at
     least the incumbent, or one that cannot reach the demand even with every
-    remaining cap) keeps it exhaustive in effect.
+    remaining cap) keeps it exhaustive in effect.  Menus whose product exceeds
+    ``MAX_CANDIDATES`` plans raise ResourceLimitError before the search.
     """
     require_valid(inst)
     _require_single(inst, "grid_oracle")
-    if denominator_bound < 1:
-        raise ValueError("denominator_bound must be >= 1")
 
     menus = []
     total = 1
-    for pos, s in enumerate(inst.suppliers):
+    for s in inst.suppliers:
         volumes = {Fraction(0)}
-        for H in range(1, denominator_bound + 1):
+        for H in range(1, inst.n + 1):
             den = H * inst.c_hold * inst.lam.denominator
             volumes.update(Fraction(i, den) for i in range(s.m * den, s.M * den + 1))
         menu = [
@@ -132,9 +137,9 @@ def grid_oracle(
         ]
         menus.append(menu)
         total *= len(menu)
-        if total > max_candidates:
+        if total > MAX_CANDIDATES:
             raise ResourceLimitError(
-                f"grid enumeration needs more than {max_candidates} candidate plans"
+                f"grid enumeration needs more than {MAX_CANDIDATES} candidate plans"
             )
 
     rest_cap = [0] * (inst.n + 1)

@@ -3,7 +3,9 @@
 Batches are delivered back to back: each one arrives exactly when the previous
 batch has been consumed, so stock is zero at every delivery instant and the
 trajectory is a run of triangles.  Any delivery order yields the same total
-cost; the builder uses supplier index, then larger batches first.
+cost; the builder uses supplier index, then larger batches first.  A timeline
+keeps the intensity it was built with, so reading it back (``stock_at``,
+``holding_integral``) needs no second copy of ``lam``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ class TimelineEvent:
 class Timeline:
     events: tuple[TimelineEvent, ...]
     horizon: Fraction  # total delivered volume / intensity
+    lam: Fraction  # consumption intensity, units per time
 
 
 def schedule_deliveries(deliveries, lam) -> Timeline:
@@ -38,7 +41,7 @@ def schedule_deliveries(deliveries, lam) -> Timeline:
     for d in deliveries:
         events.append(TimelineEvent(t, d.supplier_index, d.volume))
         t += d.volume / lam
-    return Timeline(tuple(events), t)
+    return Timeline(tuple(events), t, lam)
 
 
 def build_schedule(sol: Solution, lam) -> Timeline:
@@ -46,7 +49,7 @@ def build_schedule(sol: Solution, lam) -> Timeline:
     return schedule_deliveries(ordered, lam)
 
 
-def stock_at(timeline: Timeline, t, lam) -> Fraction:
+def stock_at(timeline: Timeline, t) -> Fraction:
     """Stock level at time t; returns the level just after a coincident event."""
     t = as_rational(t)
     if t < 0 or t > timeline.horizon:
@@ -59,22 +62,21 @@ def stock_at(timeline: Timeline, t, lam) -> Fraction:
             break
     if current is None:
         return Fraction(0)
-    return current.volume - as_rational(lam) * (t - current.time)
+    return current.volume - timeline.lam * (t - current.time)
 
 
-def holding_integral(timeline: Timeline, lam, c_hold) -> Fraction:
+def holding_integral(timeline: Timeline, c_hold) -> Fraction:
     """c_hold times the exact integral of the stock level over the horizon.
 
     Each piece of the trajectory is linear, so the trapezoid rule is exact;
     this deliberately avoids the per-batch closed form so the two can be
     checked against each other.
     """
-    lam = as_rational(lam)
     times = [e.time for e in timeline.events] + [timeline.horizon]
     area = Fraction(0)
     for e, (t0, t1) in zip(timeline.events, pairwise(times)):
         start = e.volume
-        end = e.volume - lam * (t1 - t0)
+        end = e.volume - timeline.lam * (t1 - t0)
         area += (start + end) * (t1 - t0) / 2
     return area * c_hold
 

@@ -93,7 +93,7 @@ def test_criterion_3_oracles_agree_on_tiny_instances():
         for _ in range(50):
             inst = random_instance(rng, n_max=3, p_max=12, c_max=2)
             a = structural_oracle(inst).objective
-            b = grid_oracle(inst, inst.n).objective
+            b = grid_oracle(inst).objective
             assert a == b
 
 
@@ -105,10 +105,10 @@ def test_criterion_4_equal_marginal_closed_form():
             betas = [rng.randint(0, 20) for _ in range(H)]
             p = rng.randint(0, 50)
             c_hold = rng.randint(1, 4)
-            sol = lemma1_solution(betas, p, 1, c_hold)
-            assert sum(sol.volumes) == p
-            assert len(set(marginal_costs(sol, betas, 1, c_hold))) == 1
-            for x in sol.volumes:
+            volumes = lemma1_solution(betas, p, 1, c_hold)
+            assert sum(volumes) == p
+            assert len(set(marginal_costs(volumes, betas, 1, c_hold))) == 1
+            for x in volumes:
                 assert (H * c_hold) % x.denominator == 0
 
 
@@ -126,7 +126,7 @@ def test_criterion_6_schedule_integral_matches_batch_formula(sweep):
     with criterion(6, "stock-trajectory integral equals per-batch holding sum"):
         for inst, report, _ in runs:
             timeline = build_schedule(report.solution, inst.lam)
-            direct = holding_integral(timeline, inst.lam, inst.c_hold)
+            direct = holding_integral(timeline, inst.c_hold)
             per_batch = sum(
                 (holding_cost(e.volume, inst.lam, inst.c_hold) for e in timeline.events),
                 F(0),

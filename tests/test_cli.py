@@ -13,6 +13,7 @@ import lotdp
 from lotdp import (
     MULTI,
     Instance,
+    ResourceLimitError,
     Supplier,
     duplication_oracle,
     instance_to_json,
@@ -78,6 +79,14 @@ class TestSolve:
         assert cli.main(["solve", "--pretty", golden_file]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["objective"]["approx"] == 17.5
+
+    def test_pretty_leaves_out_approximations_beyond_float_range(self, tmp_path, capsys):
+        # the objective 10**400 + 35/2 has no float; the volume 5 has one
+        inst = Instance(suppliers=(Supplier(10**400, 1, 2, 6),), P=5)
+        assert cli.main(["solve", "--pretty", write_instance(tmp_path / "huge.json", inst)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["objective"] == {"num": 2 * 10**400 + 35, "den": 2}
+        assert doc["deliveries"] == [{"supplier": 1, "volume": {"num": 5, "den": 1, "approx": 5.0}}]
 
     def test_out_flag_writes_file(self, golden_file, tmp_path, capsys):
         target = tmp_path / "solution.json"
@@ -278,11 +287,18 @@ class TestVerify:
     def test_needs_some_input(self, capsys):
         assert cli.main(["verify"]) == 1
 
-    def test_refuses_large_instances(self, tmp_path, capsys):
+    def test_refuses_large_instances(self, tmp_path, capsys, monkeypatch):
+        # verify refuses with the structural oracle's own cap, before any solve
         inst = Instance(suppliers=(Supplier(1, 1, 1, 3),) * 9, P=5)
+        with pytest.raises(ResourceLimitError, match="cap is 8"):
+            structural_oracle(inst)
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("verify solved"))
         path = write_instance(tmp_path / "wide.json", inst)
         assert cli.main(["verify", path]) == 1
-        assert "refuses" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "",
+            "error: verify enumerates 4**n assignments in single mode and refuses n > 8\n",
+        )
 
     def test_verifies_a_multi_mode_instance_of_many_suppliers(self, tmp_path, capsys):
         # neither solve_multi nor the duplication oracle enumerates
@@ -295,8 +311,8 @@ class TestVerify:
             assert line in out
 
     def test_disagreement_exits_3(self, golden_file, capsys, monkeypatch):
-        def skewed(inst, **kwargs):
-            sol = structural_oracle(inst, **kwargs)
+        def skewed(inst):
+            sol = structural_oracle(inst)
             return replace(sol, objective=sol.objective + 1)
 
         monkeypatch.setattr(cli, "structural_oracle", skewed)

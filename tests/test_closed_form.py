@@ -23,17 +23,17 @@ def objective(volumes, betas):
 class TestLemma1:
     def test_two_supplier_example(self):
         # betas (1, 3), p = 10, lam = 1, c_hold = 1: marginals equalize at 7
-        sol = lemma1_solution((1, 3), 10, 1, 1)
-        assert sol.volumes == (6, 4)
-        assert marginal_costs(sol, (1, 3), 1, 1) == (7, 7)
+        volumes = lemma1_solution((1, 3), 10, 1, 1)
+        assert volumes == (6, 4)
+        assert marginal_costs(volumes, (1, 3), 1, 1) == (7, 7)
 
     def test_symmetric_split(self):
-        sol = lemma1_solution((1, 1), 5, 1, 2)
-        assert sol.volumes == (F(5, 2), F(5, 2))
+        volumes = lemma1_solution((1, 1), 5, 1, 2)
+        assert volumes == (F(5, 2), F(5, 2))
 
     def test_single_supplier_takes_everything(self):
-        sol = lemma1_solution((4,), 9, 2, 3)
-        assert sol.volumes == (9,)
+        volumes = lemma1_solution((4,), 9, 2, 3)
+        assert volumes == (9,)
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError):
@@ -56,9 +56,9 @@ class TestLemma1Properties:
         c_hold=st.integers(1, 4),
     )
     def test_volumes_cover_demand_and_share_one_marginal(self, betas, p, lam, c_hold):
-        sol = lemma1_solution(betas, p, lam, c_hold)
-        assert sum(sol.volumes) == p
-        marginals = marginal_costs(sol, betas, lam, c_hold)
+        volumes = lemma1_solution(betas, p, lam, c_hold)
+        assert sum(volumes) == p
+        marginals = marginal_costs(volumes, betas, lam, c_hold)
         assert len(set(marginals)) == 1
 
     @given(
@@ -67,9 +67,9 @@ class TestLemma1Properties:
         c_hold=st.integers(1, 4),
     )
     def test_denominators_divide_group_size_times_holding_rate(self, betas, p, c_hold):
-        sol = lemma1_solution(betas, p, 1, c_hold)
+        volumes = lemma1_solution(betas, p, 1, c_hold)
         bound = len(betas) * c_hold
-        for x in sol.volumes:
+        for x in volumes:
             assert bound % x.denominator == 0
 
     @given(
@@ -81,11 +81,11 @@ class TestLemma1Properties:
     def test_any_reshuffle_costs_at_least_as_much(self, betas, p, shift, seed):
         """Moving volume between two suppliers while keeping the sum fixed can
         only increase the total cost (strictly, by convexity)."""
-        sol = lemma1_solution(betas, p, 1, 1)
-        base = objective(sol.volumes, betas)
+        volumes = lemma1_solution(betas, p, 1, 1)
+        base = objective(volumes, betas)
         rng = random.Random(seed)
         i, j = rng.sample(range(len(betas)), 2)
-        moved = list(sol.volumes)
+        moved = list(volumes)
         moved[i] += shift
         moved[j] -= shift
         assert objective(moved, betas) > base

@@ -27,6 +27,11 @@ from lotdp import dp
 from test_pricing import full_chain
 
 
+def objectives(report):
+    """(H, objective) of each table the sweep filled, in fill order."""
+    return [(t.H, t.objective) for t in report.trace]
+
+
 def test_grid_points():
     inst = Instance(suppliers=(Supplier(0, 1, 2, 3),), P=5, c_hold=2)
     grid = build_grid(inst, 2)
@@ -53,13 +58,13 @@ class TestGoldenInstance:
     def test_both_grids_tie_and_the_finer_one_wins(self, golden):
         # c_hold = 2 makes the H=1 grid step 1/2, so 5/2 is reachable there too
         report = solve(golden)
-        assert report.per_H_objectives == ((1, F(35, 2)), (2, F(35, 2)))
+        assert objectives(report) == [(1, F(35, 2)), (2, F(35, 2))]
         assert report.best_H == 2
 
     def test_coarser_holding_rate_separates_the_grids(self, golden):
         inst = replace(golden, c_hold=1)
         report = solve(inst)
-        assert report.per_H_objectives == ((1, F(23, 2)), (2, F(45, 4)))
+        assert objectives(report) == [(1, F(23, 2)), (2, F(45, 4))]
         assert report.best_H == 2
         assert report.solution.objective == F(45, 4)
 
@@ -185,7 +190,7 @@ def test_mode_mismatch_is_rejected(golden):
 def test_reports_are_deterministic(golden):
     a, b = solve(golden), solve(golden)
     assert a.best_H == b.best_H
-    assert a.per_H_objectives == b.per_H_objectives
+    assert objectives(a) == objectives(b)
     assert a.solution == b.solution
     assert a.table_cells_filled == b.table_cells_filled
 
@@ -418,7 +423,7 @@ def test_interior_limit_cost_bound():
     assert [dp.interior_limit(inst, b) for b in bounds] == [1, 1, 2, 1, 2, 3]
     # in a solve, table 1's cost 121/2 (one batch of 9, or 4 + 5) cuts L to 2
     report = assert_matches_full_sweep(inst)
-    assert report.per_H_objectives[0] == (1, F(121, 2))
+    assert objectives(report)[0] == (1, F(121, 2))
     assert (report.L, report.L_count) == (2, 3)
     # lam = 3/2: f = 9 / 3 = 3 for m = 3, and three m = 3 fit P - 1 = 9
     inst = Instance(suppliers=(Supplier(0, 0, 3, 9),) * 3, P=10, lam=F(3, 2))
@@ -511,7 +516,7 @@ def test_solve_walks_only_the_kept_tables_that_divide_best_H(monkeypatch, mode):
         walked.clear()
         report = solve_multi(inst) if mode == MULTI else solve(inst)
         v = report.solution.objective
-        eligible = [H for H, val in report.per_H_objectives if val == v and report.best_H % H == 0]
+        eligible = [H for H, val in objectives(report) if val == v and report.best_H % H == 0]
         assert walked == eligible
         lone += len(eligible) == 1
         several += len(eligible) > 1

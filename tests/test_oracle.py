@@ -19,11 +19,11 @@ from lotdp import (
 
 def test_golden_instance_both_ways(golden):
     assert structural_oracle(golden).objective == F(35, 2)
-    assert grid_oracle(golden, 2).objective == F(35, 2)
+    assert grid_oracle(golden).objective == F(35, 2)
 
 
 def test_forced_overshoot_both_ways(overshoot):
-    for sol in (structural_oracle(overshoot), grid_oracle(overshoot, 1)):
+    for sol in (structural_oracle(overshoot), grid_oracle(overshoot)):
         assert sol.objective == 61
         assert sol.per_supplier_totals == (10,)
 
@@ -31,14 +31,14 @@ def test_forced_overshoot_both_ways(overshoot):
 def test_zero_demand(golden):
     inst = replace(golden, P=0)
     assert structural_oracle(inst).objective == 0
-    assert grid_oracle(inst, 1).objective == 0
+    assert grid_oracle(inst).objective == 0
 
 
 def test_minimum_volume_overshoot_single_supplier():
     inst = Instance(suppliers=(Supplier(2, 3, 4, 9),), P=3)
     expected = 2 + 3 * 4 + F(16, 2)
     assert structural_oracle(inst).objective == expected
-    assert grid_oracle(inst, 1).objective == expected
+    assert grid_oracle(inst).objective == expected
 
 
 def test_capacity_equal_to_demand_pins_every_volume():
@@ -46,7 +46,7 @@ def test_capacity_equal_to_demand_pins_every_volume():
     sol = structural_oracle(inst)
     assert sol.per_supplier_totals == (3, 3)
     assert sol.objective == 17
-    assert grid_oracle(inst, 1).objective == 17
+    assert grid_oracle(inst).objective == 17
 
 
 def test_infeasible_demand_raises(overshoot):
@@ -54,7 +54,7 @@ def test_infeasible_demand_raises(overshoot):
     with pytest.raises(InfeasibleInstanceError):
         structural_oracle(inst)
     with pytest.raises(InfeasibleInstanceError):
-        grid_oracle(inst, 1)
+        grid_oracle(inst)
 
 
 def test_multi_mode_is_rejected(golden):
@@ -62,29 +62,33 @@ def test_multi_mode_is_rejected(golden):
     with pytest.raises(ValueError):
         structural_oracle(inst)
     with pytest.raises(ValueError):
-        grid_oracle(inst, 1)
+        grid_oracle(inst)
     with pytest.raises(ValueError, match="multi-delivery instances only"):
         duplication_oracle(golden)
 
 
-def test_grid_oracle_needs_a_positive_denominator_bound(golden):
-    with pytest.raises(ValueError, match="denominator_bound"):
-        grid_oracle(golden, 0)
+def test_supplier_cap():
+    inst = Instance(suppliers=(Supplier(1, 1, 1, 2),) * 9, P=9)
+    with pytest.raises(ResourceLimitError, match="cap is 8"):
+        structural_oracle(inst)
 
 
-def test_supplier_cap(golden):
-    with pytest.raises(ResourceLimitError):
-        structural_oracle(golden, max_suppliers=1)
-
-
-def test_candidate_budget(golden):
-    with pytest.raises(ResourceLimitError):
-        grid_oracle(golden, 2, max_candidates=3)
+def test_candidate_budget():
+    # the CI instance seventh.json: den(lambda) = 7 puts the menus of the grids
+    # H = 1..3 above the oracle's 2,000,000 plans
+    inst = Instance(
+        suppliers=(Supplier(3, 1, 1, 11), Supplier(0, 2, 1, 11), Supplier(5, 0, 1, 11)),
+        P=12,
+        lam=F(1, 7),
+        c_hold=2,
+    )
+    with pytest.raises(ResourceLimitError, match="2000000 candidate plans"):
+        grid_oracle(inst)
 
 
 def test_oracles_are_deterministic(golden):
     assert structural_oracle(golden) == structural_oracle(golden)
-    assert grid_oracle(golden, 2) == grid_oracle(golden, 2)
+    assert grid_oracle(golden) == grid_oracle(golden)
 
 
 def test_oracles_agree_on_random_tiny_instances():
@@ -92,7 +96,7 @@ def test_oracles_agree_on_random_tiny_instances():
     for _ in range(30):
         inst = random_instance(rng, n_max=3, p_max=12, c_max=2, bound_max=6)
         a = structural_oracle(inst).objective
-        b = grid_oracle(inst, max(1, inst.n)).objective
+        b = grid_oracle(inst).objective
         assert a == b, f"disagreement on {inst}"
 
 
@@ -100,4 +104,4 @@ def test_oracles_agree_with_rational_intensity():
     rng = random.Random(11)
     for _ in range(10):
         inst = random_instance(rng, n_max=2, p_max=8, c_max=2, bound_max=5, lam=F(3, 2))
-        assert structural_oracle(inst).objective == grid_oracle(inst, inst.n).objective
+        assert structural_oracle(inst).objective == grid_oracle(inst).objective
