@@ -12,12 +12,16 @@ or the backtrack finds no volume that attains a cell), reported on one
 ``error: internal audit failed: ...`` line.  The environment
 variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve, counted
 before the sweep starts: the grids H = 1..L_count (the interior bound from
-the volume windows alone) together.  The sweep fills the grids 1..L, and
-L <= L_count, so it never fills more; the fill computes only part of each
-table's cells (``computed`` in the report's ``per_H`` and in the ``bench``
-CSV).  A solve over the cap is refused with exit code 1 before any table is
-filled.  ``verify`` in multi mode passes the same cap to ``duplication_oracle``
-too, whose count covers every grid H = 1..multi_h_limit, so ``verify`` may
+the volume windows alone) together.  The sweep fills grid 1 and some of
+the grids 2..L, and L <= L_count, so it never fills more; the fill computes
+only part of each table's cells (``computed`` in the report's ``per_H`` and
+in the ``bench`` CSV).  The report's ``skip_reason`` sorts the grids left
+out: ``"H > L"``, and ``"count bound"`` for those of 2..L whose every
+multiple up to L is an interior count priced above a cheaper table (single
+mode only).  A
+solve over the cap is refused with exit code 1 before any table is filled.
+``verify`` in multi mode passes the same cap to ``duplication_oracle`` too,
+whose count covers every grid H = 1..multi_h_limit, so ``verify`` may
 refuse an instance that ``solve`` accepts under one cap.
 """
 
@@ -135,6 +139,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def report_to_json(report: SolveReport) -> dict:
+    skipped = report.skipped_H
     return {
         "best_H": report.best_H,
         "objective": rational_to_json(report.solution.objective),
@@ -144,8 +149,11 @@ def report_to_json(report: SolveReport) -> dict:
         "L": report.L,
         "interior": report.interior,
         "L_count": report.L_count,
-        "skipped_H": list(report.skipped_H),
-        "skip_reason": "H > L",
+        "skipped_H": list(skipped),
+        "skip_reason": {
+            "H > L": [H for H in skipped if H > report.L],
+            "count bound": [H for H in skipped if H <= report.L],
+        },
         "per_H": [
             {
                 "H": t.H,

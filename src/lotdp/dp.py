@@ -20,21 +20,27 @@ m of all interior batches sum to at most P - 1: L_count is the most batches
 that fit.  Each interior batch also costs more than its supplier's
 f = alpha + beta*m + c*m**2/(2*lam), and table 1 bounds the optimum v* from
 above, so the f of all interior batches sum to less than table 1's cost.
-L is the smaller of the two counts, and at least 1.  The sweep fills table 1,
-then the tables 2..L; the cheapest is the exact optimum v*.  ``best_H``
-still names the largest H up to H_top (n, or ``multi_h_limit``) whose grid
-reaches v*.  Grid g lies inside grid H when g divides H, and every optimum
-lies on the grid of its own interior count, so table H reaches v* exactly
-when H is a multiple of some g <= L whose table reaches v*.
+L is the smaller of the two counts, and at least 1.  ``best_H`` still names
+the largest H up to H_top (n, or ``multi_h_limit``) whose grid reaches v*.
+Grid g lies inside grid H when g divides H, an optimum on two grids lies on
+the grid of their gcd, and every optimum lies on the grid of its own
+interior count c <= L, so the smallest grid of an optimum divides its c.
+Table H can add an optimum only through one with H | c.  In single mode a
+price on the demand bounds every plan with exactly c interior suppliers
+from below (``_count_bound``), so the sweep fills table 1, then each table H
+in 2..L unless every multiple c <= L of H is priced above the cheapest table
+so far; multi mode fills every table 1..L.  Every optimum's smallest grid is
+filled, the cheapest table is the exact optimum v*, and grid H reaches v*
+exactly when H is a multiple of some filled table that reaches v*.
 
 The fill computes phi only.  The backtrack decides each step with one tie
 rule, ``_choice``: a supplier is skipped when skipping costs the same, and
 otherwise takes the smallest volume that attains the cell.  So each table's
 backtrack is the lexicographically smallest optimal plan on its grid (volumes
 compared from supplier n down, a skip counting as 0).  The optimal plans on
-grid best_H are those of the reaching grids g <= L that divide best_H, so
+grid best_H are those of the filled reaching tables that divide best_H, so
 best_H's plan is the smallest of theirs, and no table above L is ever
-filled.  The sweep keeps the tables 1..L until it names best_H, walks the
+filled.  The sweep keeps the tables it fills until it names best_H, walks the
 plan of each one that reaches v* and divides best_H once (``DPTable.plan``),
 and backtracks the one whose plan, scaled to grid best_H, is smallest.  It
 checks the bound on the plan it returns: its interior count
@@ -675,10 +681,14 @@ class HTrace:
 class SolveReport:
     """Outcome of one H sweep.
 
-    ``trace`` holds one entry per table filled, in fill order: the grids
-    H = 1..L.  ``skipped_H`` lists the other grids up to ``H_top``: each lies
-    above ``L``, so no optimum needs it.  ``interior`` is the returned plan's
-    interior count, which the sweep checks is at most ``L``.
+    ``trace`` holds one entry per table filled, in fill order: grid 1 and
+    those of the grids 2..L that the count bound does not leave out (all of
+    them in multi mode).
+    ``skipped_H`` lists the other grids up to ``H_top``: each lies above
+    ``L``, or every multiple c <= L of it is an interior count whose plans
+    all cost more than a table filled before it (see ``_sweep``), so no
+    optimum needs it.  ``interior`` is the returned plan's interior count,
+    which the sweep checks is at most ``L``.
 
     ``elapsed_seconds`` is the wall time from the cell-budget check through
     pricing and filling every table, backtracking the winner and
@@ -706,6 +716,8 @@ class SolveReport:
 
     @property
     def skipped_H(self) -> tuple[int, ...]:
+        """Every grid up to H_top without a table: those above L, and those
+        of 2..L that the count bound left out."""
         filled = {t.H for t in self.trace}
         return tuple(H for H in range(1, self.H_top + 1) if H not in filled)
 
@@ -771,9 +783,51 @@ def _interior_count(inst: Instance, solution: Solution) -> int:
     )
 
 
+def _count_bound(inst: Instance, ens: tuple[int, ...], ed: int, L: int) -> tuple[int, list[int | None]]:
+    """A lower bound on the cost of every single-mode plan with exactly c
+    interior suppliers, for c = 0..L: (S, D), D[c] the bound's numerator over
+    S = 2*a*c_hold*b*ed**2 for lam = a/b, the largest over the prices ell =
+    en/ed >= 0 for en in ``ens``.  L is at most the number of suppliers with
+    M > m, as ``interior_limit`` is.
+
+    A price ell on the demand (Lagrangian relaxation, Fisher 1981) bounds a
+    plan covering P from below by ell*P + sum_i g_i(x_i), with g_i(x) =
+    cost_i(x) - ell*x = alpha + (beta - ell)*x + c_hold*x**2/(2*lam) and
+    g_i(0) = 0.  A supplier at 0, m or M gives at least e = min(0, g(m),
+    g(M)), and an interior one (m < x < M) at least e + d, d = min g over
+    [m, M] - e.  So D(c) = ell*P + the sum of e + the c smallest d.
+
+    Times S every term is an integer: S*g(x) = S*alpha + 2*a*c_hold*b*ed*
+    (beta*ed - en)*x + (c_hold*b*ed*x)**2, whose least value over the reals,
+    at x* = a*(en - beta*ed) / (c_hold*b*ed), is S*alpha - a**2*(en -
+    beta*ed)**2."""
+    a, q = inst.lam.numerator, inst.c_hold * inst.lam.denominator * ed
+    S, slope = 2 * a * q * ed, 2 * a * q  # S*ell*x = slope*en*x
+    terms = []  # per supplier, the parts of S*g(m), S*g(M) and x* that ell leaves alone
+    for s in inst.suppliers:
+        A, lin = S * s.alpha, slope * s.beta * ed
+        at_m, at_M = A + (lin + q * q * s.m) * s.m, A + (lin + q * q * s.M) * s.M
+        terms.append((at_m, at_M, s.m, s.M, A, a * s.beta * ed, q * s.m, q * s.M))
+    D = None
+    for en in ens:
+        slope_en, a_en = slope * en, a * en
+        base, extras = slope_en * inst.P, []
+        for at_m, at_M, m, M, A, y0, qm, qM in terms:
+            at_m -= slope_en * m
+            at_M -= slope_en * M
+            e = min(0, at_m, at_M)
+            base += e
+            if M > m:
+                y = a_en - y0  # x* = y / q
+                extras.append((at_m if y < qm else A - y * y if y <= qM else at_M) - e)
+        bound = list(accumulate(sorted(extras)[:L], initial=base))
+        D = bound if D is None else list(map(max, D, bound))
+    return S, D
+
+
 def _sweep_cells(inst: Instance, L_count: int) -> int:
     """Cells the sweep may fill, from the grid definition alone: the tables
-    H = 1..L_count.  The sweep fills the tables 1..L, and L <= L_count.
+    H = 1..L_count.  The sweep fills tables up to L only, and L <= L_count.
     Table H holds (n + 1) * (P*H*c_hold*den(lam) + 1) cells (``Grid.cells``),
     so the sum has a closed form and no grid is built."""
     step = inst.P * inst.c_hold * inst.lam.denominator
@@ -793,29 +847,37 @@ def _require_sweep_budget(inst: Instance, L_count: int, max_cells: int | None) -
 
 
 def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
-    """Fill the grids H = 1..L and name best_H among H = 1..H_top.
+    """Fill table 1 and the tables 2..L an optimum may need, and name best_H
+    among H = 1..H_top.
 
-    Every optimum lies on the grid of its own interior count g <= L (its
-    other volumes are integers), and grid g lies inside grid H when g | H.
-    So the cheapest of the tables 1..L is the optimum v*, and table H reaches
-    v* exactly when some g <= L whose table reaches v* divides H.  best_H is
-    the largest such H up to H_top.  Table 1 is filled first: its cost bounds
-    v* and so L.  A grid has a plan exactly when the windows cover P.
-    ``solve`` and ``solve_multi`` refuse an instance that no grid can serve
-    in require_valid, before the sweep; the fill of table 1 refuses it
-    ("no grid admits a feasible plan") only when the sweep is called on an
+    Every optimum lies on the grid of its own interior count c <= L (its
+    other volumes are integers), grid g lies inside grid H when g | H, and an
+    optimum on grids g and H lies on grid gcd(g, H).  So each optimum has a
+    smallest grid, and it divides c.  Table 1 is filled first: its cost v1
+    bounds v* and so L.  Table H in 2..L is filled unless, for every multiple
+    c <= L of H, :func:`_count_bound` at one of the prices v1/P, 3*v1/(2P) and
+    2*v1/P puts every plan with exactly c interior suppliers above the
+    cheapest table so far, which is at least v*; multi mode fills them all,
+    as there the bound cost more time than the fills it saved.  No optimum's
+    c is ruled out, so its smallest grid is filled: the cheapest table is the
+    optimum v*, and grid H reaches v* exactly when some filled table that
+    reaches v* divides H.  best_H is the largest such H up to H_top.  A grid
+    has a plan exactly when the windows cover P.  ``solve`` and
+    ``solve_multi`` refuse an instance that no grid can serve in
+    require_valid, before the sweep; the fill of table 1 refuses it ("no
+    grid admits a feasible plan") only when the sweep is called on an
     instance that skipped that check.
 
     best_H's plan is the backtrack of its table, the lexicographically
-    smallest optimal plan on its grid.  An optimum on grid best_H lies on
-    grid gcd(g, best_H) too, g its interior count, so that plan is the
-    smallest of the plans of the reaching tables g <= L that divide best_H.
-    The sweep keeps the tables 1..L, takes v* and the reaching grids from
-    their traces, and backtracks the table among those that divide best_H
-    whose plan, its volumes scaled to grid best_H, is smallest from supplier
-    n down; each of their plans is walked once (``DPTable.plan``), and the
-    backtrack reads the winner's kept plan.  The tables filled are exactly
-    1..L.
+    smallest optimal plan on its grid.  An optimum on grid best_H lies on its
+    smallest grid, which divides best_H and is filled, so that plan is the
+    smallest of the plans of the filled reaching tables that divide best_H.
+    So best_H and the plan are those of a sweep over every grid.  The sweep
+    keeps the tables it fills, takes v* and the reaching grids from their
+    traces, and backtracks the table among those that divide best_H whose
+    plan, its volumes scaled to grid best_H, is smallest from supplier n
+    down; each of their plans is walked once (``DPTable.plan``), and the
+    backtrack reads the winner's kept plan.
 
     The plan returned is checked: its objective, recomputed by make_solution,
     must be the cheapest table's, an explicit raise that ``python -O`` keeps;
@@ -824,20 +886,30 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     t_start = time.perf_counter()
     L_count = interior_limit(inst)
     _require_sweep_budget(inst, L_count, max_cells)
-    tables, traces = [], []  # table H is tables[H - 1]
+    tables, traces = {}, []
 
     def fill(H: int) -> None:
         t0 = time.perf_counter()
         table = solve_fixed_H(inst, H)
         micros = int((time.perf_counter() - t0) * 1_000_000)
-        tables.append(table)
+        tables[H] = table
         traces.append(HTrace(H, table.final, table.grid.cells, micros, table.computed))
 
     fill(1)
-    L = interior_limit(inst, traces[0].objective)
+    best_val = traces[0].objective
+    L = interior_limit(inst, best_val)
+    counted = L > 1 and inst.mode == SINGLE
+    if counted:  # so P > 1: the prices v1/P, 3*v1/(2P) and 2*v1/P over one denominator
+        ens = tuple(k * best_val.numerator for k in (2, 3, 4))
+        S, D = _count_bound(inst, ens, 2 * best_val.denominator * inst.P, L)
     for H in range(2, L + 1):
-        fill(H)
-    best_val = min(t.objective for t in traces)
+        # table H adds an optimum only through one whose interior count c is
+        # a multiple of H: fill it unless every such c is priced above the
+        # cheapest table so far
+        v_num, v_den = best_val.numerator, best_val.denominator
+        if not counted or any(D[c] * v_den <= S * v_num for c in range(H, L + 1, H)):
+            fill(H)
+            best_val = min(best_val, traces[-1].objective)
     reaching = [t.H for t in traces if t.objective == best_val]
     best_H = next(H for H in range(H_top, 0, -1) if any(H % g == 0 for g in reaching))
     # each plan as (supplier, index on grid best_H) pairs from supplier n down:
@@ -845,13 +917,13 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     # compare its volumes, or one skips a supplier the other uses and its
     # lower next supplier (or its end) sorts first, as a skip counts as 0
     table = min(
-        (tables[g - 1] for g in reaching if best_H % g == 0),
+        (tables[g] for g in reaching if best_H % g == 0),
         key=lambda t: [(k, idx * (best_H // t.grid.H)) for k, idx in reversed(t.plan)],
     )
     solution = backtrack(table, inst)
     if solution.objective != best_val:  # recomputed from scratch in make_solution
         raise AssertionError(f"the plan recomputes to {solution.objective}, its table holds {best_val}")
-    den = build_grid(inst, best_H).denominator
+    den = best_H * inst.c_hold * inst.lam.denominator
     assert all(den % t.denominator == 0 for t in solution.per_supplier_totals), f"totals off grid {best_H}"
     interior = _interior_count(inst, solution)
     assert interior <= L, f"the plan has {interior} interior batches, above L = {L}"
@@ -871,11 +943,12 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
 def solve(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
     """Exact optimum of a single-delivery instance via the H sweep.
 
-    best_H ranges over H = 1..n; the sweep fills the tables H = 1..L
-    (:func:`interior_limit`).  ``max_cells`` caps the cells of the sweep
-    before L is known, so it counts the tables H = 1..L_count (L's bound from
-    the windows alone, never below L); a sweep over the cap raises
-    ResourceLimitError before any table is filled.
+    best_H ranges over H = 1..n; the sweep fills table 1 and those of the
+    tables 2..L (:func:`interior_limit`) that an optimum may need.
+    ``max_cells`` caps the cells of the sweep before L is known, so it counts
+    the tables H = 1..L_count (L's bound from the windows alone, never below
+    L); a sweep over the cap raises ResourceLimitError before any table is
+    filled.
 
     Raises, before any table is filled: InvalidInstanceError on invalid
     data, InfeasibleInstanceError when the capacity is below P (both from
@@ -903,11 +976,12 @@ def solve_multi(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
     """Exact optimum when suppliers may deliver repeatedly.
 
     Each grid total is priced with the closed-form equal-batch split.  best_H
-    ranges over H = 1..multi_h_limit; the sweep fills the tables H = 1..L
-    (:func:`interior_limit`).  ``max_cells`` caps the cells of the sweep
-    before L is known, so it counts the tables H = 1..L_count (L's bound from
-    the windows alone, never below L); a sweep over the cap raises
-    ResourceLimitError before any table is filled.
+    ranges over H = 1..multi_h_limit; the sweep fills table 1 and those of
+    the tables 2..L (:func:`interior_limit`) that an optimum may need.
+    ``max_cells`` caps the cells of the sweep before L is known, so it counts
+    the tables H = 1..L_count (L's bound from the windows alone, never below
+    L); a sweep over the cap raises ResourceLimitError before any table is
+    filled.
 
     Raises as :func:`solve` does, with ValueError on a single-mode instance.
     """

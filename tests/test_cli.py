@@ -105,8 +105,24 @@ class TestSolve:
         assert [h["H"] for h in report["per_H"]] == [1, 2, 3, 4]
         assert report["best_H"] == 8
         assert report["skipped_H"] == [5, 6, 7, 8]
-        assert report["skip_reason"] == "H > L"
+        assert report["skip_reason"] == {"H > L": [5, 6, 7, 8], "count bound": []}
         assert report["table_cells_filled"] == sum(h["cells"] for h in report["per_H"])
+
+    def test_report_names_the_grids_the_count_bound_leaves_out(self, tmp_path, capsys):
+        # three wide windows: the optimum puts each supplier at 13/3 on grid
+        # 3, and at the prices v1/P..2*v1/P every plan with exactly two
+        # interior suppliers costs more than table 1's 163/2
+        inst = Instance(
+            suppliers=(Supplier(4, 3, 1, 14), Supplier(5, 3, 2, 13), Supplier(5, 3, 2, 12)),
+            P=13,
+        )
+        assert cli.main(["solve", write_instance(tmp_path / "wide.json", inst)]) == 0
+        report = json.loads(capsys.readouterr().err)
+        assert (report["L"], report["best_H"], report["objective"]) == (3, 3, {"num": 487, "den": 6})
+        assert [h["H"] for h in report["per_H"]] == [1, 3]
+        assert report["skipped_H"] == [2]
+        assert report["skip_reason"] == {"H > L": [], "count bound": [2]}
+        assert structural_oracle(inst).objective == F(487, 6)
 
     def test_report_counts_the_computed_cells(self, golden_file, capsys):
         # the golden relaxation costs what the optimum does, so each row's

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from lotdp import (
     backtrack,
     build_grid,
     duplication_oracle,
+    lemma1_solution,
     make_solution,
     multi_h_limit,
     random_instance,
@@ -284,10 +286,13 @@ def assert_matches_full_sweep(inst):
     assert report.best_H == best_H
     assert report.solution == solution
     assert report.solution.objective == solution.objective
-    # exactly the tables 1..L, in order, and the rest of the H range skipped
+    # table 1 and some of the tables 2..L, in order, and the rest of the H
+    # range skipped
     filled = [t.H for t in report.trace]
-    assert filled == list(range(1, report.L + 1))
-    assert report.skipped_H == tuple(range(report.L + 1, report.H_top + 1))
+    assert filled[:1] == [1] and filled == sorted(set(filled)) and filled[-1] <= report.L
+    assert report.skipped_H == tuple(H for H in range(1, report.H_top + 1) if H not in filled)
+    if inst.mode == MULTI:  # the count bound runs in single mode only
+        assert filled == list(range(1, report.L + 1))
     # the guard bounds the sweep, and the plan keeps the interior bound
     assert report.L <= report.L_count
     assert report.table_cells_filled <= dp._sweep_cells(inst, report.L_count)
@@ -387,6 +392,87 @@ def test_bounded_sweep_with_no_purchase_costs_in_multi_mode():
     inst = Instance(suppliers=(Supplier(0, 1, 2, 7), Supplier(0, 2, 3, 9)), P=11, mode=MULTI)
     report = assert_matches_full_sweep(inst)
     assert (report.L, report.L_count, report.H_top) == (4, 4, 8)
+
+
+# --- the interior-count bound against enumerated plans -------------------------
+
+
+def structural_minima(inst):
+    """The cheapest plan of each interior count c over the 0/m/M/interior
+    labelings, the interior volumes split by lemma1_solution as in
+    structural_oracle and kept when each lies strictly inside its window."""
+    best = {}
+    for labels in itertools.product((0, 1, 2, 3), repeat=inst.n):
+        chosen = [(s, (0, s.m, s.M)[x]) for x, s in zip(labels, inst.suppliers) if x < 3]
+        group = [s for x, s in zip(labels, inst.suppliers) if x == 3]
+        rest = inst.P - sum(x for _, x in chosen)
+        if group:
+            if rest <= 0:
+                continue
+            volumes = lemma1_solution([s.beta for s in group], rest, inst.lam, inst.c_hold)
+            if not all(s.m < x < s.M for s, x in zip(group, volumes)):
+                continue
+            chosen += zip(group, volumes)
+        elif rest > 0:
+            continue
+        cost = sum(s.alpha + s.beta * x + inst.c_hold * x * x / (2 * inst.lam) for s, x in chosen if x)
+        best[len(group)] = min(cost, best.get(len(group), cost))
+    return best
+
+
+def windows_instance(rng, lam):
+    """Two to five suppliers with small m and windows up to 12 wide, demand up
+    to the capacity: many plans with two or more interior suppliers."""
+    suppliers = []
+    for _ in range(rng.randint(2, 5)):
+        m = rng.randint(1, 5)
+        suppliers.append(Supplier(rng.randint(0, 10), rng.randint(0, 10), m, m + rng.randint(0, 12)))
+    P = rng.randint(0, sum(s.M for s in suppliers))
+    return Instance(suppliers=tuple(suppliers), P=P, lam=lam, c_hold=rng.randint(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    a=st.integers(1, 4),
+    b=st.integers(1, 3),
+    drawn=st.lists(
+        st.tuples(st.lists(st.integers(0, 60), min_size=1, max_size=3).map(tuple), st.integers(1, 6)),
+        max_size=2,
+    ),
+)
+def test_count_bound_is_below_every_plan_of_its_count(seed, a, b, drawn):
+    # the bound at the sweep's prices v1/P, 3*v1/(2P), 2*v1/P and at drawn
+    # ones never exceeds the cheapest enumerated plan of a count, and every
+    # grid 2..L the sweep leaves out has each multiple priced above v*
+    inst = windows_instance(random.Random(seed), F(a, b))
+    minima = structural_minima(inst)
+    v1 = solve_fixed_H(inst, 1).final
+    prices = [(tuple(k * v1.numerator for k in (2, 3, 4)), 2 * v1.denominator * max(inst.P, 1)), *drawn]
+    L = max(minima)
+    for ens, ed in prices:
+        S, D = dp._count_bound(inst, ens, ed, L)
+        assert len(D) == L + 1
+        for c, cheapest in minima.items():
+            assert F(D[c], S) <= cheapest
+    report = solve(inst)
+    v = report.solution.objective
+    filled = {t.H for t in report.trace}
+    for H in range(2, report.L + 1):
+        if H not in filled:
+            assert all(minima.get(c, v + 1) > v for c in range(H, report.L + 1, H))
+
+
+def test_a_count_priced_exactly_at_the_running_best_is_filled():
+    # alpha = beta = 0: the optimum 25/2 puts both suppliers at 5/2, on grid
+    # 1 too, and its marginal cost 5 is the price 2*v1/P, where the bound is
+    # exact: D(2) = 25/2, the cheapest table so far.  A tie never rules a
+    # count out, so table 2 is filled
+    inst = Instance(suppliers=(Supplier(0, 0, 1, 4),) * 2, P=5, c_hold=2)
+    S, D = dp._count_bound(inst, (2 * 25, 3 * 25, 4 * 25), 2 * 2 * 5, 2)
+    assert F(D[2], S) == F(25, 2)
+    report = solve(inst)
+    assert objectives(report) == [(1, F(25, 2)), (2, F(25, 2))]
 
 
 def test_interior_limit():
@@ -502,7 +588,7 @@ def count_walks(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["single", MULTI])
 def test_solve_walks_only_the_kept_tables_that_divide_best_H(monkeypatch, mode):
-    # the sweep keeps the tables 1..L; each one at v* whose grid divides
+    # the sweep keeps the tables it fills; each one at v* whose grid divides
     # best_H is walked exactly once, a lone one as well as several, and the
     # backtrack reads the winner's plan without walking it again
     walked = count_walks(monkeypatch)
@@ -551,7 +637,7 @@ def test_best_H_at_most_L_ranks_its_own_table_with_its_divisors(monkeypatch, ins
 @settings(max_examples=90, deadline=None)
 @given(seed=st.integers(0, 10**6), kind=st.sampled_from(["single", MULTI, "pair"]))
 def test_plan_is_the_smallest_of_the_eligible_tables_by_its_totals(seed, kind):
-    # an independent statement of the rule: among the tables 1..L that reach
+    # an independent statement of the rule: among the tables filled that reach
     # v* and divide best_H, the plan whose supplier totals, read from
     # supplier n down as Fractions, are smallest; no table is walked twice
     rng = random.Random(seed)
@@ -573,7 +659,7 @@ def test_plan_is_the_smallest_of_the_eligible_tables_by_its_totals(seed, kind):
         walked = count_walks(mp)
         report = solve_multi(inst) if inst.mode == MULTI else solve(inst)
     assert len(walked) == len(set(walked))
-    assert [t.grid.H for t in tables] == list(range(1, report.L + 1))
+    assert [t.grid.H for t in tables] == [t.H for t in report.trace]
     v = report.solution.objective
     plans = [backtrack(t, inst) for t in tables if t.final == v and report.best_H % t.grid.H == 0]
     assert report.solution == min(plans, key=lambda s: s.per_supplier_totals[::-1])
