@@ -19,7 +19,9 @@ in the ``bench`` CSV).  The report's ``skip_reason`` sorts the grids left
 out: ``"H > L"``, and ``"count bound"`` for those of 2..L whose every
 multiple up to L is an interior count priced above a cheaper table (single
 mode only).  A
-solve over the cap is refused with exit code 1 before any table is filled.
+solve over the cap is refused with exit code 1 before any table is filled;
+a ``verify --seed-batch`` run stops at the first instance over the cap, and
+its error line names the instance's index.
 ``verify`` in multi mode passes the same cap to ``duplication_oracle`` too,
 whose count covers every grid H = 1..multi_h_limit, so ``verify`` may
 refuse an instance that ``solve`` accepts under one cap.
@@ -226,6 +228,8 @@ def cmd_verify(args) -> int:
             inst = random_instance(rng)
             try:
                 results, agree = _verify_one(inst, max_cells)
+            except ResourceLimitError as exc:  # the batch stops here: name the instance
+                raise ResourceLimitError(f"instance {i}: {exc}") from None
             except (AssertionError, FeasibilityError) as exc:
                 # a solver's own check failed on this instance: a disagreement
                 # like any other, so the batch goes on

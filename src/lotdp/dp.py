@@ -21,7 +21,8 @@ that fit.  Each interior batch also costs more than its supplier's
 f = alpha + beta*m + c*m**2/(2*lam), and table 1 bounds the optimum v* from
 above, so the f of all interior batches sum to less than table 1's cost.
 L is the smaller of the two counts, and at least 1.  ``best_H`` still names
-the largest H up to H_top (n, or ``multi_h_limit``) whose grid reaches v*.
+the largest H up to H_top (n, or ``multi_h_limit``, never below L) whose grid
+reaches v*.
 Grid g lies inside grid H when g divides H, an optimum on two grids lies on
 the grid of their gcd, and every optimum lies on the grid of its own
 interior count c <= L, so the smallest grid of an optimum divides its c.
@@ -31,7 +32,8 @@ from below (``_count_bound``), so the sweep fills table 1, then each table H
 in 2..L unless every multiple c <= L of H is priced above the cheapest table
 so far; multi mode fills every table 1..L.  Every optimum's smallest grid is
 filled, the cheapest table is the exact optimum v*, and grid H reaches v*
-exactly when H is a multiple of some filled table that reaches v*.
+exactly when H is a multiple of some filled table that reaches v*: best_H is
+the largest multiple up to H_top of such a table.
 
 The fill computes phi only.  The backtrack decides each step with one tie
 rule, ``_choice``: a supplier is skipped when skipping costs the same, and
@@ -40,11 +42,15 @@ backtrack is the lexicographically smallest optimal plan on its grid (volumes
 compared from supplier n down, a skip counting as 0).  The optimal plans on
 grid best_H are those of the filled reaching tables that divide best_H, so
 best_H's plan is the smallest of theirs, and no table above L is ever
-filled.  The sweep keeps the tables it fills until it names best_H, walks the
-plan of each one that reaches v* and divides best_H once (``DPTable.plan``),
-and backtracks the one whose plan, scaled to grid best_H, is smallest.  It
-checks the bound on the plan it returns: its interior count
-(``_interior_count``) is at most L.
+filled.  The sweep ranks each table H it fills by (its objective, minus the
+largest multiple of H up to H_top) and keeps only the tables of least rank
+so far, dropping each other table once it loses: a reaching table g divides
+best_H exactly when its largest multiple is best_H, so the tables kept at
+the end are those that reach v* and divide best_H, in fill order.  The sweep
+walks the plan of each kept table once (``DPTable.plan``), and backtracks
+the one whose plan, scaled to grid best_H, is smallest.  It checks the bound
+on the plan it returns: its interior count (``_interior_count``) is at most
+L.
 
 Pricing and the fill never build a Fraction.  With lam = a/b, every candidate
 cost on the grid of denominator den is an integer over B = 2*a*den**2 (single
@@ -72,8 +78,8 @@ off phi and the cost rows at backtrack, and only on the n cells of the path.
 
 A cell cap, when given, bounds the total cells of the whole sweep and is
 checked before any table is filled, so before L is known: it counts the
-tables 1..L_count, and L <= L_count.  The sweep keeps the tables it fills
-until it names best_H, so the cap bounds them too.
+tables 1..L_count, and L <= L_count.  The tables the sweep holds at once are
+some of those it fills, so the cap bounds them too.
 
 Demand may also be covered by over-delivery: a batch larger than the open
 residual p closes the plan on its own.  In multi-delivery mode the aggregated
@@ -861,7 +867,8 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     as there the bound cost more time than the fills it saved.  No optimum's
     c is ruled out, so its smallest grid is filled: the cheapest table is the
     optimum v*, and grid H reaches v* exactly when some filled table that
-    reaches v* divides H.  best_H is the largest such H up to H_top.  A grid
+    reaches v* divides H.  best_H is the largest such H up to H_top: the
+    largest multiple up to H_top of a filled table that reaches v*.  A grid
     has a plan exactly when the windows cover P.  ``solve`` and
     ``solve_multi`` refuse an instance that no grid can serve in
     require_valid, before the sweep; the fill of table 1 refuses it ("no
@@ -872,12 +879,19 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     smallest optimal plan on its grid.  An optimum on grid best_H lies on its
     smallest grid, which divides best_H and is filled, so that plan is the
     smallest of the plans of the filled reaching tables that divide best_H.
-    So best_H and the plan are those of a sweep over every grid.  The sweep
-    keeps the tables it fills, takes v* and the reaching grids from their
-    traces, and backtracks the table among those that divide best_H whose
-    plan, its volumes scaled to grid best_H, is smallest from supplier n
-    down; each of their plans is walked once (``DPTable.plan``), and the
-    backtrack reads the winner's kept plan.
+    So best_H and the plan are those of a sweep over every grid.
+
+    The sweep ranks each table H it fills by (objective, H_top % H - H_top),
+    the second term minus the largest multiple of H up to H_top (H <= L <=
+    H_top), and keeps only the tables of least rank so far, dropping each
+    other table once it loses.  The least rank reads v* and best_H.  A table
+    g that reaches v* divides best_H exactly when its largest multiple up to
+    H_top is best_H, so the tables kept at the end are those that reach v*
+    and divide best_H, in fill order; the least rank only falls, so a table
+    that loses it never wins it back.  The sweep backtracks the kept table
+    whose plan, its volumes scaled to grid best_H, is smallest from supplier
+    n down; each kept plan is walked once (``DPTable.plan``), and the
+    backtrack reads the winner's.
 
     The plan returned is checked: its objective, recomputed by make_solution,
     must be the cheapest table's, an explicit raise that ``python -O`` keeps;
@@ -886,38 +900,41 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     t_start = time.perf_counter()
     L_count = interior_limit(inst)
     _require_sweep_budget(inst, L_count, max_cells)
-    tables, traces = {}, []
+    traces, kept, least = [], [], None
 
     def fill(H: int) -> None:
+        nonlocal least
         t0 = time.perf_counter()
         table = solve_fixed_H(inst, H)
         micros = int((time.perf_counter() - t0) * 1_000_000)
-        tables[H] = table
-        traces.append(HTrace(H, table.final, table.grid.cells, micros, table.computed))
+        # the objective, then minus the largest multiple of H up to H_top
+        rank = (table.final, H_top % H - H_top)
+        traces.append(HTrace(H, rank[0], table.grid.cells, micros, table.computed))
+        if least is None or rank < least:
+            least, kept[:] = rank, []  # the tables kept so far lose for good
+        if rank == least:
+            kept.append(table)
 
     fill(1)
-    best_val = traces[0].objective
-    L = interior_limit(inst, best_val)
+    L = interior_limit(inst, least[0])
     counted = L > 1 and inst.mode == SINGLE
     if counted:  # so P > 1: the prices v1/P, 3*v1/(2P) and 2*v1/P over one denominator
-        ens = tuple(k * best_val.numerator for k in (2, 3, 4))
-        S, D = _count_bound(inst, ens, 2 * best_val.denominator * inst.P, L)
+        ens = tuple(k * least[0].numerator for k in (2, 3, 4))
+        S, D = _count_bound(inst, ens, 2 * least[0].denominator * inst.P, L)
     for H in range(2, L + 1):
         # table H adds an optimum only through one whose interior count c is
         # a multiple of H: fill it unless every such c is priced above the
         # cheapest table so far
-        v_num, v_den = best_val.numerator, best_val.denominator
+        v_num, v_den = least[0].numerator, least[0].denominator
         if not counted or any(D[c] * v_den <= S * v_num for c in range(H, L + 1, H)):
             fill(H)
-            best_val = min(best_val, traces[-1].objective)
-    reaching = [t.H for t in traces if t.objective == best_val]
-    best_H = next(H for H in range(H_top, 0, -1) if any(H % g == 0 for g in reaching))
+    best_val, best_H = least[0], -least[1]
     # each plan as (supplier, index on grid best_H) pairs from supplier n down:
     # where two plans first differ, either both use the supplier and the pairs
     # compare its volumes, or one skips a supplier the other uses and its
     # lower next supplier (or its end) sorts first, as a skip counts as 0
     table = min(
-        (tables[g] for g in reaching if best_H % g == 0),
+        kept,
         key=lambda t: [(k, idx * (best_H // t.grid.H)) for k, idx in reversed(t.plan)],
     )
     solution = backtrack(table, inst)

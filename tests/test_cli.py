@@ -300,6 +300,16 @@ class TestVerify:
         assert cli.main(["verify", "--seed-batch", "20", "--seed", "3"]) == 0
         assert "20/20 agree" in capsys.readouterr().out
 
+    def test_seed_batch_names_the_instance_over_the_cell_cap(self, capsys, monkeypatch):
+        # instance 31 of seed 0 needs 1,635 cells and the 31 before it fit
+        # under 1,500: the batch stops there on one error line that names it
+        monkeypatch.setenv("LOTDP_MAX_CELLS", "1500")
+        assert cli.main(["verify", "--seed-batch", "40"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: instance 31: the sweep over H=1..3 needs 1635 table cells, above the cap 1500\n",
+        )
+
     def test_needs_some_input(self, capsys):
         assert cli.main(["verify"]) == 1
 

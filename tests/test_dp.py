@@ -1,5 +1,6 @@
 import itertools
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -293,8 +294,10 @@ def assert_matches_full_sweep(inst):
     assert report.skipped_H == tuple(H for H in range(1, report.H_top + 1) if H not in filled)
     if inst.mode == MULTI:  # the count bound runs in single mode only
         assert filled == list(range(1, report.L + 1))
-    # the guard bounds the sweep, and the plan keeps the interior bound
+    # the guard bounds the sweep, the sweep's rank needs every table filled
+    # at most H_top, and the plan keeps the interior bound
     assert report.L <= report.L_count
+    assert report.L <= report.H_top
     assert report.table_cells_filled <= dp._sweep_cells(inst, report.L_count)
     assert report.interior == dp._interior_count(inst, report.solution) <= report.L
     return report
@@ -588,9 +591,9 @@ def count_walks(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["single", MULTI])
 def test_solve_walks_only_the_kept_tables_that_divide_best_H(monkeypatch, mode):
-    # the sweep keeps the tables it fills; each one at v* whose grid divides
-    # best_H is walked exactly once, a lone one as well as several, and the
-    # backtrack reads the winner's plan without walking it again
+    # the sweep keeps only the tables it fills at v* whose grid divides
+    # best_H; each is walked exactly once, a lone one as well as several, and
+    # the backtrack reads the winner's plan without walking it again
     walked = count_walks(monkeypatch)
     rng = random.Random(5)
     lone = several = 0
@@ -622,8 +625,8 @@ def test_solve_walks_only_the_kept_tables_that_divide_best_H(monkeypatch, mode):
     ids=["single", "multi"],
 )
 def test_best_H_at_most_L_ranks_its_own_table_with_its_divisors(monkeypatch, inst, best_H, eligible):
-    # best_H <= L, so best_H's own table is kept, next to a smaller grid that
-    # divides best_H and reaches v* too; each is walked once, and the
+    # best_H <= L, so best_H's own table is filled and kept, next to a smaller
+    # grid that divides best_H and reaches v* too; each is walked once, and the
     # smallest plan among them is the one best_H's own table backtracks to
     assert_matches_full_sweep(inst)
     own_plan = backtrack(solve_fixed_H(inst, best_H), inst)
@@ -632,6 +635,56 @@ def test_best_H_at_most_L_ranks_its_own_table_with_its_divisors(monkeypatch, ins
     assert (report.best_H, report.L) == (best_H, best_H)
     assert walked == eligible
     assert report.solution == own_plan
+
+
+@pytest.mark.parametrize(
+    "inst, kept",
+    [
+        # tables 1 and 3 lie above v*, and table 4 reaches it but does not
+        # divide best_H = 6: only table 2 stays
+        (random_instance(random.Random(24), n_max=6, p_max=24, c_max=2, bound_max=10), [2]),
+        # tables 1..7 all reach v* and best_H = H_top = 16: 3, 5, 6 and 7 go
+        (
+            random_instance(random.Random(9), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
+            [1, 2, 4],
+        ),
+    ],
+    ids=["single", "multi"],
+)
+def test_sweep_frees_each_table_outside_the_least_rank(monkeypatch, inst, kept):
+    # a table ranks by its objective, then by its largest multiple up to
+    # H_top, largest first; when the sweep fills a table or walks a plan, every
+    # table filled before and outside the least rank so far is already freed
+    assert_matches_full_sweep(inst)
+    H_top = multi_h_limit(inst) if inst.mode == MULTI else inst.n
+    ranks, refs = {}, {}
+
+    def alive():
+        least = min(ranks.values())
+        held = [H for H, ref in refs.items() if ref() is not None]
+        assert [H for H in held if ranks[H] != least] == [], (held, ranks)
+        return held
+
+    fill, walk = dp.solve_fixed_H, dp._chosen_indices
+
+    def tracked_fill(inst, H, **kwargs):
+        if ranks:
+            alive()
+        table = fill(inst, H, **kwargs)
+        ranks[H] = (table.final, -(H_top // H) * H)
+        refs[H] = weakref.ref(table)
+        return table
+
+    def tracked_walk(table):
+        assert alive() == kept
+        return walk(table)
+
+    monkeypatch.setattr(dp, "solve_fixed_H", tracked_fill)
+    monkeypatch.setattr(dp, "_chosen_indices", tracked_walk)
+    report = solve_multi(inst) if inst.mode == MULTI else solve(inst)
+    assert [t.H for t in report.trace] == list(range(1, report.L + 1))
+    assert -min(ranks.values())[1] == report.best_H
+    assert [H for H in ranks if ranks[H] == min(ranks.values())] == kept
 
 
 @settings(max_examples=90, deadline=None)
