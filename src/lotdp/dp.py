@@ -13,16 +13,16 @@ with step h = 1 / (H * c_hold * den(lam)), fills a Bellman table
 and backtracks the winning volumes.
 
 An interior volume exceeds its m, and a plan with an interior group covers
-exactly P, so the interior count H of an optimum is at most L (see
-``interior_limit``).  In single mode a supplier can be interior only when
-M > m, in multi mode it holds at most (M - 1) // m interior batches, and the
-m of all interior batches sum to at most P - 1: L_count is the most batches
-that fit.  Each interior batch also costs more than its supplier's
-f = alpha + beta*m + c*m**2/(2*lam), and table 1 bounds the optimum v* from
-above, so the f of all interior batches sum to less than table 1's cost.
-L is the smaller of the two counts, and at least 1.  ``best_H`` still names
-the largest H up to H_top (n, or ``multi_h_limit``, never below L) whose grid
-reaches v*.
+exactly P, so the interior count H of an optimum is at most L.  In single
+mode a supplier can be interior only when M > m, in multi mode it holds at
+most (M - 1) // m interior batches (``_interior_caps``), and the m of all
+interior batches sum to at most P - 1: L_count is the most batches that fit
+(``interior_limit``).  Each interior batch also costs more than its
+supplier's f = alpha + beta*m + c*m**2/(2*lam), and table 1 bounds the
+optimum v* from above, so L is the number of counts c in 1..L_count whose c
+smallest f sum to less than table 1's cost, at least 1: ``_count_bound`` at
+price 0, read strictly.  ``best_H`` still names the largest H up to H_top
+(n, or ``multi_h_limit``, never below L) whose grid reaches v*.
 Grid g lies inside grid H when g divides H, an optimum on two grids lies on
 the grid of their gcd, and every optimum lies on the grid of its own
 interior count c <= L, so the smallest grid of an optimum divides its c.
@@ -66,8 +66,8 @@ closed form with math.isqrt, and a single-batch row is the one run r = 1.
 The interior branch of the fill, phi[k-1][p - v] + cost(v) minimized over the
 window volumes v <= p, is a min-plus convolution with the supplier's cost row.
 A convex row (a single batch, alpha + beta*v + c*v**2/(2*lam)) gets three
-structured kernels, and any other row (an aggregated multi-mode row, a
-minimum of convex pieces) gets plain scans.  The kernels are divide and
+structured kernels, and any other row (an aggregated multi-mode row of
+several runs, a minimum of convex pieces) gets plain scans.  The kernels are divide and
 conquer here, and the over-delivery read and the bound's increments below.
 On a convex row the matrix phi[k-1][q] + cost(p - q) is Monge, so the
 cheapest q of residual p never decreases with p, and divide and conquer over
@@ -226,7 +226,7 @@ class CostRows(list):
     each grid volume m..M, all over the common denominator ``den``.
     ``convex`` says every row is convex, its first differences an arithmetic
     progression, and rises strictly with the volume: the rows of a single
-    batch."""
+    batch, which :func:`_run_rows` marks."""
 
     def __init__(self, rows, den: int, convex: bool = False):
         super().__init__(rows)
@@ -243,7 +243,7 @@ def _base_denominator(lam: Fraction, den: int) -> int:
     return 2 * lam.numerator * den * den
 
 
-def _run_rows(inst: Instance, grid: Grid, runs: list, K: int, convex: bool = False) -> CostRows:
+def _run_rows(inst: Instance, grid: Grid, runs: list, K: int) -> CostRows:
     """The cost rows of a grid, built from runs: ``runs[k]`` lists supplier
     k+1's runs (first, end, r), which cover its volume indices lo..hi in
     order, each pricing the totals first..end-1 as r equal batches.  K is a
@@ -253,7 +253,9 @@ def _run_rows(inst: Instance, grid: Grid, runs: list, K: int, convex: bool = Fal
     unit*i + cb*i**2/r, with A = alpha*B and cb = c*b.  Over B*K that is
     (r*A + unit*i)*K + q*i**2 with q = cb*K/r, whose first differences
     unit*K + q*(2i + 1) rise by 2*q > 0: each run is the running sum of an
-    arithmetic progression, and a row with one run is convex."""
+    arithmetic progression, and a row with one run is convex and rises.  The
+    rows are marked ``convex`` when K = 1: every run is then one batch, so
+    every row is one run, the single-batch row."""
     den = _base_denominator(inst.lam, grid.denominator) * K
     per_unit = 2 * inst.lam.numerator * grid.denominator * K
     cb = inst.c_hold * inst.lam.denominator
@@ -268,7 +270,7 @@ def _run_rows(inst: Instance, grid: Grid, runs: list, K: int, convex: bool = Fal
             d = unit + q + step * first  # cost(first + 1) - cost(first)
             row += accumulate(range(d, d + step * (end - first - 1), step), initial=start)
         rows.append(row)
-    return CostRows(rows, den, convex)
+    return CostRows(rows, den, K == 1)
 
 
 def _single_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
@@ -276,7 +278,7 @@ def _single_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
 
     Each row is the one run r = 1 of :func:`_run_rows` over the whole window,
     with K = 1: a convex row that rises with the volume."""
-    return _run_rows(inst, grid, [((lo, hi + 1, 1),) for lo, hi in grid.spans], 1, convex=True)
+    return _run_rows(inst, grid, [((lo, hi + 1, 1),) for lo, hi in grid.spans], 1)
 
 
 def _batch_count_runs(lo: int, hi: int, A: int, cb: int) -> list[tuple[int, int, int]]:
@@ -305,7 +307,8 @@ def _aggregated_candidate_costs(inst: Instance, grid: Grid) -> CostRows:
     / B with A = alpha*B and cb = c*b (see _base_denominator).  Each row is
     the runs of :func:`_batch_count_runs`, one per batch count, priced by
     :func:`_run_rows` over B*K, K the lcm of the counts in use: 1 up to the
-    most runs of a row."""
+    most runs of a row.  When every row is one run (every window below 2m,
+    say), they are the rows of :func:`_single_candidate_costs`."""
     B = _base_denominator(inst.lam, grid.denominator)
     cb = inst.c_hold * inst.lam.denominator
     runs = [_batch_count_runs(lo, hi, s.alpha * B, cb) for (lo, hi), s in zip(grid.spans, inst.suppliers)]
@@ -728,57 +731,42 @@ class SolveReport:
         return tuple(H for H in range(1, self.H_top + 1) if H not in filled)
 
 
-def _most_items(items, budget: int) -> int:
-    """The most items, each (weight, cap) usable up to cap times, whose
-    positive integer weights sum to at most budget: the lightest go first."""
-    count = 0
-    for weight, cap in sorted(items):
-        take = min(cap, max(budget, 0) // weight)
-        count += take
-        budget -= take * weight
-        if take < cap:
-            break
-    return count
+def _interior_caps(inst: Instance) -> list[int]:
+    """The most interior batches each supplier can hold: 1 if M > m, else 0,
+    in single mode, and (M - 1) // m in multi mode, since r*m < M."""
+    if inst.mode == MULTI:
+        return [(s.M - 1) // s.m for s in inst.suppliers]
+    return [int(s.M > s.m) for s in inst.suppliers]
 
 
-def interior_limit(inst: Instance, bound: Fraction | None = None) -> int:
-    """L, a bound on the interior count of every optimal plan: the suppliers
+def interior_limit(inst: Instance) -> int:
+    """L_count, the bound on the interior count of every optimal plan that
+    follows from the windows alone: the interior batches are the suppliers
     strictly inside their windows (single mode), or the batches of the
     suppliers whose total lies strictly between r*m and M (multi mode).
 
-    Supplier i holds at most cap_i interior batches: 1 if M_i > m_i, else 0,
-    in single mode, and (M_i - 1) // m_i in multi mode, since r*m_i < M_i.
-    A plan with an interior group covers exactly P, since shrinking an
+    Supplier i holds at most :func:`_interior_caps` interior batches.  A
+    plan with an interior group covers exactly P, since shrinking an
     interior volume would save cost, and each interior batch exceeds its m,
-    so the m of the interior batches sum to at most P - 1.  L_count, the
-    value returned without ``bound``, is the most batches that fit.
-
-    ``bound`` is the cost of some feasible plan, so no less than the optimum
-    v*.  Every interior batch costs more than f_i = alpha_i + beta_i*m_i +
-    c*m_i**2/(2*lam), and the other batches cost at least 0, so the f of the
-    interior batches sum to less than ``bound``; L is then also at most the
-    most batches that fit under that.  Scaled by 2*a for lam = a/b, every f
-    is an integer.  L is at least 1, the grid of the plans with no interior
-    volume."""
-    if inst.mode == MULTI:
-        caps = [(s.M - 1) // s.m for s in inst.suppliers]
-    else:
-        caps = [int(s.M > s.m) for s in inst.suppliers]
-    L = _most_items(zip((s.m for s in inst.suppliers), caps), inst.P - 1)
-    if bound is not None:
-        a, cb = inst.lam.numerator, inst.c_hold * inst.lam.denominator
-        costs = (2 * a * (s.alpha + s.beta * s.m) + cb * s.m * s.m for s in inst.suppliers)
-        # integers below 2*a*bound are at most ceil(2*a*bound) - 1
-        budget = (2 * a * bound.numerator - 1) // bound.denominator
-        L = min(L, _most_items(zip(costs, caps), budget))
-    return max(1, L)
+    so the m of the interior batches sum to at most P - 1.  L_count is the
+    most batches that fit, the lightest first, and at least 1, the grid of
+    the plans with no interior volume.  The sweep's L also bounds their cost
+    (:func:`_count_bound` at price 0) and never exceeds L_count."""
+    count, budget = 0, max(inst.P - 1, 0)
+    for m, cap in sorted(zip((s.m for s in inst.suppliers), _interior_caps(inst))):
+        take = min(cap, budget // m)
+        count += take
+        budget -= take * m
+        if take < cap:
+            break
+    return max(1, count)
 
 
 def _interior_count(inst: Instance, solution: Solution) -> int:
-    """The quantity ``interior_limit`` bounds, counted on one plan: r batches
-    for each supplier whose total x, in r deliveries, has r*m < x < M.  A
-    supplier used in single mode has r = 1, so there it counts the suppliers
-    with m < x < M."""
+    """The quantity L bounds, counted on one plan: r batches for each
+    supplier whose total x, in r deliveries, has r*m < x < M.  A supplier
+    used in single mode has r = 1, so there it counts the suppliers with
+    m < x < M."""
     batches = [0] * inst.n
     for d in solution.deliveries:
         batches[d.supplier_index - 1] += 1
@@ -790,18 +778,28 @@ def _interior_count(inst: Instance, solution: Solution) -> int:
 
 
 def _count_bound(inst: Instance, ens: tuple[int, ...], ed: int, L: int) -> tuple[int, list[int | None]]:
-    """A lower bound on the cost of every single-mode plan with exactly c
-    interior suppliers, for c = 0..L: (S, D), D[c] the bound's numerator over
-    S = 2*a*c_hold*b*ed**2 for lam = a/b, the largest over the prices ell =
-    en/ed >= 0 for en in ``ens``.  L is at most the number of suppliers with
-    M > m, as ``interior_limit`` is.
+    """A lower bound on the cost of every plan with exactly c interior
+    batches, for c = 0..L: (S, D), D[c] the bound's numerator over S =
+    2*a*c_hold*b*ed**2 for lam = a/b, the largest over the prices ell = en/ed
+    >= 0 for en in ``ens``.  Each supplier counts up to its
+    :func:`_interior_caps` interior batches, and never more than L, so D has
+    at most L + 1 entries.
 
     A price ell on the demand (Lagrangian relaxation, Fisher 1981) bounds a
-    plan covering P from below by ell*P + sum_i g_i(x_i), with g_i(x) =
-    cost_i(x) - ell*x = alpha + (beta - ell)*x + c_hold*x**2/(2*lam) and
-    g_i(0) = 0.  A supplier at 0, m or M gives at least e = min(0, g(m),
+    single-mode plan covering P from below by ell*P + sum_i g_i(x_i), with
+    g_i(x) = cost_i(x) - ell*x = alpha + (beta - ell)*x + c_hold*x**2/(2*lam)
+    and g_i(0) = 0.  A supplier at 0, m or M gives at least e = min(0, g(m),
     g(M)), and an interior one (m < x < M) at least e + d, d = min g over
-    [m, M] - e.  So D(c) = ell*P + the sum of e + the c smallest d.
+    [m, M] - e.  So D(c) = ell*P + the sum of e + the c smallest d.  A
+    positive price bounds single-mode plans only.
+
+    At price 0, in either mode, e = 0 and d is f = alpha + beta*m +
+    c_hold*m**2/(2*lam), one batch of m: an interior batch costs more than
+    its f (a multi-mode total x in r batches, r*m < x, costs r batches of
+    x/r > m), and every other batch at least 0.  So D(c) is S times the sum
+    of the c smallest f, and rises strictly with c, as every f > 0.  Table 1
+    costs at least v*, so the sweep reads L as the number of c >= 1 with
+    D(c) below S times table 1's cost, at least 1.
 
     Times S every term is an integer: S*g(x) = S*alpha + 2*a*c_hold*b*ed*
     (beta*ed - en)*x + (c_hold*b*ed*x)**2, whose least value over the reals,
@@ -810,22 +808,22 @@ def _count_bound(inst: Instance, ens: tuple[int, ...], ed: int, L: int) -> tuple
     a, q = inst.lam.numerator, inst.c_hold * inst.lam.denominator * ed
     S, slope = 2 * a * q * ed, 2 * a * q  # S*ell*x = slope*en*x
     terms = []  # per supplier, the parts of S*g(m), S*g(M) and x* that ell leaves alone
-    for s in inst.suppliers:
+    for s, cap in zip(inst.suppliers, _interior_caps(inst)):
         A, lin = S * s.alpha, slope * s.beta * ed
         at_m, at_M = A + (lin + q * q * s.m) * s.m, A + (lin + q * q * s.M) * s.M
-        terms.append((at_m, at_M, s.m, s.M, A, a * s.beta * ed, q * s.m, q * s.M))
+        terms.append((at_m, at_M, s.m, s.M, A, a * s.beta * ed, q * s.m, q * s.M, min(cap, L)))
     D = None
     for en in ens:
         slope_en, a_en = slope * en, a * en
         base, extras = slope_en * inst.P, []
-        for at_m, at_M, m, M, A, y0, qm, qM in terms:
+        for at_m, at_M, m, M, A, y0, qm, qM, count in terms:
             at_m -= slope_en * m
             at_M -= slope_en * M
             e = min(0, at_m, at_M)
             base += e
-            if M > m:
+            if count:
                 y = a_en - y0  # x* = y / q
-                extras.append((at_m if y < qm else A - y * y if y <= qM else at_M) - e)
+                extras += [(at_m if y < qm else A - y * y if y <= qM else at_M) - e] * count
         bound = list(accumulate(sorted(extras)[:L], initial=base))
         D = bound if D is None else list(map(max, D, bound))
     return S, D
@@ -860,11 +858,13 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     other volumes are integers), grid g lies inside grid H when g | H, and an
     optimum on grids g and H lies on grid gcd(g, H).  So each optimum has a
     smallest grid, and it divides c.  Table 1 is filled first: its cost v1
-    bounds v* and so L.  Table H in 2..L is filled unless, for every multiple
-    c <= L of H, :func:`_count_bound` at one of the prices v1/P, 3*v1/(2P) and
-    2*v1/P puts every plan with exactly c interior suppliers above the
-    cheapest table so far, which is at least v*; multi mode fills them all,
-    as there the bound cost more time than the fills it saved.  No optimum's
+    bounds v*, and L is the number of c in 1..L_count that
+    :func:`_count_bound` at price 0 puts below v1, at least 1.  Table H in
+    2..L is filled unless, for every multiple c <= L of H, :func:`_count_bound`
+    at one of the prices v1/P, 3*v1/(2P) and 2*v1/P puts every plan with
+    exactly c interior suppliers above the cheapest table so far, which is
+    at least v*; multi mode fills them all, as there the bound cost more
+    time than the fills it saved.  No optimum's
     c is ruled out, so its smallest grid is filled: the cheapest table is the
     optimum v*, and grid H reaches v* exactly when some filled table that
     reaches v* divides H.  best_H is the largest such H up to H_top: the
@@ -916,7 +916,10 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
             kept.append(table)
 
     fill(1)
-    L = interior_limit(inst, least[0])
+    S, D = _count_bound(inst, (0,), 1, L_count)  # D[c] / S: the c smallest f
+    # L counts the c >= 1 with D[c] < S*v1, the integers up to ceil(S*v1) - 1;
+    # D rises strictly from D[0] = 0
+    L = max(1, bisect_right(D, (S * least[0].numerator - 1) // least[0].denominator) - 1)
     counted = L > 1 and inst.mode == SINGLE
     if counted:  # so P > 1: the prices v1/P, 3*v1/(2P) and 2*v1/P over one denominator
         ens = tuple(k * least[0].numerator for k in (2, 3, 4))
@@ -961,11 +964,11 @@ def solve(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
     """Exact optimum of a single-delivery instance via the H sweep.
 
     best_H ranges over H = 1..n; the sweep fills table 1 and those of the
-    tables 2..L (:func:`interior_limit`) that an optimum may need.
+    tables 2..L (see :func:`_sweep`) that an optimum may need.
     ``max_cells`` caps the cells of the sweep before L is known, so it counts
-    the tables H = 1..L_count (L's bound from the windows alone, never below
-    L); a sweep over the cap raises ResourceLimitError before any table is
-    filled.
+    the tables H = 1..L_count (:func:`interior_limit`, L's bound from the
+    windows alone, never below L); a sweep over the cap raises
+    ResourceLimitError before any table is filled.
 
     Raises, before any table is filled: InvalidInstanceError on invalid
     data, InfeasibleInstanceError when the capacity is below P (both from
@@ -983,7 +986,7 @@ def solve(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
 def multi_h_limit(inst: Instance) -> int:
     """H_top of a multi-delivery sweep: floor(P/m) batches per supplier, the
     top of the range that names best_H.  The sweep fills the tables up to
-    interior_limit, which never exceeds this.  Plans that over-deliver
+    L <= L_count, which never exceeds this.  Plans that over-deliver
     consist of minimum-size batches only, which every grid carries, so H=1
     covers them."""
     return max(1, sum(inst.P // s.m for s in inst.suppliers))
@@ -994,11 +997,11 @@ def solve_multi(inst: Instance, *, max_cells: int | None = None) -> SolveReport:
 
     Each grid total is priced with the closed-form equal-batch split.  best_H
     ranges over H = 1..multi_h_limit; the sweep fills table 1 and those of
-    the tables 2..L (:func:`interior_limit`) that an optimum may need.
+    the tables 2..L (see :func:`_sweep`) that an optimum may need.
     ``max_cells`` caps the cells of the sweep before L is known, so it counts
-    the tables H = 1..L_count (L's bound from the windows alone, never below
-    L); a sweep over the cap raises ResourceLimitError before any table is
-    filled.
+    the tables H = 1..L_count (:func:`interior_limit`, L's bound from the
+    windows alone, never below L); a sweep over the cap raises
+    ResourceLimitError before any table is filled.
 
     Raises as :func:`solve` does, with ValueError on a single-mode instance.
     """

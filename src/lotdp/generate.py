@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .model import SINGLE, Instance, Supplier
 
@@ -17,7 +18,7 @@ def random_instance(
     bound_max: int = 12,
     alpha_max: int = 10,
     beta_max: int = 10,
-    lam: int = 1,
+    lam: int | Fraction = 1,
     mode: str = SINGLE,
     infeasible: bool = False,
 ) -> Instance:

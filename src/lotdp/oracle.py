@@ -218,14 +218,18 @@ def duplication_oracle(inst: Instance, *, max_cells: int | None = None) -> Solut
     tie rule is its own: the finest grid among the cheapest tables wins, and
     its plan is that table's backtrack.  ``verify`` compares objectives only.
     ``max_cells`` caps the total cells of the full sweep and is checked before
-    any table is filled.  Windows that cannot cover P raise
+    any table is filled; a sweep over the cap raises ResourceLimitError, its
+    message led by "duplication oracle: ".  Windows that cannot cover P raise
     InfeasibleInstanceError.
     """
     require_valid(inst)
     if inst.mode != MULTI:
         raise ValueError("duplication_oracle handles multi-delivery instances only")
     H_top = dp.multi_h_limit(inst)
-    dp._require_sweep_budget(inst, H_top, max_cells)
+    try:
+        dp._require_sweep_budget(inst, H_top, max_cells)
+    except ResourceLimitError as exc:  # solve_multi's sweep may fit the same cap
+        raise ResourceLimitError(f"duplication oracle: {exc}") from None
     best = None
     for H in range(1, H_top + 1):
         grid = dp.build_grid(inst, H)

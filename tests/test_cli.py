@@ -294,7 +294,12 @@ class TestVerify:
         assert cli.main(["solve", path]) == 0
         assert json.loads(capsys.readouterr().err)["table_cells_filled"] == 153
         assert cli.main(["verify", path]) == 1
-        assert capsys.readouterr() == ("", "error: the sweep over H=1..8 needs 888 table cells, above the cap 200\n")
+        message = "duplication oracle: the sweep over H=1..8 needs 888 table cells, above the cap 200"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        # the oracle raises the refusal itself, so a library caller reads the same
+        with pytest.raises(ResourceLimitError) as refused:
+            duplication_oracle(inst, max_cells=200)
+        assert str(refused.value) == message
 
     def test_seed_batch(self, capsys):
         assert cli.main(["verify", "--seed-batch", "20", "--seed", "3"]) == 0

@@ -503,20 +503,53 @@ def test_interior_limit_counts_only_batches_a_window_can_hold():
     assert dp.interior_limit(Instance(suppliers=(Supplier(0, 0, 4, 4),), P=9, mode=MULTI)) == 1
 
 
+def cost_cut(inst, bound):
+    """L as the sweep reads it from a bound on v*: the counts c >= 1 whose
+    price-0 count bound lies strictly below it, at least 1."""
+    S, D = dp._count_bound(inst, (0,), 1, dp.interior_limit(inst))
+    return max(1, sum(F(d, S) < bound for d in D[1:]))
+
+
 def test_interior_limit_cost_bound():
     # each interior batch costs more than f = 20 + 1/2, and the f of the
     # interior batches sum to less than the bound
     inst = Instance(suppliers=(Supplier(20, 0, 1, 9),) * 3, P=9)
     assert dp.interior_limit(inst) == 3
     bounds = [0, F(41, 2), F(83, 2), 41, F(123, 2), F(124, 2)]
-    assert [dp.interior_limit(inst, b) for b in bounds] == [1, 1, 2, 1, 2, 3]
+    assert [cost_cut(inst, b) for b in bounds] == [1, 1, 2, 1, 2, 3]
     # in a solve, table 1's cost 121/2 (one batch of 9, or 4 + 5) cuts L to 2
     report = assert_matches_full_sweep(inst)
     assert objectives(report)[0] == (1, F(121, 2))
     assert (report.L, report.L_count) == (2, 3)
     # lam = 3/2: f = 9 / 3 = 3 for m = 3, and three m = 3 fit P - 1 = 9
     inst = Instance(suppliers=(Supplier(0, 0, 3, 9),) * 3, P=10, lam=F(3, 2))
-    assert [dp.interior_limit(inst, b) for b in (6, F(601, 100), 9, F(901, 100))] == [1, 2, 2, 3]
+    assert [cost_cut(inst, b) for b in (6, F(601, 100), 9, F(901, 100))] == [1, 2, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        # M = m leaves supplier 3 no interior batch in either mode
+        Instance(
+            suppliers=(Supplier(3, 1, 2, 6), Supplier(0, 2, 1, 5), Supplier(5, 0, 3, 3), Supplier(1, 0, 1, 4)),
+            P=9, lam=F(3, 2), c_hold=2,
+        ),
+        # multi mode: caps 999,999, 3 and 0; the first counts at most L times
+        Instance(
+            suppliers=(Supplier(3, 1, 1, 10**6), Supplier(0, 2, 2, 7), Supplier(5, 0, 3, 3)),
+            P=9, lam=F(1, 3), c_hold=3, mode=MULTI,
+        ),
+    ],
+)
+@pytest.mark.parametrize("L", [1, 3, 7])
+def test_count_bound_at_price_0_sums_the_smallest_f(inst, L):
+    # f = alpha + beta*m + c_hold*m**2/(2*lam), each supplier's counted up to
+    # its interior cap and at most L times: D[c] = S times the c smallest
+    caps = [(s.M - 1) // s.m if inst.mode == MULTI else int(s.M > s.m) for s in inst.suppliers]
+    f = [s.alpha + s.beta * s.m + inst.c_hold * s.m**2 / (2 * inst.lam) for s in inst.suppliers]
+    smallest = sorted(itertools.chain.from_iterable([fi] * min(cap, L) for fi, cap in zip(f, caps)))[:L]
+    S, D = dp._count_bound(inst, (0,), 1, L)
+    assert D == [S * total for total in itertools.accumulate(smallest, initial=0)]
 
 
 def count_fills(monkeypatch):

@@ -749,6 +749,28 @@ def test_only_single_batch_pricing_claims_one_convex_run():
     assert convex == {SINGLE: True, "multi-aggregated": False, "multi-duplication": False}
 
 
+@pytest.mark.parametrize(
+    "suppliers, lam, c_hold",
+    [
+        # every window below 2m: no total splits into two batches
+        ((Supplier(0, 3, 2, 3), Supplier(4, 0, 3, 5), Supplier(1, 1, 5, 5)), F(1), 1),
+        ((Supplier(2, 0, 4, 7), Supplier(0, 5, 6, 11)), F(3, 2), 2),
+        # alpha = 400 keeps one batch over the window 2..12: a second batch
+        # pays only once c_hold*x**2/(2*lam) exceeds 2*alpha, at x near 35
+        ((Supplier(400, 1, 2, 12),), F(3, 2), 2),
+    ],
+)
+@pytest.mark.parametrize("H", [1, 2, 3])
+def test_aggregated_rows_of_one_run_are_the_single_batch_rows(suppliers, lam, c_hold, H):
+    # rows that are all one run are priced over K = 1, and the table is the
+    # single-batch table, its convex flag included
+    inst = Instance(suppliers=suppliers, P=5, lam=lam, c_hold=c_hold)
+    grid = build_grid(inst, H)
+    single = _single_candidate_costs(inst, grid)
+    multi = _aggregated_candidate_costs(replace(inst, mode=MULTI), grid)
+    assert (list(multi), multi.den, multi.convex) == (list(single), single.den, True)
+
+
 def test_a_row_of_one_residual_scans_its_window_whole():
     # volumes 1..5 cost [4, 1, 5, 2, 6], not convex; at p = 5 the volumes 2
     # and 4 tie at 4 on top of prev, and the smaller one wins
