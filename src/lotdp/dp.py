@@ -95,30 +95,34 @@ fill computes only the cells a plan cheaper than one it already holds could
 pass through.  Each supplier's cost lies above a convex function of its
 volume, 0 at 0: for a single batch, the chord from the origin to the volume
 with the cheapest cost per unit, then the cost itself; for any other row,
-the line through the origin at that cheapest unit cost.  Its unit
-increments, floored to integers over the table's denominator, are sorted and
-merged: the sum of the p smallest increments of suppliers 1..k, LBpre_k(p),
-bounds from below every plan of theirs that covers p, and LBsuf_k(s) does the
-same for suppliers k+1..n.  UB is the cost of a feasible plan of the table:
-the relaxation water-filled to P, each supplier below its m lifted to m, and
-the excess handed back, largest last increment first, or the same after
-dropping the suppliers left below m, whichever is cheaper.  Row k is
-computed at p = 0 and in its band, the residuals p >= 1 with LBpre_k(p) +
-LBsuf_k(P*den - p) <= UB; the sum is convex in p, so the band is an
-interval, found by bisection.  Row k reads row k-1 at 0 and in row k-1's band only;
-every other cell keeps row k-1's value, and row 0 holds a sentinel above UB
-at p >= 1.  So each cell is at least its exact value or, plus
-LBsuf_k(P*den - p), above UB: a candidate read from a cell of the second
-kind is above UB less LBsuf_k too, as the relaxation of suppliers k..n is at
-most supplier k's cost plus that of k+1..n.  A cell whose exact value plus
-LBsuf_k(P*den - p) is at most UB lies in the band, and so does each
-predecessor on its optimal plans, for the same reason, so it is exact by
-induction.  phi(n, P) is such a cell, as UB is at least phi(n, P), and so is
-every cell its backtrack walks through: every table's final and plan are
-those of the full table.  No float is involved.  Whether a grid has a plan
-does not depend on H: the windows cover P on every grid or on none, and the
-fill refuses a grid whose windows fall short, so every table it returns holds
-integers only.  The cell guard still counts whole tables.
+the line through the origin at that cheapest unit cost.  Its unit increments,
+floored to integers over the table's denominator, are merged into one sorted
+list for suppliers 1..k and one for k+1..n: the sum of the p smallest
+increments of suppliers 1..k, LBpre_k(p), bounds from below every plan of
+theirs that covers p, and LBsuf_k(s) does the same for suppliers k+1..n.  LB,
+the sum of the P*den smallest increments of all, bounds every plan.  UB is
+the cost of a feasible plan of the table: the relaxation water-filled to P,
+each supplier below its m lifted to m, and the excess handed back, largest
+last increment first, or the same after dropping the suppliers left below m,
+or one batch of at least P alone, whichever is cheapest.  Row k is computed
+at p = 0 and in its band, the residuals p >= 1 with LBpre_k(p) +
+LBsuf_k(P*den - p) <= UB.  The sum is convex in p and least, at LB, where the
+two merged lists cross, so the band is one interval around that split: a
+bisection finds the split and two loops walk out from it, summing the
+increments they trade, until the sum passes UB - LB.  Row k reads row k-1 at
+0 and in row k-1's band only; every other cell keeps row k-1's value, and
+row 0 holds a sentinel above UB at p >= 1.  So each cell is at least its
+exact value or, plus LBsuf_k(P*den - p), above UB: a candidate read from a
+cell of the second kind is above UB less LBsuf_k too, as the relaxation of
+suppliers k..n is at most supplier k's cost plus that of k+1..n.  A cell
+whose exact value plus LBsuf_k(P*den - p) is at most UB lies in the band,
+and so does each predecessor on its optimal plans, for the same reason, so
+it is exact by induction.  phi(n, P) is such a cell, as UB is at least
+phi(n, P), and so is every cell its backtrack walks through: every table's
+final and plan are those of the full table.  No float is involved.  Whether a grid
+has a plan does not depend on H: the windows cover P on every grid or on
+none, and the fill refuses a grid whose windows fall short, so every table
+it returns holds integers only.  The cell guard still counts whole tables.
 """
 
 from __future__ import annotations
@@ -129,7 +133,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, eq, floordiv, indexOf, sub
 
 from .closed_form import multi_delivery_cost
@@ -189,10 +193,12 @@ class DPTable:
     feasible plan of the table (row 0's band is empty).  Every cell is at
     least its exact value or, plus the second bound, above UB, and a cell
     whose exact value plus the second bound is at most UB holds it exactly;
-    phi(n, P) and every cell of its backtrack are such cells.  A cell outside
-    the band keeps row k-1's value, and row 0 holds a sentinel above UB at
-    p >= 1.  ``grid.cells`` is the size of the table, the unit of the cell
-    guard, and ``computed`` the cells the fill evaluated.
+    phi(n, P) and every cell of its backtrack are such cells, and every
+    volume that attains one of them stands on row k-1 at 0 or in its band,
+    where :func:`_choice` starts.  A cell outside the band keeps row k-1's
+    value, and row 0 holds a sentinel above UB at p >= 1.  ``grid.cells`` is
+    the size of the table, the unit of the cell guard, and ``computed`` the
+    cells the fill evaluated.
     """
 
     grid: Grid
@@ -354,24 +360,25 @@ def _increments(row: list, lo: int, hi: int, total: int, convex: bool) -> list[i
 
 
 def _relaxations(incs: list[list[int]], total: int) -> tuple[list, list]:
-    """LBpre and LBsuf: ``pre[k][p]`` is the sum of the p smallest increments
-    of suppliers 1..k, ``suf[k][s]`` that of the s smallest of suppliers
-    k+1..n, for p, s up to ``total``.  A list is shorter where those suppliers
-    hold fewer increments, and those residuals are out of their reach.  A
-    plan of suppliers 1..k covering p costs at least pre[k][p]: it takes at
-    least p units, and each supplier's first units cost at least its own
-    first increments."""
-    def sums(order):
-        merged, out = [], [[0]]
+    """The merged increments: ``pre[k]`` holds the smallest increments of
+    suppliers 1..k in ascending order, ``suf[k]`` those of suppliers k+1..n,
+    each cut at ``total``.  The sum of the first p of pre[k] is LBpre_k(p),
+    and of the first s of suf[k] LBsuf_k(s).  A list is shorter where those
+    suppliers hold fewer increments, and the residuals past its length are
+    out of their reach.  A plan of suppliers 1..k covering p costs at least
+    LBpre_k(p): it takes at least p units, and each supplier's first units
+    cost at least its own first increments."""
+    def merged(order):
+        run, out = [], [[]]
         for inc in order:
-            merged += inc
-            merged.sort()  # two sorted runs: one merge
-            del merged[total:]
-            out.append(list(accumulate(merged, initial=0)))
+            run = run + inc
+            run.sort()  # two sorted runs: one merge
+            del run[total:]
+            out.append(run)
         return out
 
-    suf = sums(incs[::-1])[::-1]
-    pre = sums(incs[:-1]) + suf[:1]  # all n suppliers: computed once
+    suf = merged(incs[::-1])[::-1]
+    pre = merged(incs[:-1]) + suf[:1]  # all n suppliers: merged once
     return pre, suf
 
 
@@ -392,17 +399,19 @@ def _smallest_counts(lists: list[list[int]], count: int, cut: int | None = None)
     return taken
 
 
-def _upper_bound(grid: Grid, costs: CostRows, incs: list[list[int]], relaxed: list[int]) -> int:
+def _upper_bound(grid: Grid, costs: CostRows, incs: list[list[int]], lb: int, cut: int | None) -> int:
     """UB, the cost of a feasible plan on the grid, priced from the cost rows.
     The relaxation water-filled to ``total`` units leaves some suppliers
     below their m.  One plan lifts each of them to m and hands back the
     excess units, the largest last increments first, down to no supplier
     below its m.  When the other suppliers can cover the demand alone, a
     second plan drops those suppliers and water-fills again over the rest,
-    then lifts and hands back the same way.  UB is the cheaper of the two.
-    ``relaxed`` is the relaxation of all suppliers, LBsuf_0, and reaches
-    ``total``."""
-    total = len(relaxed) - 1
+    then lifts and hands back the same way.  A third plan is one batch of at
+    least ``total`` alone, the cheapest of the suppliers whose window
+    reaches it.  UB is the cheapest of the three.  ``lb`` is the relaxation
+    of all suppliers, LB = LBsuf_0(total), and ``cut`` its largest
+    increment, the total-th smallest of all (None when total is 0)."""
+    total = grid.demand_points - 1
 
     def priced(x):
         x = [lo if 0 < xi < lo else xi for xi, (lo, _) in zip(x, grid.spans)]
@@ -413,45 +422,55 @@ def _upper_bound(grid: Grid, costs: CostRows, incs: list[list[int]], relaxed: li
             x = [lo + kj if xi > lo else xi for xi, kj, (lo, _) in zip(x, kept, grid.spans)]
         return sum(ck[xi - lo] for ck, xi, (lo, _) in zip(costs, x, grid.spans) if xi)
 
-    x = _smallest_counts(incs, total, relaxed[total] - relaxed[total - 1] if total else None)
+    x = _smallest_counts(incs, total, cut)
     ub = priced(x)
-    short = [0 < xi < lo for xi, (lo, _) in zip(x, grid.spans)]
-    if ub > relaxed[total] and any(short):  # a plan at the relaxation is optimal
+    if ub > lb:  # else a plan at the relaxation is optimal
+        short = [0 < xi < lo for xi, (lo, _) in zip(x, grid.spans)]
         rest = [[] if s else inc for s, inc in zip(short, incs)]
-        if sum(map(len, rest)) >= total:
+        if any(short) and sum(map(len, rest)) >= total:
             ub = min(ub, priced(_smallest_counts(rest, total)))
+        ub = min([ub] + [min(ck[max(total, lo) - lo:]) for ck, (lo, hi) in zip(costs, grid.spans) if hi >= total])
     return ub
 
 
-def _band(pre: list[int], suf: list[int], total: int, ub: int) -> tuple[int, int]:
-    """The residuals p >= 1 of row k with f(p) = pre[k][p] + suf[k][total - p]
-    at most ub, as (first, last); EMPTY when there are none.  f is convex in
-    p, so they form one interval around its minimum, and two bisections find
-    its ends."""
-    a, b = max(1, total + 1 - len(suf)), min(total, len(pre) - 1)
-    if a > b:
-        return EMPTY
-    # the first p with f(p) <= ub or f(p) <= f(p + 1): f falls strictly up to
-    # its minimum and never falls after it, so this holds from that p on
+def _band(A: list[int], B: list[int], total: int, lb: int, ub: int) -> tuple[int, int]:
+    """The residuals p >= 1 of row k with f(p) = sum(A[:p]) + sum(B[:total -
+    p]) at most ub, as (first, last); EMPTY when there are none.  A and B are
+    the merged increments of suppliers 1..k and k+1..n (:func:`_relaxations`),
+    so f(p) = LBpre_k(p) + LBsuf_k(total - p).
+
+    f(p + 1) - f(p) = A[p] - B[total - p - 1] never falls as p grows, so f
+    falls strictly up to the first p* with A[p*] >= B[total - p* - 1] and
+    never falls after it.  f(p*) is the sum of the total smallest increments
+    of all, lb, and the p with f(p) <= ub form one interval around p*.  One
+    bisection finds p* (the selection step of Frederickson & Johnson 1984),
+    and two loops walk out from it, summing the differences, until the sum
+    passes ub - lb: O(log total + band width) per row.  Expects A and B to
+    hold at least total increments between them and ub >= lb, as the fill's
+    lists and bounds do."""
+    a, b = max(0, total - len(B)), min(total, len(A))  # the p both lists reach
     lo, hi = a, b
     while lo < hi:
         mid = (lo + hi) >> 1
-        val = pre[mid] + suf[total - mid]
-        if val <= ub or val <= pre[mid + 1] + suf[total - mid - 1]:
+        if A[mid] >= B[total - mid - 1]:
             hi = mid
         else:
             lo = mid + 1
-    if pre[lo] + suf[total - lo] > ub:  # the minimum lies above ub
-        return EMPTY
-    first = lo
-    hi = b  # the last p with f(p) <= ub, the level set being an interval
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if pre[mid] + suf[total - mid] <= ub:
-            lo = mid
-        else:
-            hi = mid - 1
-    return first, lo
+    gap = ub - lb
+    last, rise = lo, 0
+    while last < b:
+        rise += A[last] - B[total - last - 1]
+        if rise > gap:
+            break
+        last += 1
+    first, rise = lo, 0
+    while first > 1 and first > a:
+        rise += B[total - first] - A[first - 1]
+        if rise > gap:
+            break
+        first -= 1
+    first = max(first, 1)
+    return (first, last) if first <= last else EMPTY
 
 
 def _run_minima(rband, qa, qb, w, va, pa, pb, row):
@@ -581,19 +600,21 @@ def _fill(
         _increments(ck, lo, hi, total, costs.convex) for ck, (lo, hi) in zip(costs, grid.spans)
     ]
     pre, suf = _relaxations(incs, total)
-    if len(suf[0]) <= total:  # the windows together hold less than P
+    merged = suf[0]  # the increments of all suppliers
+    if len(merged) < total:  # the windows together hold less than P
         raise InfeasibleInstanceError("no grid admits a feasible plan")
-    ub = _upper_bound(grid, costs, incs, suf[0])
+    lb = sum(merged)
+    ub = _upper_bound(grid, costs, incs, lb, merged[-1] if total else None)
     prev = [0] + [ub + 1] * total
     phi_rows, bands = [prev], [EMPTY]
     for k in range(1, n + 1):
         lo, hi = grid.spans[k - 1]
-        band = _band(pre[k], suf[k], total, ub)
+        band = _band(pre[k], suf[k], total, lb, ub)
         prev = _fill_row(prev, bands[-1], lo, hi, costs[k - 1], band, costs.convex)
         phi_rows.append(prev)
         bands.append(band)
     # the relaxation bounds every plan from below, UB is one plan's cost
-    assert suf[0][total] <= prev[total] <= ub, f"phi(n, P) outside its bounds on grid {grid.H}"
+    assert lb <= prev[total] <= ub, f"phi(n, P) outside its bounds on grid {grid.H}"
     return DPTable(grid=grid, kind=kind, phi=phi_rows, costs=costs, bands=tuple(bands))
 
 
@@ -621,29 +642,34 @@ def solve_fixed_H(inst: Instance, H: int, *, max_cells: int | None = None) -> DP
 def _choice(table: DPTable, k: int, p: int) -> int | None:
     """The tie rule, stated once: the volume index supplier k takes at
     residual p, or None when it is skipped.  Reads only phi[k][p], phi[k-1]
-    at p, at p - v for the window volumes v <= p, and at 0.  At a cell whose
+    at p, at p - v for the window volumes v <= p that reach no further than
+    the top qb of row k-1's band (v >= p - qb), and at 0.  At a cell whose
     exact value plus the bound of suppliers k+1..n is at most UB (every cell
     of a backtrack, see :class:`DPTable`), a candidate that attains the cell
-    in the full table reads a cell of the same kind, so it attains it here
-    too, and no other candidate can: it reads a value at least its exact one,
-    or one above UB less the bound.  So the choice is that of the full table.
+    in the full table reads a cell of the same kind, so one at 0 or in row
+    k-1's band, and it attains it here too; no other candidate can: it reads
+    a value at least its exact one, or one above UB less the bound.  So the
+    choice is that of the full table.
 
     Skipping wins when it costs the same.  Otherwise the smallest volume v
     with cost(v) + phi[k-1][p - v] (or phi[k-1][0] when v > p, an
     over-delivery) equal to phi[k][p] wins: an interior volume (v <= p)
     before any over-delivery, and the smaller volume among equals.  So a
     table backtracks to its lexicographically smallest optimal plan.  One
-    pass in ascending volume order does both kinds: volume v attains the
-    cell when val - cost(v) equals the rest it stands on, phi[k-1] read from
-    p - lo down over the interior volumes, then phi[k-1][0]."""
+    pass in ascending volume order, from max(lo, p - qb), does both kinds:
+    volume v attains the cell when val - cost(v) equals the rest it stands
+    on, phi[k-1] read from p - v down over the interior volumes, then
+    phi[k-1][0]."""
     prev, val = table.phi[k - 1], table.phi[k][p]
     if val == prev[p]:
         return None
     lo, hi = table.grid.spans[k - 1]
+    start = max(lo, p - table.bands[k - 1][1])  # EMPTY's top is 0
     # a None cell (no plan, in a test's reference table) equals no cost
-    rest = chain(reversed(prev[max(p - hi, 0):max(p - lo + 1, 0)]), repeat(prev[0]))
+    rest = chain(reversed(prev[max(p - hi, 0):max(p - start + 1, 0)]), repeat(prev[0]))
+    costs = islice(table.costs[k - 1], start - lo, None)
     try:
-        return lo + indexOf(map(eq, map(sub, repeat(val), table.costs[k - 1]), rest), True)
+        return start + indexOf(map(eq, map(sub, repeat(val), costs), rest), True)
     except ValueError:
         raise AssertionError(f"no volume attains phi[{k}][{p}] on the H={table.grid.H} grid") from None
 

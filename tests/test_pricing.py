@@ -17,7 +17,7 @@ read of a rising row.
 import math
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from operator import sub
 
 import pytest
@@ -43,6 +43,7 @@ from lotdp.dp import (
     CostRows,
     Grid,
     _aggregated_candidate_costs,
+    _band,
     _base_denominator,
     _batch_count_runs,
     _choice,
@@ -255,11 +256,14 @@ def as_fractions(table):
 
 def bounds(grid, costs):
     """(LBpre, LBsuf, UB) of the cost rows of a grid whose windows cover the
-    demand."""
+    demand: LBpre_k and LBsuf_k summed here from the merged increments, so
+    the bands are checked against their definition, not through _band."""
     total = grid.demand_points - 1
     incs = [_increments(ck, lo, hi, total, costs.convex) for ck, (lo, hi) in zip(costs, grid.spans)]
-    pre, suf = _relaxations(incs, total)
-    return pre, suf, _upper_bound(grid, costs, incs, suf[0])
+    merged = _relaxations(incs, total)
+    pre, suf = ([list(accumulate(run, initial=0)) for run in lists] for lists in merged)
+    cut = merged[1][0][-1] if total else None  # the total-th smallest increment of all
+    return pre, suf, _upper_bound(grid, costs, incs, suf[0][total], cut)
 
 
 def open_cells(full, suf, ub):
@@ -666,16 +670,64 @@ def test_upper_bound_lifts_to_m_and_hands_back_the_largest_increments():
     # and supplier 1 hands back its last increment, 5.  On 1..6 supplier 1
     # cannot cover 8 alone, so the plan (4, 4), 40 + 100, is UB
     incs = [list(range(1, 7)), [5] * 6]
-    relaxed = [0, 1, 3, 6, 10, 15, 20, 25, 30]
+    lb, cut = 30, 5  # the relaxation 1 + 2 + 3 + 4 + 5 + 5 + 5 + 5, its largest increment 5
     costs = CostRows([[10 * v for v in range(1, 7)], [100, 200, 300]], 1)
     grid = Grid(H=1, denominator=1, demand_points=9, spans=((1, 6), (4, 6)))
-    assert _upper_bound(grid, costs, incs, relaxed) == 140
+    assert _upper_bound(grid, costs, incs, lb, cut) == 140
     # on 1..10 it can: dropping supplier 2 and water-filling again gives the
     # cheaper plan (8, 0)
     incs = [list(range(1, 9)), [5] * 6]
     costs = CostRows([[10 * v for v in range(1, 11)], [100, 200, 300]], 1)
     grid = Grid(H=1, denominator=1, demand_points=9, spans=((1, 10), (4, 6)))
-    assert _upper_bound(grid, costs, incs, relaxed) == 80
+    assert _upper_bound(grid, costs, incs, lb, cut) == 80
+
+
+@pytest.mark.parametrize("mode", [SINGLE, MULTI])
+def test_upper_bound_prices_one_batch_that_over_delivers(mode):
+    # on the grid of step 1/3 the demand is 30 and the windows are 30..36,
+    # 24..36 and 36, each one batch in multi mode too.  The water-fill
+    # (0, 24, 6) leaves supplier 3 below its m: lifted, it is (0, 24, 36) at
+    # 6786 / 18, and without supplier 3 it is (30, 24, 0) at 7038 / 18.  One
+    # batch of at least 30 alone is the optimum, supplier 2 at 30 for
+    # 8 + 5*10 + 3*10**2/2 = 208 = 3744 / 18, and with it as UB the fill
+    # computes 47 of the 124 cells, not 65
+    inst = Instance(
+        suppliers=(Supplier(7, 9, 10, 12), Supplier(8, 5, 8, 12), Supplier(5, 1, 12, 12)),
+        P=10, c_hold=3, mode=mode,
+    )
+    kind = "multi-aggregated" if mode == MULTI else SINGLE
+    grid = build_grid(inst, 1)
+    costs = BUILDERS[kind](inst, grid)
+    assert bounds(grid, costs)[2] == 3744
+    table = checked_table(inst, 1, kind)
+    pruned = solve_fixed_H(inst, 1)
+    assert pruned.phi[-1][-1] == table.phi[-1][-1] == 3744
+    assert (pruned.computed, pruned.grid.cells) == (47, 124)
+    assert pruned.plan == table.plan == [(2, 30)]
+
+
+@st.composite
+def sorted_increments(draw, max_size):
+    # ascending, with repeats and flat runs, like the merged increments of
+    # the aggregated rows
+    steps = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]), max_size=max_size))
+    return list(accumulate(steps, initial=draw(st.integers(0, 5))))[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_band_is_the_residuals_whose_bound_is_at_most_ub(data):
+    A, B = data.draw(sorted_increments(50)), data.draw(sorted_increments(50))
+    total = data.draw(st.integers(0, min(40, len(A) + len(B))))
+    lb = sum(sorted(A + B)[:total])
+    ub = lb + data.draw(st.one_of(st.integers(0, 20), st.integers(0, 2000)))
+    inside = [
+        p for p in range(1, total + 1)
+        if p <= len(A) and total - p <= len(B) and sum(A[:p]) + sum(B[:total - p]) <= ub
+    ]
+    band = _band(A, B, total, lb, ub)
+    assert band == ((inside[0], inside[-1]) if inside else EMPTY)
+    assert inside == list(range(band[0], band[1] + 1))
 
 
 @settings(max_examples=120, deadline=None)
@@ -781,7 +833,7 @@ def test_a_row_of_one_residual_scans_its_window_whole():
     def one_row(row, band):
         return DPTable(
             grid=grid, kind="hand-built", phi=[prev, row], costs=CostRows([ck], 1),
-            bands=(EMPTY, band),
+            bands=((1, 5), band),  # row 0 holds costs past residual 0: filled as the band 1..5
         )
 
     full = _fill_row(prev, (1, 5), 1, 5, ck, (1, 5))
