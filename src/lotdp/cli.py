@@ -287,6 +287,10 @@ def cmd_bench(args) -> int:
             values = [int(v) for v in args.values.split(",")]
         except ValueError:
             raise SchemaError(f"--values must be comma-separated integers, got {args.values!r}")
+        low = {"P": 0, "n": 1, "c": 1}[args.sweep]
+        for value in values:
+            if value < low:
+                raise SchemaError(f"--values for --sweep {args.sweep} must be at least {low}, got {value}")
     else:
         values = {"P": [50, 100, 200], "n": [2, 4, 8], "c": [1, 2, 3]}[args.sweep]
     _require_writable(args.out)

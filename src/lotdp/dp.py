@@ -26,14 +26,18 @@ price 0, read strictly.  ``best_H`` still names the largest H up to H_top
 Grid g lies inside grid H when g divides H, an optimum on two grids lies on
 the grid of their gcd, and every optimum lies on the grid of its own
 interior count c <= L, so the smallest grid of an optimum divides its c.
-Table H can add an optimum only through one with H | c.  In single mode a
-price on the demand bounds every plan with exactly c interior suppliers
-from below (``_count_bound``), so the sweep fills table 1, then each table H
-in 2..L unless every multiple c <= L of H is priced above the cheapest table
-so far; multi mode fills every table 1..L.  Every optimum's smallest grid is
-filled, the cheapest table is the exact optimum v*, and grid H reaches v*
-exactly when H is a multiple of some filled table that reaches v*: best_H is
-the largest multiple up to H_top of such a table.
+Table H can add an optimum only through one with H | c.  The sweep fills
+table 1 (cost v1) and then prices the suppliers once: ``_count_bound``
+returns one bound list per price, at price 0, which reads L, and in single
+mode, where a price on the demand bounds every plan with exactly c interior
+suppliers from below, at v1/P, 3*v1/(2P) and 2*v1/P too.  It fills each
+table H in 2..L unless every multiple c <= L of H is priced above the
+cheapest table so far at one of the positive prices; multi mode fills every
+table 1..L, as there the bound cost more time than the fills it saved.
+Every optimum's smallest grid is filled, the cheapest table is the exact
+optimum v*, and grid H reaches v* exactly when H is a multiple of some
+filled table that reaches v*: best_H is the largest multiple up to H_top of
+such a table.
 
 The fill computes phi only.  The backtrack decides each step with one tie
 rule, ``_choice``: a supplier is skipped when skipping costs the same, and
@@ -803,13 +807,13 @@ def _interior_count(inst: Instance, solution: Solution) -> int:
     )
 
 
-def _count_bound(inst: Instance, ens: tuple[int, ...], ed: int, L: int) -> tuple[int, list[int | None]]:
+def _count_bound(inst: Instance, ens: tuple[int, ...], ed: int, L: int) -> tuple[int, list[list[int]]]:
     """A lower bound on the cost of every plan with exactly c interior
-    batches, for c = 0..L: (S, D), D[c] the bound's numerator over S =
-    2*a*c_hold*b*ed**2 for lam = a/b, the largest over the prices ell = en/ed
-    >= 0 for en in ``ens``.  Each supplier counts up to its
-    :func:`_interior_caps` interior batches, and never more than L, so D has
-    at most L + 1 entries.
+    batches, for c = 0..L, at each price ell = en/ed >= 0 for en in ``ens``:
+    (S, [D for each price]), D[c] the bound's numerator over S =
+    2*a*c_hold*b*ed**2 for lam = a/b.  Each supplier counts up to its
+    :func:`_interior_caps` interior batches, and never more than L, so each
+    D has at most L + 1 entries.
 
     A price ell on the demand (Lagrangian relaxation, Fisher 1981) bounds a
     single-mode plan covering P from below by ell*P + sum_i g_i(x_i), with
@@ -827,32 +831,26 @@ def _count_bound(inst: Instance, ens: tuple[int, ...], ed: int, L: int) -> tuple
     costs at least v*, so the sweep reads L as the number of c >= 1 with
     D(c) below S times table 1's cost, at least 1.
 
-    Times S every term is an integer: S*g(x) = S*alpha + 2*a*c_hold*b*ed*
-    (beta*ed - en)*x + (c_hold*b*ed*x)**2, whose least value over the reals,
-    at x* = a*(en - beta*ed) / (c_hold*b*ed), is S*alpha - a**2*(en -
-    beta*ed)**2."""
+    Times S every term is an integer: with A = S*alpha and lin =
+    2*a*q*(beta*ed - en), q = c_hold*b*ed, S*g(x) = A + (lin + q*q*x)*x,
+    whose least value over the reals, at x* = y/q with y = a*(en -
+    beta*ed), is A - y*y."""
     a, q = inst.lam.numerator, inst.c_hold * inst.lam.denominator * ed
-    S, slope = 2 * a * q * ed, 2 * a * q  # S*ell*x = slope*en*x
-    terms = []  # per supplier, the parts of S*g(m), S*g(M) and x* that ell leaves alone
-    for s, cap in zip(inst.suppliers, _interior_caps(inst)):
-        A, lin = S * s.alpha, slope * s.beta * ed
-        at_m, at_M = A + (lin + q * q * s.m) * s.m, A + (lin + q * q * s.M) * s.M
-        terms.append((at_m, at_M, s.m, s.M, A, a * s.beta * ed, q * s.m, q * s.M, min(cap, L)))
-    D = None
+    S, slope = 2 * a * q * ed, 2 * a * q  # S*ell = slope*en
+    caps = [min(cap, L) for cap in _interior_caps(inst)]
+    bounds = []
     for en in ens:
-        slope_en, a_en = slope * en, a * en
-        base, extras = slope_en * inst.P, []
-        for at_m, at_M, m, M, A, y0, qm, qM, count in terms:
-            at_m -= slope_en * m
-            at_M -= slope_en * M
+        base, extras = slope * en * inst.P, []
+        for s, count in zip(inst.suppliers, caps):
+            A, lin = S * s.alpha, slope * (s.beta * ed - en)
+            at_m, at_M = A + (lin + q * q * s.m) * s.m, A + (lin + q * q * s.M) * s.M
             e = min(0, at_m, at_M)
             base += e
             if count:
-                y = a_en - y0  # x* = y / q
-                extras += [(at_m if y < qm else A - y * y if y <= qM else at_M) - e] * count
-        bound = list(accumulate(sorted(extras)[:L], initial=base))
-        D = bound if D is None else list(map(max, D, bound))
-    return S, D
+                y = a * (en - s.beta * ed)
+                extras += [(at_m if y < q * s.m else A - y * y if y <= q * s.M else at_M) - e] * count
+        bounds.append(list(accumulate(sorted(extras)[:L], initial=base)))
+    return S, bounds
 
 
 def _sweep_cells(inst: Instance, L_count: int) -> int:
@@ -877,47 +875,25 @@ def _require_sweep_budget(inst: Instance, L_count: int, max_cells: int | None) -
 
 
 def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
-    """Fill table 1 and the tables 2..L an optimum may need, and name best_H
-    among H = 1..H_top.
+    """Fill table 1 and the tables 2..L an optimum may need, and report
+    best_H among H = 1..H_top with the backtrack of its table.
 
-    Every optimum lies on the grid of its own interior count c <= L (its
-    other volumes are integers), grid g lies inside grid H when g | H, and an
-    optimum on grids g and H lies on grid gcd(g, H).  So each optimum has a
-    smallest grid, and it divides c.  Table 1 is filled first: its cost v1
-    bounds v*, and L is the number of c in 1..L_count that
-    :func:`_count_bound` at price 0 puts below v1, at least 1.  Table H in
-    2..L is filled unless, for every multiple c <= L of H, :func:`_count_bound`
-    at one of the prices v1/P, 3*v1/(2P) and 2*v1/P puts every plan with
-    exactly c interior suppliers above the cheapest table so far, which is
-    at least v*; multi mode fills them all, as there the bound cost more
-    time than the fills it saved.  No optimum's
-    c is ruled out, so its smallest grid is filled: the cheapest table is the
-    optimum v*, and grid H reaches v* exactly when some filled table that
-    reaches v* divides H.  best_H is the largest such H up to H_top: the
-    largest multiple up to H_top of a filled table that reaches v*.  A grid
-    has a plan exactly when the windows cover P.  ``solve`` and
-    ``solve_multi`` refuse an instance that no grid can serve in
-    require_valid, before the sweep; the fill of table 1 refuses it ("no
-    grid admits a feasible plan") only when the sweep is called on an
-    instance that skipped that check.
+    After table 1, of cost v1, the suppliers are priced once:
+    :func:`_count_bound` at price 0 and, in single mode with P > 0, at v1/P,
+    3*v1/(2P) and 2*v1/P.  L is the number of c in 1..L_count whose price-0
+    bound lies below v1, at least 1.  Table H in 2..L is filled unless, for
+    every multiple c <= L of H, the largest positive-price bound lies above
+    the cheapest table so far; multi mode fills them all.  The module
+    docstring shows why the cheapest table is the optimum v*, why best_H is
+    the largest multiple up to H_top of a filled table that reaches v*, and
+    why the plan returned, the smallest of the kept tables' plans scaled to
+    grid best_H, is the backtrack of grid best_H.
 
-    best_H's plan is the backtrack of its table, the lexicographically
-    smallest optimal plan on its grid.  An optimum on grid best_H lies on its
-    smallest grid, which divides best_H and is filled, so that plan is the
-    smallest of the plans of the filled reaching tables that divide best_H.
-    So best_H and the plan are those of a sweep over every grid.
-
-    The sweep ranks each table H it fills by (objective, H_top % H - H_top),
-    the second term minus the largest multiple of H up to H_top (H <= L <=
-    H_top), and keeps only the tables of least rank so far, dropping each
-    other table once it loses.  The least rank reads v* and best_H.  A table
-    g that reaches v* divides best_H exactly when its largest multiple up to
-    H_top is best_H, so the tables kept at the end are those that reach v*
-    and divide best_H, in fill order; the least rank only falls, so a table
-    that loses it never wins it back.  The sweep backtracks the kept table
-    whose plan, its volumes scaled to grid best_H, is smallest from supplier
-    n down; each kept plan is walked once (``DPTable.plan``), and the
-    backtrack reads the winner's.
+    Expects an instance that passed require_valid, as ``solve`` and
+    ``solve_multi`` check; on one whose windows cannot cover P the fill of
+    table 1 raises InfeasibleInstanceError ("no grid admits a feasible
+    plan").  Raises ResourceLimitError before any table is filled when the
+    tables 1..L_count hold more than max_cells cells.
 
     The plan returned is checked: its objective, recomputed by make_solution,
     must be the cheapest table's, an explicit raise that ``python -O`` keeps;
@@ -942,20 +918,22 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
             kept.append(table)
 
     fill(1)
-    S, D = _count_bound(inst, (0,), 1, L_count)  # D[c] / S: the c smallest f
+    v1 = least[0]
+    if inst.mode == SINGLE and inst.P > 0:  # 0, v1/P, 3*v1/(2P) and 2*v1/P over one denominator
+        ens, ed = tuple(k * v1.numerator for k in (0, 2, 3, 4)), 2 * v1.denominator * inst.P
+    else:
+        ens, ed = (0,), 1
+    S, (D, *priced) = _count_bound(inst, ens, ed, L_count)
     # L counts the c >= 1 with D[c] < S*v1, the integers up to ceil(S*v1) - 1;
-    # D rises strictly from D[0] = 0
-    L = max(1, bisect_right(D, (S * least[0].numerator - 1) // least[0].denominator) - 1)
-    counted = L > 1 and inst.mode == SINGLE
-    if counted:  # so P > 1: the prices v1/P, 3*v1/(2P) and 2*v1/P over one denominator
-        ens = tuple(k * least[0].numerator for k in (2, 3, 4))
-        S, D = _count_bound(inst, ens, 2 * least[0].denominator * inst.P, L)
+    # the price-0 list D rises strictly from D[0] = 0
+    L = max(1, bisect_right(D, (S * v1.numerator - 1) // v1.denominator) - 1)
+    skip = [max(col) for col in zip(*priced)]  # empty in multi mode: fill every table
     for H in range(2, L + 1):
         # table H adds an optimum only through one whose interior count c is
         # a multiple of H: fill it unless every such c is priced above the
         # cheapest table so far
         v_num, v_den = least[0].numerator, least[0].denominator
-        if not counted or any(D[c] * v_den <= S * v_num for c in range(H, L + 1, H)):
+        if not skip or any(skip[c] * v_den <= S * v_num for c in range(H, L + 1, H)):
             fill(H)
     best_val, best_H = least[0], -least[1]
     # each plan as (supplier, index on grid best_H) pairs from supplier n down:

@@ -451,6 +451,25 @@ class TestBench:
         assert out.out == ""
         assert out.err == "error: --values must be comma-separated integers, got ''\n"
 
+    @pytest.mark.parametrize(
+        "sweep, values, message",
+        [
+            ("n", "3,0", "--values for --sweep n must be at least 1, got 0"),
+            ("c", "2,0", "--values for --sweep c must be at least 1, got 0"),
+            ("P", "12,-5", "--values for --sweep P must be at least 0, got -5"),
+        ],
+    )
+    def test_rejects_values_below_the_sweeps_floor(self, sweep, values, message, capsys, monkeypatch):
+        # each value is checked before the first solve, and the error names
+        # the flag, not an instance the user never wrote
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: calls.append(args))
+        assert cli.main(["bench", "--sweep", sweep, "--values", values]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
+        assert calls == []
+
 
 class TestBadFiles:
     def refused(self, argv, capsys):

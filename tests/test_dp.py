@@ -445,19 +445,22 @@ def windows_instance(rng, lam):
     ),
 )
 def test_count_bound_is_below_every_plan_of_its_count(seed, a, b, drawn):
-    # the bound at the sweep's prices v1/P, 3*v1/(2P), 2*v1/P and at drawn
-    # ones never exceeds the cheapest enumerated plan of a count, and every
-    # grid 2..L the sweep leaves out has each multiple priced above v*
+    # the bound at each of the sweep's prices 0, v1/P, 3*v1/(2P), 2*v1/P and
+    # at each drawn one never exceeds the cheapest enumerated plan of a
+    # count, and every grid 2..L the sweep leaves out has each multiple
+    # priced above v*
     inst = windows_instance(random.Random(seed), F(a, b))
     minima = structural_minima(inst)
     v1 = solve_fixed_H(inst, 1).final
-    prices = [(tuple(k * v1.numerator for k in (2, 3, 4)), 2 * v1.denominator * max(inst.P, 1)), *drawn]
+    prices = [(tuple(k * v1.numerator for k in (0, 2, 3, 4)), 2 * v1.denominator * max(inst.P, 1)), *drawn]
     L = max(minima)
     for ens, ed in prices:
-        S, D = dp._count_bound(inst, ens, ed, L)
-        assert len(D) == L + 1
-        for c, cheapest in minima.items():
-            assert F(D[c], S) <= cheapest
+        S, bounds = dp._count_bound(inst, ens, ed, L)
+        assert len(bounds) == len(ens)
+        for D in bounds:
+            assert len(D) == L + 1
+            for c, cheapest in minima.items():
+                assert F(D[c], S) <= cheapest
     report = solve(inst)
     v = report.solution.objective
     filled = {t.H for t in report.trace}
@@ -470,12 +473,13 @@ def test_a_count_priced_exactly_at_the_running_best_is_filled():
     # alpha = beta = 0: the optimum 25/2 puts both suppliers at 5/2, on grid
     # 1 too, and its marginal cost 5 is the price 2*v1/P, where the bound is
     # exact: D(2) = 25/2, the cheapest table so far.  A tie never rules a
-    # count out, so table 2 is filled
+    # count out, so table 2 is filled, and L, read at price 0, stays 2
     inst = Instance(suppliers=(Supplier(0, 0, 1, 4),) * 2, P=5, c_hold=2)
-    S, D = dp._count_bound(inst, (2 * 25, 3 * 25, 4 * 25), 2 * 2 * 5, 2)
+    S, [D] = dp._count_bound(inst, (4 * 25,), 2 * 2 * 5, 2)
     assert F(D[2], S) == F(25, 2)
     report = solve(inst)
     assert objectives(report) == [(1, F(25, 2)), (2, F(25, 2))]
+    assert report.L == 2
 
 
 def test_interior_limit():
@@ -506,7 +510,7 @@ def test_interior_limit_counts_only_batches_a_window_can_hold():
 def cost_cut(inst, bound):
     """L as the sweep reads it from a bound on v*: the counts c >= 1 whose
     price-0 count bound lies strictly below it, at least 1."""
-    S, D = dp._count_bound(inst, (0,), 1, dp.interior_limit(inst))
+    S, [D] = dp._count_bound(inst, (0,), 1, dp.interior_limit(inst))
     return max(1, sum(F(d, S) < bound for d in D[1:]))
 
 
@@ -548,7 +552,7 @@ def test_count_bound_at_price_0_sums_the_smallest_f(inst, L):
     caps = [(s.M - 1) // s.m if inst.mode == MULTI else int(s.M > s.m) for s in inst.suppliers]
     f = [s.alpha + s.beta * s.m + inst.c_hold * s.m**2 / (2 * inst.lam) for s in inst.suppliers]
     smallest = sorted(itertools.chain.from_iterable([fi] * min(cap, L) for fi, cap in zip(f, caps)))[:L]
-    S, D = dp._count_bound(inst, (0,), 1, L)
+    S, [D] = dp._count_bound(inst, (0,), 1, L)
     assert D == [S * total for total in itertools.accumulate(smallest, initial=0)]
 
 

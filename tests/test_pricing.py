@@ -958,6 +958,39 @@ def test_choice_breaks_over_delivery_and_skip_ties_like_the_loop():
     check_choice_everywhere(table)
 
 
+def outside_bands_blanked(table):
+    """The table with every cell of rows 1..n at p >= 1 outside its row's
+    band replaced by row 0's sentinel phi[0][1], UB + 1: rows that hold only
+    their bands."""
+    sentinel = table.phi[0][-1]  # UB + 1, or row 0's only cell when P = 0
+    phi = [table.phi[0]]
+    for row, (first, last) in zip(table.phi[1:], table.bands[1:]):
+        phi.append([v if p == 0 or first <= p <= last else sentinel for p, v in enumerate(row)])
+    return replace(table, phi=phi)
+
+
+def check_blanked(table):
+    blanked = outside_bands_blanked(table)
+    assert blanked.final == table.final
+    assert _chosen_indices(blanked) == _chosen_indices(table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=instances(n_max=4, bound_max=8), H=st.integers(1, 3), multi=st.booleans())
+def test_cells_outside_the_bands_carry_no_value(inst, H, multi):
+    # a cell outside its row's band keeps row k-1's value, but neither
+    # phi(n, P) nor the backtrack reads it: as the sentinel it gives the
+    # same final cell and plan
+    check_blanked(solve_fixed_H(replace(inst, mode=MULTI if multi else SINGLE), H))
+
+
+@settings(max_examples=150, deadline=None)
+@given(built=hand_built_rows())
+def test_cells_outside_the_bands_carry_no_value_on_rows_full_of_ties(built):
+    inst, grid, costs = built
+    check_blanked(_fill(inst, grid, costs, "hand-built", None))
+
+
 def ref_increments(row, lo, hi, total, convex):
     """The bound's increments with the row's own differences after t taken
     as ``map(sub, ...)`` of the row."""
