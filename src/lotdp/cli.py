@@ -12,7 +12,8 @@ or the backtrack finds no volume that attains a cell), reported on one
 ``error: internal audit failed: ...`` line.  The environment
 variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve, counted
 before the sweep starts: the grids H = 1..L_count (the interior bound from
-the volume windows alone) together.  The sweep fills grid 1 and some of
+the volume windows alone, and in multi mode from the batch-count rule too)
+together.  The sweep fills grid 1 and some of
 the grids 2..L, and L <= L_count, so it never fills more; the fill computes
 only part of each table's cells (``computed`` in the report's ``per_H`` and
 in the ``bench`` CSV).  The report's ``skip_reason`` sorts the grids left

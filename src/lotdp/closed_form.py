@@ -77,13 +77,19 @@ def multi_delivery_cost(supplier: Supplier, volume, lam, c_hold) -> tuple[int, F
     (equal batches are optimal for a fixed r by convexity of the holding term),
     and r may range over 1..floor(x/m) so each batch stays >= m.  Returns the
     best (r, cost); ties go to the smaller r.
+
+    In integers: with x = n/d and lam = a/b the holding term is Q/(QD*r),
+    Q = c_hold*b*n**2 and QD = 2*a*d**2, so r minimizes r*alpha*QD + Q/r, and
+    the cost is (r**2*alpha*QD + 2*a*d*beta*n*r + Q) / (r*QD): one Fraction.
     """
     x = as_rational(volume)
     if x < supplier.m or x > supplier.M:
         raise VolumeBoundsError(
             f"total volume {x} outside the allowed window [{supplier.m}, {supplier.M}]"
         )
-    quad = c_hold * x * x / (2 * as_rational(lam))
-    # r*alpha + quad/r scaled by quad's denominator has integer coefficients
-    r = best_batch_count(supplier.alpha * quad.denominator, quad.numerator, math.floor(x / supplier.m))
-    return r, r * supplier.alpha + supplier.beta * x + quad / r
+    lam = as_rational(lam)
+    n, d, a = x.numerator, x.denominator, lam.numerator
+    Q, QD = c_hold * lam.denominator * n * n, 2 * a * d * d
+    A = supplier.alpha * QD
+    r = best_batch_count(A, Q, n // (supplier.m * d))
+    return r, Fraction((r * A + 2 * a * d * supplier.beta * n) * r + Q, r * QD)

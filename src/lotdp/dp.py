@@ -14,9 +14,12 @@ and backtracks the winning volumes.
 
 An interior volume exceeds its m, and a plan with an interior group covers
 exactly P, so the interior count H of an optimum is at most L.  In single
-mode a supplier can be interior only when M > m, in multi mode it holds at
-most (M - 1) // m interior batches (``_interior_caps``), and the m of all
-interior batches sum to at most P - 1: L_count is the most batches that fit
+mode a supplier can be interior only when M > m.  In multi mode it holds at
+most r interior batches, r the largest count up to (M - 1) // m that is 1
+or beats r - 1 at total M by the batch-count rule: r batches of a total x
+beat r - 1 exactly when (r - 1)*r*2*a*alpha < c*b*x**2, lam = a/b, and an
+interior total lies below M (``_interior_caps``).  The m of all interior
+batches sum to at most P - 1: L_count is the most batches that fit
 (``interior_limit``).  Each interior batch also costs more than its
 supplier's f = alpha + beta*m + c*m**2/(2*lam), and table 1 bounds the
 optimum v* from above, so L is the number of counts c in 1..L_count whose c
@@ -30,7 +33,8 @@ Table H can add an optimum only through one with H | c.  The sweep fills
 table 1 (cost v1) and then prices the suppliers once: ``_count_bound``
 returns one bound list per price, at price 0, which reads L, and in single
 mode, where a price on the demand bounds every plan with exactly c interior
-suppliers from below, at v1/P, 3*v1/(2P) and 2*v1/P too.  It fills each
+suppliers from below, at v1/P, 3*v1/(2P) and 2*v1/P too, unless L_count = 1
+leaves no table 2..L to decide.  It fills each
 table H in 2..L unless every multiple c <= L of H is priced above the
 cheapest table so far at one of the positive prices; multi mode fills every
 table 1..L, as there the bound cost more time than the fills it saved.
@@ -140,7 +144,7 @@ from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import add, eq, floordiv, indexOf, sub
 
-from .closed_form import multi_delivery_cost
+from .closed_form import best_batch_count, multi_delivery_cost
 from .errors import InfeasibleInstanceError, ResourceLimitError
 from .model import (
     MULTI,
@@ -433,7 +437,10 @@ def _upper_bound(grid: Grid, costs: CostRows, incs: list[list[int]], lb: int, cu
         rest = [[] if s else inc for s, inc in zip(short, incs)]
         if any(short) and sum(map(len, rest)) >= total:
             ub = min(ub, priced(_smallest_counts(rest, total)))
-        ub = min([ub] + [min(ck[max(total, lo) - lo:]) for ck, (lo, hi) in zip(costs, grid.spans) if hi >= total])
+        for ck, (lo, hi) in zip(costs, grid.spans):
+            if hi >= total:  # one batch of at least total: on a rising row, the first
+                j = max(total, lo) - lo
+                ub = min(ub, ck[j] if costs.convex else min(ck[j:]))
     return ub
 
 
@@ -698,12 +705,11 @@ def backtrack(table: DPTable, inst: Instance) -> Solution:
     den = table.grid.denominator
     deliveries: list[tuple[int, Fraction]] = []
     for k, idx in table.plan:
-        vol = Fraction(idx, den)
         if table.kind == "multi-aggregated":
-            r, _ = multi_delivery_cost(inst.suppliers[k - 1], vol, inst.lam, inst.c_hold)
-            deliveries.extend((k, vol / r) for _ in range(r))
+            r, _ = multi_delivery_cost(inst.suppliers[k - 1], Fraction(idx, den), inst.lam, inst.c_hold)
+            deliveries += [(k, Fraction(idx, den * r))] * r
         else:
-            deliveries.append((k, vol))
+            deliveries.append((k, Fraction(idx, den)))
     return make_solution(inst, deliveries)
 
 
@@ -763,19 +769,32 @@ class SolveReport:
 
 def _interior_caps(inst: Instance) -> list[int]:
     """The most interior batches each supplier can hold: 1 if M > m, else 0,
-    in single mode, and (M - 1) // m in multi mode, since r*m < M."""
-    if inst.mode == MULTI:
-        return [(s.M - 1) // s.m for s in inst.suppliers]
-    return [int(s.M > s.m) for s in inst.suppliers]
+    in single mode.  In multi mode, the largest r <= (M - 1) // m (so r*m <
+    M) that is 1 or has (r - 1)*r*2*a*alpha < c_hold*b*M**2, lam = a/b.
+    That r is best_batch_count(2*a*alpha, c_hold*b*M**2, (M - 1) // m): the
+    smallest r with r*(r + 1)*2*a*alpha >= c_hold*b*M**2, within the window.
+
+    r batches of a total x beat r - 1 exactly when (r - 1)*r*2*a*alpha <
+    c_hold*b*x**2.  A plan's count is the smallest best one, so r >= 2
+    batches strictly beat r - 1, and an interior total lies below M.  Where
+    two counts tie, the cost has a concave kink, and no optimum sits there
+    unless its total is the integer residual: every optimum still lies on
+    the grid of its own interior count."""
+    if inst.mode != MULTI:
+        return [int(s.M > s.m) for s in inst.suppliers]
+    a, cb = inst.lam.numerator, inst.c_hold * inst.lam.denominator
+    return [best_batch_count(2 * a * s.alpha, cb * s.M * s.M, (s.M - 1) // s.m) for s in inst.suppliers]
 
 
 def interior_limit(inst: Instance) -> int:
     """L_count, the bound on the interior count of every optimal plan that
-    follows from the windows alone: the interior batches are the suppliers
-    strictly inside their windows (single mode), or the batches of the
-    suppliers whose total lies strictly between r*m and M (multi mode).
+    follows from the windows alone, and in multi mode from the batch-count
+    rule: the interior batches are the suppliers strictly inside their
+    windows (single mode), or the batches of the suppliers whose total lies
+    strictly between r*m and M (multi mode).
 
-    Supplier i holds at most :func:`_interior_caps` interior batches.  A
+    Supplier i holds at most :func:`_interior_caps` interior batches: in
+    multi mode, no more than total M would take, held to (M - 1) // m.  A
     plan with an interior group covers exactly P, since shrinking an
     interior volume would save cost, and each interior batch exceeds its m,
     so the m of the interior batches sum to at most P - 1.  L_count is the
@@ -812,8 +831,9 @@ def _count_bound(inst: Instance, ens: tuple[int, ...], ed: int, L: int) -> tuple
     batches, for c = 0..L, at each price ell = en/ed >= 0 for en in ``ens``:
     (S, [D for each price]), D[c] the bound's numerator over S =
     2*a*c_hold*b*ed**2 for lam = a/b.  Each supplier counts up to its
-    :func:`_interior_caps` interior batches, and never more than L, so each
-    D has at most L + 1 entries.
+    :func:`_interior_caps` interior batches (in multi mode the batch-count
+    rule's cap), and never more than L, so each D has at most L + 1
+    entries.
 
     A price ell on the demand (Lagrangian relaxation, Fisher 1981) bounds a
     single-mode plan covering P from below by ell*P + sum_i g_i(x_i), with
@@ -879,8 +899,8 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     best_H among H = 1..H_top with the backtrack of its table.
 
     After table 1, of cost v1, the suppliers are priced once:
-    :func:`_count_bound` at price 0 and, in single mode with P > 0, at v1/P,
-    3*v1/(2P) and 2*v1/P.  L is the number of c in 1..L_count whose price-0
+    :func:`_count_bound` at price 0 and, in single mode with P > 0 and
+    L_count > 1, at v1/P, 3*v1/(2P) and 2*v1/P.  L is the number of c in 1..L_count whose price-0
     bound lies below v1, at least 1.  Table H in 2..L is filled unless, for
     every multiple c <= L of H, the largest positive-price bound lies above
     the cheapest table so far; multi mode fills them all.  The module
@@ -919,7 +939,7 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
 
     fill(1)
     v1 = least[0]
-    if inst.mode == SINGLE and inst.P > 0:  # 0, v1/P, 3*v1/(2P) and 2*v1/P over one denominator
+    if inst.mode == SINGLE and inst.P > 0 and L_count > 1:  # 0, v1/P, 3*v1/(2P) and 2*v1/P over one denominator
         ens, ed = tuple(k * v1.numerator for k in (0, 2, 3, 4)), 2 * v1.denominator * inst.P
     else:
         ens, ed = (0,), 1

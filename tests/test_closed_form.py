@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,8 @@ from lotdp import (
     marginal_costs,
     multi_delivery_cost,
 )
+from lotdp.closed_form import best_batch_count
+from lotdp.model import as_rational
 
 
 def objective(volumes, betas):
@@ -143,3 +146,59 @@ class TestMultiDeliveryCost:
             assert sum(parts) == x and all(p >= m for p in parts)
             split_cost = sum(alpha + beta * p + F(p * p, 2) for p in parts)
             assert cost <= split_cost
+
+
+def fraction_multi_delivery_cost(supplier, volume, lam, c_hold):
+    """The reference: the same rule in Fractions, the holding term reduced
+    first and its numerator and denominator handed to best_batch_count."""
+    x = as_rational(volume)
+    if x < supplier.m or x > supplier.M:
+        raise VolumeBoundsError(
+            f"total volume {x} outside the allowed window [{supplier.m}, {supplier.M}]"
+        )
+    quad = c_hold * x * x / (2 * as_rational(lam))
+    r = best_batch_count(supplier.alpha * quad.denominator, quad.numerator, math.floor(x / supplier.m))
+    return r, r * supplier.alpha + supplier.beta * x + quad / r
+
+
+class TestIntegerMultiDeliveryCost:
+    """multi_delivery_cost in integers against the Fraction reference."""
+
+    @pytest.mark.parametrize("lam", [1, F(1, 2), F(2, 3), F(3, 2), F(2, 5)])
+    @pytest.mark.parametrize("c_hold", [1, 2, 3])
+    def test_matches_the_fraction_formula_on_every_grid(self, lam, c_hold):
+        # every window total on the solver's grids H = 1..6, of denominator
+        # H*c_hold*den(lam), with alpha 0 (the most batches), 1..10 (counts
+        # that step up) and 400 (mostly one batch)
+        rng = random.Random(c_hold * 100 + F(lam).numerator * 10 + F(lam).denominator)
+        for alpha in [0, *range(1, 11), 400]:
+            m = rng.randint(1, 4)
+            s = Supplier(alpha, rng.randint(0, 9), m, rng.randint(m, 4 * m + 3))
+            for H in range(1, 7):
+                den = H * c_hold * F(lam).denominator
+                for i in range(s.m * den, s.M * den + 1):
+                    x = F(i, den)
+                    got = multi_delivery_cost(s, x, lam, c_hold)
+                    assert got == fraction_multi_delivery_cost(s, x, lam, c_hold), (s, x)
+                    assert type(got[0]) is int and type(got[1]) is F
+
+    def test_ties_go_to_the_smaller_count(self):
+        # r = 1 and r = 2 tie at (r - 1)*r*2*a*alpha = c_hold*b*x**2: here
+        # 2*2*3*alpha = 2*2*x**2 at x = 3 with lam = 3/2 and alpha = 3
+        s = Supplier(3, 1, 1, 9)
+        assert multi_delivery_cost(s, 3, F(3, 2), 2) == fraction_multi_delivery_cost(s, 3, F(3, 2), 2)
+        assert multi_delivery_cost(s, 3, F(3, 2), 2)[0] == 1
+        # just above the tie two batches win
+        r, _ = multi_delivery_cost(s, F(301, 100), F(3, 2), 2)
+        assert r == 2
+
+    @pytest.mark.parametrize("x", [F(3, 2), 10, F(19, 2)])
+    def test_window_error_text(self, x):
+        with pytest.raises(VolumeBoundsError) as err:
+            multi_delivery_cost(Supplier(1, 0, 2, 9), x, F(2, 3), 2)
+        assert str(err.value) == f"total volume {x} outside the allowed window [2, 9]"
+
+    @pytest.mark.parametrize("volume, lam", [(3.0, 1), (3, 1.0), (2.5, F(1, 2))])
+    def test_floats_are_refused(self, volume, lam):
+        with pytest.raises(TypeError, match="expected an integer or Fraction"):
+            multi_delivery_cost(Supplier(1, 0, 2, 9), volume, lam, 1)

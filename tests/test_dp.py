@@ -19,6 +19,7 @@ from lotdp import (
     duplication_oracle,
     lemma1_solution,
     make_solution,
+    multi_delivery_cost,
     multi_h_limit,
     random_instance,
     solve,
@@ -549,11 +550,75 @@ def test_interior_limit_cost_bound():
 def test_count_bound_at_price_0_sums_the_smallest_f(inst, L):
     # f = alpha + beta*m + c_hold*m**2/(2*lam), each supplier's counted up to
     # its interior cap and at most L times: D[c] = S times the c smallest
-    caps = [(s.M - 1) // s.m if inst.mode == MULTI else int(s.M > s.m) for s in inst.suppliers]
+    caps = ref_interior_caps(inst)
     f = [s.alpha + s.beta * s.m + inst.c_hold * s.m**2 / (2 * inst.lam) for s in inst.suppliers]
     smallest = sorted(itertools.chain.from_iterable([fi] * min(cap, L) for fi, cap in zip(f, caps)))[:L]
     S, [D] = dp._count_bound(inst, (0,), 1, L)
     assert D == [S * total for total in itertools.accumulate(smallest, initial=0)]
+
+
+def ref_interior_caps(inst):
+    """Each supplier's interior cap, searched from the top: in multi mode the
+    largest r <= (M - 1) // m with r = 1 or (r - 1)*r*2*a*alpha <
+    c_hold*b*M**2, for lam = a/b."""
+    if inst.mode != MULTI:
+        return [int(s.M > s.m) for s in inst.suppliers]
+    a, b = inst.lam.numerator, inst.lam.denominator
+    return [
+        next(
+            (r for r in range((s.M - 1) // s.m, 1, -1) if (r - 1) * r * 2 * a * s.alpha < inst.c_hold * b * s.M**2),
+            min(1, (s.M - 1) // s.m),
+        )
+        for s in inst.suppliers
+    ]
+
+
+def capped_instance(rng, lams=(F(1, 2), F(2, 3), F(3, 2), F(2, 5))):
+    """A multi-mode draw with fractional lam and alpha up to 400, where the
+    batch-count rule caps the interior batches below (M - 1) // m."""
+    sups = []
+    for _ in range(rng.randint(1, 3)):
+        m = rng.randint(1, 3)
+        alpha = rng.choice([0, rng.randint(1, 10), rng.randint(1, 40), 400])
+        sups.append(Supplier(alpha, rng.randint(0, 9), m, rng.randint(m, 12)))
+    P = rng.randint(1, min(sum(s.M for s in sups), 12))
+    return Instance(suppliers=tuple(sups), P=P, lam=rng.choice(lams), c_hold=rng.randint(1, 3), mode=MULTI)
+
+
+def test_interior_caps_follow_the_batch_count_rule():
+    rng = random.Random(3)
+    binds = 0
+    for _ in range(300):
+        inst = capped_instance(rng, lams=(1, F(1, 2), F(2, 3), F(3, 2), 3, F(2, 5)))
+        caps = dp._interior_caps(inst)
+        assert caps == ref_interior_caps(inst)
+        binds += caps != [(s.M - 1) // s.m for s in inst.suppliers]
+        # every grid total strictly inside (r*m, M) whose best count is r
+        # has r <= the cap, on the grids 1..6
+        for s, cap in zip(inst.suppliers, caps):
+            for H in range(1, 7):
+                den = H * inst.c_hold * inst.lam.denominator
+                for i in range(s.m * den + 1, s.M * den):
+                    x = F(i, den)
+                    r, _ = multi_delivery_cost(s, x, inst.lam, inst.c_hold)
+                    assert r * s.m >= x or r <= cap, (inst, s, x, r, cap)
+    assert binds >= 100
+
+
+def test_capped_sweep_matches_the_duplication_oracle():
+    # the cap leaves L below the bound from the windows alone in many of
+    # these draws, and every optimum is still found
+    rng = random.Random(26)
+    below = 0
+    for _ in range(200):
+        inst = capped_instance(rng)
+        report = solve_multi(inst)
+        assert report.solution.objective == duplication_oracle(inst).objective, inst
+        assert report.interior <= report.L
+        # alpha = 0 lifts every cap to (M - 1) // m, the bound from the windows alone
+        old = dp.interior_limit(replace(inst, suppliers=tuple(replace(s, alpha=0) for s in inst.suppliers)))
+        below += report.L_count < old
+    assert below >= 40
 
 
 def count_fills(monkeypatch):
@@ -597,7 +662,7 @@ def test_best_H_plan_comes_from_the_smaller_grids(monkeypatch):
     [
         (random_instance(random.Random(36), n_max=6, p_max=24, c_max=2, bound_max=10), 2, 0),
         (
-            random_instance(random.Random(76), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
+            random_instance(random.Random(624), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
             3,
             2,
         ),
@@ -653,8 +718,9 @@ def test_solve_walks_only_the_kept_tables_that_divide_best_H(monkeypatch, mode):
     "inst, best_H, eligible",
     [
         (random_instance(random.Random(63), n_max=6, p_max=24, c_max=2, bound_max=10), 4, [2, 4]),
+        # H_top = 7 + 1 = 8, so grid 6 is the largest multiple of grid 3
         (
-            random_instance(random.Random(160303), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
+            Instance(suppliers=(Supplier(0, 5, 2, 15), Supplier(3, 1, 10, 11)), P=15, lam=2, mode=MULTI),
             6,
             [3, 6],
         ),
@@ -680,10 +746,10 @@ def test_best_H_at_most_L_ranks_its_own_table_with_its_divisors(monkeypatch, ins
         # tables 1 and 3 lie above v*, and table 4 reaches it but does not
         # divide best_H = 6: only table 2 stays
         (random_instance(random.Random(24), n_max=6, p_max=24, c_max=2, bound_max=10), [2]),
-        # tables 1..7 all reach v* and best_H = H_top = 16: 3, 5, 6 and 7 go
+        # tables 1..7 all reach v* and best_H = H_top = 18: 4, 5 and 7 go
         (
-            random_instance(random.Random(9), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
-            [1, 2, 4],
+            random_instance(random.Random(25), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
+            [1, 2, 3, 6],
         ),
     ],
     ids=["single", "multi"],
@@ -866,3 +932,23 @@ def test_cell_budget_counts_the_bounded_sweep(monkeypatch):
     with pytest.raises(ResourceLimitError, match=r"H=1\.\.2 needs 85 "):
         solve(inst, max_cells=new_need - 1)
     assert fills == []
+
+
+def test_single_mode_prices_the_demand_only_with_tables_left_to_decide(monkeypatch):
+    # with L_count = 1 no table 2..L is left to skip, so _count_bound prices
+    # 0 alone; with L_count > 1 it prices v1/P, 3*v1/(2P) and 2*v1/P too
+    prices = []
+    original = dp._count_bound
+
+    def recorded(inst, ens, ed, L):
+        prices.append(len(ens))
+        return original(inst, ens, ed, L)
+
+    monkeypatch.setattr(dp, "_count_bound", recorded)
+    lone = Instance(suppliers=(Supplier(1, 1, 5, 9), Supplier(2, 1, 6, 9)), P=10)
+    assert dp.interior_limit(lone) == 1
+    solve(lone)
+    wide = Instance(suppliers=(Supplier(1, 1, 1, 9), Supplier(2, 1, 1, 9)), P=10)
+    assert dp.interior_limit(wide) == 2
+    solve(wide)
+    assert prices == [1, 4]
