@@ -221,9 +221,11 @@ def cmd_verify(args) -> int:
     max_cells = _max_cells()
     if (args.path is None) == (args.seed_batch is None):
         return _fail("verify takes either an instance file or --seed-batch N", EXIT_INPUT)
+    if args.seed is not None and args.seed_batch is None:
+        return _fail("verify takes --seed only with --seed-batch N", EXIT_INPUT)
 
     if args.seed_batch is not None:
-        rng = random.Random(args.seed)
+        rng = random.Random(args.seed or 0)
         disagreements = 0
         for i in range(args.seed_batch):
             inst = random_instance(rng)
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-check solvers and oracles")
     p_verify.add_argument("path", nargs="?", help="instance JSON file")
     p_verify.add_argument("--seed-batch", type=_at_least(1), metavar="N", help="verify N random instances")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for --seed-batch")
+    p_verify.add_argument("--seed", type=int, help="seed for --seed-batch (default 0)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a seeded random instance")

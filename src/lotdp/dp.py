@@ -112,7 +112,7 @@ the sum of the P*den smallest increments of all, bounds every plan.  UB is
 the cost of a feasible plan of the table: the relaxation water-filled to P,
 each supplier below its m lifted to m, and the excess handed back, largest
 last increment first, or the same after dropping the suppliers left below m,
-or one batch of at least P alone, whichever is cheapest.  Row k is computed
+whichever is cheaper.  Row k is computed
 at p = 0 and in its band, the residuals p >= 1 with LBpre_k(p) +
 LBsuf_k(P*den - p) <= UB.  The sum is convex in p and least, at LB, where the
 two merged lists cross, so the band is one interval around that split: a
@@ -414,11 +414,11 @@ def _upper_bound(grid: Grid, costs: CostRows, incs: list[list[int]], lb: int, cu
     excess units, the largest last increments first, down to no supplier
     below its m.  When the other suppliers can cover the demand alone, a
     second plan drops those suppliers and water-fills again over the rest,
-    then lifts and hands back the same way.  A third plan is one batch of at
-    least ``total`` alone, the cheapest of the suppliers whose window
-    reaches it.  UB is the cheapest of the three.  ``lb`` is the relaxation
-    of all suppliers, LB = LBsuf_0(total), and ``cut`` its largest
-    increment, the total-th smallest of all (None when total is 0)."""
+    then lifts and hands back the same way.  UB is the cheaper of the two;
+    one batch of at least ``total`` alone is left to the fill's over-delivery
+    pass.  ``lb`` is the relaxation of all suppliers, LB = LBsuf_0(total),
+    and ``cut`` its largest increment, the total-th smallest of all (None
+    when total is 0)."""
     total = grid.demand_points - 1
 
     def priced(x):
@@ -437,10 +437,6 @@ def _upper_bound(grid: Grid, costs: CostRows, incs: list[list[int]], lb: int, cu
         rest = [[] if s else inc for s, inc in zip(short, incs)]
         if any(short) and sum(map(len, rest)) >= total:
             ub = min(ub, priced(_smallest_counts(rest, total)))
-        for ck, (lo, hi) in zip(costs, grid.spans):
-            if hi >= total:  # one batch of at least total: on a rising row, the first
-                j = max(total, lo) - lo
-                ub = min(ub, ck[j] if costs.convex else min(ck[j:]))
     return ub
 
 
@@ -899,15 +895,16 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     best_H among H = 1..H_top with the backtrack of its table.
 
     After table 1, of cost v1, the suppliers are priced once:
-    :func:`_count_bound` at price 0 and, in single mode with P > 0 and
-    L_count > 1, at v1/P, 3*v1/(2P) and 2*v1/P.  L is the number of c in 1..L_count whose price-0
-    bound lies below v1, at least 1.  Table H in 2..L is filled unless, for
-    every multiple c <= L of H, the largest positive-price bound lies above
-    the cheapest table so far; multi mode fills them all.  The module
-    docstring shows why the cheapest table is the optimum v*, why best_H is
-    the largest multiple up to H_top of a filled table that reaches v*, and
-    why the plan returned, the smallest of the kept tables' plans scaled to
-    grid best_H, is the backtrack of grid best_H.
+    :func:`_count_bound` at price 0 and, in single mode with L_count > 1
+    (so P >= 3), at v1/P, 3*v1/(2P) and 2*v1/P.  L is the number of c in
+    1..L_count whose price-0 bound lies below v1, at least 1.  Table H in
+    2..L is filled unless, for every multiple c <= L of H, the largest
+    positive-price bound lies above the cheapest table so far; multi mode
+    fills them all.  The module docstring shows why the cheapest table is
+    the optimum v*, why best_H is the largest multiple up to H_top of a
+    filled table that reaches v*, and why the plan returned, the smallest of
+    the kept tables' plans scaled to grid best_H, is the backtrack of grid
+    best_H.
 
     Expects an instance that passed require_valid, as ``solve`` and
     ``solve_multi`` check; on one whose windows cannot cover P the fill of
@@ -939,7 +936,7 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
 
     fill(1)
     v1 = least[0]
-    if inst.mode == SINGLE and inst.P > 0 and L_count > 1:  # 0, v1/P, 3*v1/(2P) and 2*v1/P over one denominator
+    if inst.mode == SINGLE and L_count > 1:  # 0, v1/P, 3*v1/(2P) and 2*v1/P over one denominator
         ens, ed = tuple(k * v1.numerator for k in (0, 2, 3, 4)), 2 * v1.denominator * inst.P
     else:
         ens, ed = (0,), 1

@@ -61,7 +61,20 @@ def multi_file(tmp_path):
     return write_instance(tmp_path / "multi.json", inst)
 
 
+SOLVE_STDOUT = Path(__file__).parent / "data" / "solve_stdout"
+
+
 class TestSolve:
+    @pytest.mark.parametrize("name", ["frac", "frac-multi", "wide", "counts", "one-run", "cap"])
+    def test_stdout_bytes_of_the_hand_written_instances(self, name, capsys, monkeypatch):
+        # each <name>.out holds the stdout of `lotdp solve <name>.json`, byte
+        # for byte: a change to any answer, volume, tie-break or output format
+        # shows here
+        monkeypatch.delenv("LOTDP_MAX_CELLS", raising=False)
+        assert cli.main(["solve", str(SOLVE_STDOUT / f"{name}.json")]) == 0
+        expected = (SOLVE_STDOUT / f"{name}.out").read_bytes()
+        assert capsys.readouterr().out.encode() == expected
+
     def test_golden(self, golden_file, capsys):
         assert cli.main(["solve", golden_file]) == 0
         out = capsys.readouterr()
@@ -305,6 +318,19 @@ class TestVerify:
         assert cli.main(["verify", "--seed-batch", "20", "--seed", "3"]) == 0
         assert "20/20 agree" in capsys.readouterr().out
 
+    def test_seed_batch_without_a_seed_draws_seed_0(self, capsys, monkeypatch):
+        drawn = []
+
+        def recorded(rng, draw=cli.random_instance):
+            drawn.append(draw(rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "random_instance", recorded)
+        for argv in (["--seed-batch", "3"], ["--seed-batch", "3", "--seed", "0"]):
+            assert cli.main(["verify", *argv]) == 0
+        rng = random.Random(0)
+        assert drawn[:3] == drawn[3:] == [lotdp.random_instance(rng) for _ in range(3)]
+
     def test_seed_batch_names_the_instance_over_the_cell_cap(self, capsys, monkeypatch):
         # instance 31 of seed 0 needs 1,635 cells and the 31 before it fit
         # under 1,500: the batch stops there on one error line that names it
@@ -532,6 +558,11 @@ class TestBadFiles:
     def test_verify_refuses_a_file_with_a_seed_batch(self, golden_file, capsys):
         err = self.refused(["verify", golden_file, "--seed-batch", "2"], capsys)
         assert "either" in err
+
+    def test_verify_refuses_a_file_with_a_seed(self, golden_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_verify_one", lambda *args: pytest.fail("verify solved"))
+        err = self.refused(["verify", golden_file, "--seed", "7"], capsys)
+        assert "--seed only with --seed-batch" in err
 
 
 class TestUsageErrors:

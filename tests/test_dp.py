@@ -28,6 +28,7 @@ from lotdp import (
     structural_oracle,
 )
 from lotdp import dp
+from lotdp.generate import bench_instance
 from test_pricing import full_chain
 
 
@@ -396,6 +397,25 @@ def test_bounded_sweep_with_no_purchase_costs_in_multi_mode():
     inst = Instance(suppliers=(Supplier(0, 1, 2, 7), Supplier(0, 2, 3, 9)), P=11, mode=MULTI)
     report = assert_matches_full_sweep(inst)
     assert (report.L, report.L_count, report.H_top) == (4, 4, 8)
+
+
+def test_fine_grid_draws_keep_their_answers_and_computed_cells():
+    # c_hold = 2 or 3 and den(lambda) = 2, 3 or 5: the fill computes up to
+    # 48% of a draw's cells, where the benchmark pools average 2-18%, so the
+    # band walks and the fill run long here.  Each draw keeps its
+    # (objective, best_H), and the fill its total of computed cells: a
+    # change to UB or to the bands shows in that total
+    rng = random.Random(5)
+    expected = [(F(2167, 4), 6), (F(27569, 54), 6), (F(8075, 36), 6), (F(564), 9),
+                (F(2342, 5), 10), (F(11339, 18), 6), (F(4325, 16), 6), (F(608), 8),
+                (F(1675, 4), 9), (F(25463, 54), 9), (F(1465, 4), 6), (F(587), 7)]
+    computed = 0
+    for i, want in enumerate(expected):
+        lam = [F(1, 2), F(2, 3), F(3, 2), F(3, 5)][i % 4]
+        report = solve(replace(bench_instance(rng, 6 + i % 5, 30, 2 + i % 2), lam=lam))
+        assert (report.solution.objective, report.best_H) == want, i
+        computed += report.cells_computed
+    assert computed == 110360
 
 
 # --- the interior-count bound against enumerated plans -------------------------
@@ -936,7 +956,8 @@ def test_cell_budget_counts_the_bounded_sweep(monkeypatch):
 
 def test_single_mode_prices_the_demand_only_with_tables_left_to_decide(monkeypatch):
     # with L_count = 1 no table 2..L is left to skip, so _count_bound prices
-    # 0 alone; with L_count > 1 it prices v1/P, 3*v1/(2P) and 2*v1/P too
+    # 0 alone; with L_count > 1 it prices v1/P, 3*v1/(2P) and 2*v1/P too.
+    # Two interior batches need P - 1 >= 2, so P = 0 and P = 1 price 0 alone
     prices = []
     original = dp._count_bound
 
@@ -951,4 +972,8 @@ def test_single_mode_prices_the_demand_only_with_tables_left_to_decide(monkeypat
     wide = Instance(suppliers=(Supplier(1, 1, 1, 9), Supplier(2, 1, 1, 9)), P=10)
     assert dp.interior_limit(wide) == 2
     solve(wide)
-    assert prices == [1, 4]
+    for P in (0, 1):
+        small = replace(wide, P=P)
+        assert dp.interior_limit(small) == 1
+        solve(small)
+    assert prices == [1, 4, 1, 1]

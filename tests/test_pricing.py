@@ -683,14 +683,15 @@ def test_upper_bound_lifts_to_m_and_hands_back_the_largest_increments():
 
 
 @pytest.mark.parametrize("mode", [SINGLE, MULTI])
-def test_upper_bound_prices_one_batch_that_over_delivers(mode):
+def test_upper_bound_is_the_lifted_plan_and_the_fill_finds_one_batch_that_covers_all(mode):
     # on the grid of step 1/3 the demand is 30 and the windows are 30..36,
     # 24..36 and 36, each one batch in multi mode too.  The water-fill
     # (0, 24, 6) leaves supplier 3 below its m: lifted, it is (0, 24, 36) at
-    # 6786 / 18, and without supplier 3 it is (30, 24, 0) at 7038 / 18.  One
-    # batch of at least 30 alone is the optimum, supplier 2 at 30 for
-    # 8 + 5*10 + 3*10**2/2 = 208 = 3744 / 18, and with it as UB the fill
-    # computes 47 of the 124 cells, not 65
+    # 6786 / 18, and without supplier 3 it is (30, 24, 0) at 7038 / 18, so
+    # UB is the lifted plan, and the fill computes 65 of the 124 cells.  The
+    # optimum is one batch of at least 30 alone, supplier 2 at 30 for
+    # 8 + 5*10 + 3*10**2/2 = 208 = 3744 / 18: it stands on residual 0, which
+    # no band holds, so only the over-delivery pass prices it
     inst = Instance(
         suppliers=(Supplier(7, 9, 10, 12), Supplier(8, 5, 8, 12), Supplier(5, 1, 12, 12)),
         P=10, c_hold=3, mode=mode,
@@ -698,11 +699,12 @@ def test_upper_bound_prices_one_batch_that_over_delivers(mode):
     kind = "multi-aggregated" if mode == MULTI else SINGLE
     grid = build_grid(inst, 1)
     costs = BUILDERS[kind](inst, grid)
-    assert bounds(grid, costs)[2] == 3744
+    assert costs.den == 18
+    assert bounds(grid, costs)[2] == 6786
     table = checked_table(inst, 1, kind)
     pruned = solve_fixed_H(inst, 1)
     assert pruned.phi[-1][-1] == table.phi[-1][-1] == 3744
-    assert (pruned.computed, pruned.grid.cells) == (47, 124)
+    assert (pruned.computed, pruned.grid.cells) == (65, 124)
     assert pruned.plan == table.plan == [(2, 30)]
 
 
