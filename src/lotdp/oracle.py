@@ -60,10 +60,6 @@ def structural_oracle(inst: Instance) -> Solution:
         raise ResourceLimitError(
             f"{inst.n} suppliers means 4**{inst.n} assignments; cap is {MAX_SUPPLIERS}"
         )
-    if inst.capacity == inst.P:
-        # Demand ties up every unit of capacity: the all-at-maximum plan is
-        # the one feasible point.
-        return make_solution(inst, [(i + 1, s.M) for i, s in enumerate(inst.suppliers)])
 
     best_cost = None
     best_volumes = None

@@ -62,10 +62,11 @@ def multi_file(tmp_path):
 
 
 SOLVE_STDOUT = Path(__file__).parent / "data" / "solve_stdout"
+HAND_WRITTEN = ["frac", "frac-multi", "wide", "counts", "one-run", "cap"]
 
 
 class TestSolve:
-    @pytest.mark.parametrize("name", ["frac", "frac-multi", "wide", "counts", "one-run", "cap"])
+    @pytest.mark.parametrize("name", HAND_WRITTEN)
     def test_stdout_bytes_of_the_hand_written_instances(self, name, capsys, monkeypatch):
         # each <name>.out holds the stdout of `lotdp solve <name>.json`, byte
         # for byte: a change to any answer, volume, tie-break or output format
@@ -73,7 +74,16 @@ class TestSolve:
         monkeypatch.delenv("LOTDP_MAX_CELLS", raising=False)
         assert cli.main(["solve", str(SOLVE_STDOUT / f"{name}.json")]) == 0
         expected = (SOLVE_STDOUT / f"{name}.out").read_bytes()
-        assert capsys.readouterr().out.encode() == expected
+        out = capsys.readouterr()
+        assert out.out.encode() == expected
+        # stderr is one JSON document: every table filled is in per_H, with
+        # the fields a trace needs, and the interior bound L lies in
+        # 1..L_count and bounds the plan's count
+        report = json.loads(out.err)
+        keys = {"H", "objective", "cells", "computed", "micros"}
+        assert report["per_H"] and all(keys <= entry.keys() for entry in report["per_H"])
+        assert 1 <= report["L"] <= report["L_count"]
+        assert report["interior"] <= report["L"]
 
     def test_golden(self, golden_file, capsys):
         assert cli.main(["solve", golden_file]) == 0
@@ -175,8 +185,11 @@ class TestSolve:
         inst = Instance(suppliers=(Supplier(1, 1, 1, 3),), P=50)
         path = write_instance(tmp_path / "too_big.json", inst)
         assert cli.main(["solve", path]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
         assert "capacity" in err and "demand" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "fault, message",
@@ -274,6 +287,25 @@ class TestVerify:
         out = capsys.readouterr().out
         for line in ("dp: 35/2", "structural: 35/2", "grid: 35/2", "agreement: yes"):
             assert line in out
+
+    @pytest.mark.parametrize("name", HAND_WRITTEN)
+    def test_every_hand_written_instance_agrees(self, name, capsys, monkeypatch):
+        # single mode runs the fill against the structural oracle, and frac's
+        # n = 3, P = 11 and c_hold = 2 admit the grid oracle too; multi mode
+        # runs the aggregated sweep against the duplication oracle
+        monkeypatch.delenv("LOTDP_MAX_CELLS", raising=False)
+        path = SOLVE_STDOUT / f"{name}.json"
+        assert cli.main(["verify", str(path)]) == 0
+        solvers = {
+            "single": ["dp", "structural"],
+            "multi": ["aggregated", "duplication"],
+        }[json.loads(path.read_text())["mode"]]
+        if name == "frac":
+            solvers.append("grid")
+        solved = json.loads((SOLVE_STDOUT / f"{name}.out").read_text())
+        objective = model.rational_from_json(solved["objective"])
+        expected = "".join(f"{solver}: {objective}\n" for solver in solvers)
+        assert capsys.readouterr().out == expected + "agreement: yes\n"
 
     @pytest.mark.parametrize(
         "lam, c_hold, M, objective",

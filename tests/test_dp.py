@@ -634,7 +634,7 @@ def test_capped_sweep_matches_the_duplication_oracle():
         inst = capped_instance(rng)
         report = solve_multi(inst)
         assert report.solution.objective == duplication_oracle(inst).objective, inst
-        assert report.interior <= report.L
+        assert report.interior <= report.L <= report.L_count
         # alpha = 0 lifts every cap to (M - 1) // m, the bound from the windows alone
         old = dp.interior_limit(replace(inst, suppliers=tuple(replace(s, alpha=0) for s in inst.suppliers)))
         below += report.L_count < old

@@ -74,8 +74,8 @@ def test_supplier_cap():
 
 
 def test_candidate_budget():
-    # the CI instance seventh.json: den(lambda) = 7 puts the menus of the grids
-    # H = 1..3 above the oracle's 2,000,000 plans
+    # the lambda-1/7 instance of test_cli's grid-oracle cap test: den(lambda)
+    # = 7 puts the menus of the grids H = 1..3 above the oracle's 2,000,000 plans
     inst = Instance(
         suppliers=(Supplier(3, 1, 1, 11), Supplier(0, 2, 1, 11), Supplier(5, 0, 1, 11)),
         P=12,
