@@ -14,7 +14,9 @@ variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve, counted
 before the sweep starts: the grids H = 1..L_count (the interior bound from
 the volume windows alone, and in multi mode from the batch-count rule too)
 together.  The sweep fills grid 1 and some of
-the grids 2..L, and L <= L_count, so it never fills more; the fill computes
+the grids 2..L, and L <= L_count, so it never fills more.  The cap bounds
+pricing too: each supplier's priced volumes end at min(M, P + m), so no
+cost row is longer than a table row.  The fill computes
 only part of each table's cells (``computed`` in the report's ``per_H`` and
 in the ``bench`` CSV).  The report's ``skip_reason`` sorts the grids left
 out: ``"H > L"``, and ``"count bound"`` for those of 2..L whose every

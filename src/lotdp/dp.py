@@ -6,7 +6,8 @@ denominator of the consumption intensity when that is not an integer): the
 remaining volumes sit at 0, m, or M, and the interior ones are pinned by the
 equal-marginal formula in :mod:`lotdp.closed_form`.  For each hypothesis H the
 solver therefore restricts batch volumes to the grid m_k, m_k + h, ..., M_k
-with step h = 1 / (H * c_hold * den(lam)), fills a Bellman table
+with step h = 1 / (H * c_hold * den(lam)), priced up to min(M_k, P + m_k)
+only (see the cell cap below), fills a Bellman table
 
     phi[k][p] = cheapest way to cover residual demand p using suppliers 1..k
 
@@ -87,7 +88,10 @@ off phi and the cost rows at backtrack, and only on the n cells of the path.
 A cell cap, when given, bounds the total cells of the whole sweep and is
 checked before any table is filled, so before L is known: it counts the
 tables 1..L_count, and L <= L_count.  The tables the sweep holds at once are
-some of those it fills, so the cap bounds them too.
+some of those it fills, so the cap bounds them too.  It bounds pricing as
+well: each supplier's priced window ends at min(M, P + m) (``build_grid``),
+as a cheapest batch covering residual p lies below p + m in either mode, so
+every cost row has at most P*den + 1 entries, no more than a table row.
 
 Demand may also be covered by over-delivery: a batch larger than the open
 residual p closes the plan on its own.  In multi-delivery mode the aggregated
@@ -160,7 +164,9 @@ class Grid:
     H: int
     denominator: int  # volumes are index / denominator
     demand_points: int  # residual-demand indices run 0 .. P*denominator
-    spans: tuple[tuple[int, int], ...]  # per supplier: (m*denominator, M*denominator)
+    # per supplier: (m*denominator, min(M, P + m)*denominator), the priced
+    # window; no optimum takes a volume above P + m (see build_grid)
+    spans: tuple[tuple[int, int], ...]
 
     @property
     def cells(self) -> int:
@@ -172,6 +178,16 @@ class Grid:
 def build_grid(inst: Instance, H: int) -> Grid:
     """The volume grid of hypothesis H, of step 1 / (H * c_hold * den(lam)).
 
+    Supplier i's window ends at min(M_i, P + m_i): no optimum needs a larger
+    volume.  In single mode a batch's cost rises strictly with its volume, so
+    a cheapest batch covering p is max(p, m).  In multi mode, and in the
+    duplication oracle, a purchase of r batches of total x >= p + m shrinks
+    by one grid step at the same count, for less, while x > r*m, and at x =
+    r*m drops one batch of m: either way it still covers p, for less.  So the
+    cheapest total of at least p lies below p + m, and p <= P.  Every cost
+    row then has at most P*den + 1 entries, no more than a table row, and the
+    cell guard bounds pricing too.
+
     Expects an instance that passed :func:`lotdp.model.require_valid`, which
     ``solve`` and ``solve_multi`` check once per sweep; nothing here checks
     it again."""
@@ -182,7 +198,7 @@ def build_grid(inst: Instance, H: int) -> Grid:
         H=H,
         denominator=den,
         demand_points=inst.P * den + 1,
-        spans=tuple((s.m * den, s.M * den) for s in inst.suppliers),
+        spans=tuple((s.m * den, min(s.M, inst.P + s.m) * den) for s in inst.suppliers),
     )
 
 
@@ -237,7 +253,8 @@ EMPTY = (1, 0)  # a band with no residual
 
 class CostRows(list):
     """Candidate costs of one grid: per supplier, one integer numerator for
-    each grid volume m..M, all over the common denominator ``den``.
+    each grid volume of its window, m..min(M, P + m), all over the common
+    denominator ``den``.
     ``convex`` says every row is convex, its first differences an arithmetic
     progression, and rises strictly with the volume: the rows of a single
     batch, which :func:`_run_rows` marks."""
@@ -587,12 +604,14 @@ def _fill(
     grid: Grid,
     costs: CostRows,
     kind: str,
-    max_cells: int | None,
+    max_cells: int | None = None,
 ) -> DPTable:
     """Fill the table of one grid from its cost rows, row by row with
     :func:`_fill_row`, each row k only at p = 0 and in its band (see the
-    module docstring).  ``max_cells`` caps the table's size, ``grid.cells``,
-    and the fill computes at most that many.
+    module docstring).  ``max_cells`` caps the table's size, ``grid.cells``.
+    No solver passes it, as the one cell guard is the sweep's
+    (:func:`_require_sweep_budget`); it stays while perfbench's tests call
+    ``_fill`` with five arguments.
 
     Raises InfeasibleInstanceError when the windows together hold less than
     P, which is so on every grid or on none."""
@@ -625,13 +644,13 @@ def _fill(
     return DPTable(grid=grid, kind=kind, phi=phi_rows, costs=costs, bands=tuple(bands))
 
 
-def solve_fixed_H(inst: Instance, H: int, *, max_cells: int | None = None) -> DPTable:
+def solve_fixed_H(inst: Instance, H: int) -> DPTable:
     """Fill the Bellman table for one grid-step hypothesis H.
 
     Single-delivery instances price each candidate volume as one batch;
-    multi-delivery instances price it as the cheapest batch split.
-    ``max_cells`` caps the cells of this one table.  Raises
-    InfeasibleInstanceError when the windows cannot cover P.
+    multi-delivery instances price it as the cheapest batch split.  The
+    table's size is ``build_grid(inst, H).cells``, known before it is
+    filled.  Raises InfeasibleInstanceError when the windows cannot cover P.
 
     Expects an instance that passed :func:`lotdp.model.require_valid`:
     ``solve`` and ``solve_multi`` check it once per sweep, not once per
@@ -642,8 +661,8 @@ def solve_fixed_H(inst: Instance, H: int, *, max_cells: int | None = None) -> DP
     """
     grid = build_grid(inst, H)
     if inst.mode == MULTI:
-        return _fill(inst, grid, _aggregated_candidate_costs(inst, grid), "multi-aggregated", max_cells)
-    return _fill(inst, grid, _single_candidate_costs(inst, grid), SINGLE, max_cells)
+        return _fill(inst, grid, _aggregated_candidate_costs(inst, grid), "multi-aggregated")
+    return _fill(inst, grid, _single_candidate_costs(inst, grid), SINGLE)
 
 
 def _choice(table: DPTable, k: int, p: int) -> int | None:

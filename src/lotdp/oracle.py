@@ -15,6 +15,7 @@ closed-form split) nor its sweep bound (it fills every grid up to
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import dp
@@ -115,14 +116,22 @@ def grid_oracle(inst: Instance) -> Solution:
     Depth-first search with two safe prunes (a partial plan already costing at
     least the incumbent, or one that cannot reach the demand even with every
     remaining cap) keeps it exhaustive in effect.  Menus whose product exceeds
-    ``MAX_CANDIDATES`` plans raise ResourceLimitError before the search.
+    ``MAX_CANDIDATES`` plans raise ResourceLimitError before the search, and
+    before any menu that cannot fit is built: each menu holds 0 and the
+    finest grid, H = n, so the menus built so far times those grids of the
+    rest bound the product from below.
     """
     require_valid(inst)
     _require_single(inst, "grid_oracle")
 
+    finest = inst.n * inst.c_hold * inst.lam.denominator
+    least = [(s.M - s.m) * finest + 2 for s in inst.suppliers]
+    too_many = f"grid enumeration needs more than {MAX_CANDIDATES} candidate plans"
     menus = []
     total = 1
-    for s in inst.suppliers:
+    for k, s in enumerate(inst.suppliers):
+        if total * math.prod(least[k:]) > MAX_CANDIDATES:
+            raise ResourceLimitError(too_many)
         volumes = {Fraction(0)}
         for H in range(1, inst.n + 1):
             den = H * inst.c_hold * inst.lam.denominator
@@ -133,10 +142,8 @@ def grid_oracle(inst: Instance) -> Solution:
         ]
         menus.append(menu)
         total *= len(menu)
-        if total > MAX_CANDIDATES:
-            raise ResourceLimitError(
-                f"grid enumeration needs more than {MAX_CANDIDATES} candidate plans"
-            )
+    if total > MAX_CANDIDATES:
+        raise ResourceLimitError(too_many)
 
     rest_cap = [0] * (inst.n + 1)
     for i in range(inst.n - 1, -1, -1):
@@ -230,7 +237,7 @@ def duplication_oracle(inst: Instance, *, max_cells: int | None = None) -> Solut
     for H in range(1, H_top + 1):
         grid = dp.build_grid(inst, H)
         costs = _duplication_candidate_costs(inst, grid)
-        table = dp._fill(inst, grid, costs, "multi-duplication", None)
+        table = dp._fill(inst, grid, costs, "multi-duplication")
         if best is None or table.final <= best.final:
             best = table
     den = best.grid.denominator

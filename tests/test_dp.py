@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import weakref
@@ -27,7 +28,7 @@ from lotdp import (
     solve_multi,
     structural_oracle,
 )
-from lotdp import dp
+from lotdp import dp, oracle
 from lotdp.generate import bench_instance
 from test_pricing import full_chain
 
@@ -160,10 +161,16 @@ def test_cell_budget_is_enforced(golden):
 
 
 def test_one_table_cell_budget(golden):
-    cells = build_grid(golden, 2).cells
-    assert solve_fixed_H(golden, 2, max_cells=cells).grid.cells == cells
+    # solve_fixed_H takes no cap: a table's size is its grid's, known before
+    # the fill.  _fill still takes one, which no solver passes
+    grid = build_grid(golden, 2)
+    cells = grid.cells
+    assert "max_cells" not in inspect.signature(solve_fixed_H).parameters
+    assert solve_fixed_H(golden, 2).grid.cells == cells
+    costs = dp._single_candidate_costs(golden, grid)
+    assert dp._fill(golden, grid, costs, "single", cells).grid.cells == cells
     with pytest.raises(ResourceLimitError, match=f"H=2 needs {cells} cells, above the cap {cells - 1}"):
-        solve_fixed_H(golden, 2, max_cells=cells - 1)
+        dp._fill(golden, grid, costs, "single", cells - 1)
 
 
 def test_cell_budget_covers_the_whole_sweep(golden):
@@ -936,6 +943,56 @@ def test_cell_guard_builds_no_grid(monkeypatch):
             solve_multi(inst, max_cells=10**6)
         counts.append(len(built))
     assert counts == [0, 0]
+
+
+def with_windows(inst, top):
+    """inst with each M replaced by top(s)."""
+    return replace(inst, suppliers=tuple(replace(s, M=top(s)) for s in inst.suppliers))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), multi=st.booleans())
+def test_windows_past_P_plus_m_change_no_answer(seed, multi):
+    # each M is raised, some far past P + m, then cut back to min(M, P + m):
+    # the sweep and the duplication oracle answer the same on both
+    rng = random.Random(seed)
+    lam = F(rng.randint(1, 5), rng.randint(1, 4))
+    inst = random_instance(rng, n_max=3, p_max=10, c_max=2, bound_max=6, lam=lam, mode=MULTI if multi else "single")
+    wide = with_windows(inst, lambda s: s.M + rng.choice([0, 3, 40, 10**4]))
+    cut = with_windows(wide, lambda s: min(s.M, wide.P + s.m))
+    run = solve_multi if multi else solve
+    a, b = run(wide), run(cut)
+    assert (a.solution, a.best_H) == (b.solution, b.best_H)
+    if multi:
+        assert duplication_oracle(wide) == duplication_oracle(cut)
+
+
+def test_wide_windows_price_no_more_than_a_table_row(monkeypatch):
+    # two suppliers, P = 5, c_hold = 2, windows up to 10**6: a solve inside
+    # the cell guard's 100 cells prices no row longer than its tables', and
+    # in multi mode K, the lcm of the batch counts in a row, stays that of
+    # the counts up to (P + m)/m
+    longest = []  # (residuals, longest cost row) of every grid priced
+
+    def recorded(build):
+        def priced(inst, grid):
+            costs = build(inst, grid)
+            longest.append((grid.demand_points, max(map(len, costs))))
+            return costs
+        return priced
+
+    for name in ("_single_candidate_costs", "_aggregated_candidate_costs"):
+        monkeypatch.setattr(dp, name, recorded(getattr(dp, name)))
+    monkeypatch.setattr(oracle, "_duplication_candidate_costs", recorded(oracle._duplication_candidate_costs))
+    inst = Instance(suppliers=(Supplier(0, 1, 2, 3), Supplier(1, 2, 2, 3)), P=5, c_hold=2)
+    report = solve(with_windows(inst, lambda s: 10**6), max_cells=100)
+    assert report.table_cells_filled == 96
+    assert report.solution == solve(with_windows(inst, lambda s: 7)).solution
+    multi = with_windows(replace(inst, mode=MULTI), lambda s: 10**5)
+    cut = with_windows(multi, lambda s: 7)
+    assert solve_multi(multi).solution == solve_multi(cut).solution
+    assert duplication_oracle(multi) == duplication_oracle(cut)
+    assert all(row <= points for points, row in longest)
 
 
 def test_cell_budget_counts_the_bounded_sweep(monkeypatch):

@@ -15,6 +15,8 @@ from lotdp import (
     random_instance,
     structural_oracle,
 )
+from lotdp import oracle
+from lotdp.model import delivery_cost
 
 
 def test_golden_instance_both_ways(golden):
@@ -84,6 +86,31 @@ def test_candidate_budget():
     )
     with pytest.raises(ResourceLimitError, match="2000000 candidate plans"):
         grid_oracle(inst)
+
+
+@pytest.mark.parametrize("windows", [(100, 2000), (10**6, 10**6)], ids=["100-2000", "1e6"])
+def test_candidate_budget_refuses_before_pricing_a_menu(monkeypatch, windows):
+    # with c_hold = 2 and n = 2 each menu holds the grid of step 1/4: about
+    # 400 and 8,000 volumes, or 4 * 10**6 each, more than the cap together
+    priced = []
+    monkeypatch.setattr(oracle, "delivery_cost", lambda s, v: priced.append(s.M) or delivery_cost(s, v))
+    inst = Instance(suppliers=tuple(Supplier(0, 1, 2, M) for M in windows), P=5, c_hold=2)
+    with pytest.raises(ResourceLimitError, match="^grid enumeration needs more than 2000000 candidate plans$"):
+        grid_oracle(inst)
+    assert priced == []
+
+
+def test_candidate_budget_refuses_the_next_menu_unpriced(monkeypatch):
+    # n = 3 and c_hold = 1: a menu holds the grids of steps 1, 1/2 and 1/3, 4
+    # volumes per unit, and the finest grid alone 3.  The finest grids
+    # multiply to 302 * 3002 * 2 plans, under the cap, so the first menu is
+    # built, 402 volumes; then 402 * 3002 * 2 is over it
+    priced = []
+    monkeypatch.setattr(oracle, "delivery_cost", lambda s, v: priced.append(s.M) or delivery_cost(s, v))
+    inst = Instance(suppliers=(Supplier(0, 1, 1, 101), Supplier(0, 1, 1, 1001), Supplier(0, 1, 1, 1)), P=5)
+    with pytest.raises(ResourceLimitError, match="2000000 candidate plans"):
+        grid_oracle(inst)
+    assert priced == [101] * 401  # volume 0 costs nothing and is not priced
 
 
 def test_oracles_are_deterministic(golden):

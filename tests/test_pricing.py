@@ -534,10 +534,13 @@ def test_tied_batches_above_the_residual_go_to_the_smaller_volume():
 
 def test_cheapest_batch_beyond_the_last_residual():
     # window 1..6 over residuals 0..2: volume 5, above the whole demand, is
-    # the cheapest batch and closes every residual but 0
+    # the cheapest batch and closes every residual but 0.  build_grid ends
+    # the window at P + m = 3, as no priced row needs a batch past it, so
+    # this hand-built row gets its grid directly
     inst = Instance(suppliers=(Supplier(0, 0, 1, 6),), P=2)
+    grid = Grid(H=1, denominator=1, demand_points=3, spans=((1, 6),))
     rows = [[5, 6, 7, 8, 1, 9]]
-    table = reference_table(inst, build_grid(inst, 1), CostRows(rows, 1), rows, "hand-built")
+    table = reference_table(inst, grid, CostRows(rows, 1), rows, "hand-built")
     assert table.phi[1] == [0, 1, 1]
     assert choices(table, [(1, p) for p in range(3)]) == [None, 5, 5]
 
@@ -1036,3 +1039,54 @@ def test_rising_rows_skip_the_suffix_minima(inst, H, data):
     prev_band = data.draw(st.sampled_from([EMPTY, (1, cols - 1), band]))
     for b in (band, (band[0], band[0]), EMPTY):
         assert _fill_row(prev, prev_band, lo, hi, ck, b, True) == _fill_row(prev, prev_band, lo, hi, ck, b)
+
+
+# --- the priced window ends at P + m ----------------------------------------------
+
+
+@st.composite
+def far_window_instances(draw, P_max=6, past_max=40):
+    # windows that reach up to past_max beyond P + m, on fractional lam
+    P = draw(st.integers(0, P_max))
+    sups = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 4))
+        sups.append(
+            Supplier(
+                alpha=draw(st.sampled_from([0, 0, 1, 3, 7, 40])),
+                beta=draw(st.integers(0, 6)),
+                m=m,
+                M=draw(st.integers(m, m + P + past_max)),
+            )
+        )
+    return Instance(
+        suppliers=tuple(sups),
+        P=P,
+        lam=draw(st.builds(F, st.integers(1, 5), st.integers(1, 4))),
+        c_hold=draw(st.integers(1, 2)),
+        mode=draw(st.sampled_from([SINGLE, MULTI])),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=far_window_instances(past_max=10**3), H=st.integers(1, 3))
+def test_no_cost_row_is_longer_than_a_table_row(inst, H):
+    # each window ends at min(M, P + m), so a row holds at most P*den + 1
+    # volumes and the cell guard bounds pricing as well as the fill
+    grid = build_grid(inst, H)
+    for lo_hi, s in zip(grid.spans, inst.suppliers):
+        assert lo_hi == (s.m * grid.denominator, min(s.M, inst.P + s.m) * grid.denominator)
+    for builder in BUILDERS.values():
+        assert all(len(row) <= grid.demand_points for row in builder(inst, grid))
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=far_window_instances(P_max=5, past_max=8), H=st.integers(1, 2), kind=st.sampled_from(sorted(BUILDERS)))
+def test_the_window_cut_changes_no_table(inst, H, kind):
+    # the reference fill over the whole windows m..M and over the priced
+    # windows m..min(M, P + m): every phi and every choice are the same, as
+    # no optimum takes a volume past P + m
+    inst = replace(inst, mode=SINGLE if kind == SINGLE else MULTI)
+    cut = build_grid(inst, H)
+    whole = replace(cut, spans=tuple((s.m * cut.denominator, s.M * cut.denominator) for s in inst.suppliers))
+    assert ref_fill(cut, ref_costs(inst, cut, kind)) == ref_fill(whole, ref_costs(inst, whole, kind))
