@@ -12,16 +12,16 @@ or the backtrack finds no volume that attains a cell), reported on one
 ``error: internal audit failed: ...`` line.  The environment
 variable ``LOTDP_MAX_CELLS`` caps the total table cells of one solve, counted
 before the sweep starts: the grids H = 1..L_count (the interior bound from
-the volume windows alone, and in multi mode from the batch-count rule too)
-together.  The sweep fills grid 1 and some of
+the volume windows and P alone, and in multi mode from the batch-count rule
+too) together.  The sweep fills grid 1 and some of
 the grids 2..L, and L <= L_count, so it never fills more.  The cap bounds
 pricing too: each supplier's priced volumes end at min(M, P + m), so no
 cost row is longer than a table row.  The fill computes
 only part of each table's cells (``computed`` in the report's ``per_H`` and
 in the ``bench`` CSV).  The report's ``skip_reason`` sorts the grids left
 out: ``"H > L"``, and ``"count bound"`` for those of 2..L whose every
-multiple up to L is an interior count priced above a cheaper table (single
-mode only).  A
+multiple up to L is an interior count priced above a cheaper table, each
+interior volume one grid step inside its window (single mode only).  A
 solve over the cap is refused with exit code 1 before any table is filled;
 a ``verify --seed-batch`` run stops at the first instance over the cap, and
 its error line names the instance's index.

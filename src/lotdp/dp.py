@@ -16,26 +16,29 @@ and backtracks the winning volumes.
 An interior volume exceeds its m, and a plan with an interior group covers
 exactly P, so the interior count H of an optimum is at most L.  In single
 mode a supplier can be interior only when M > m.  In multi mode it holds at
-most r interior batches, r the largest count up to (M - 1) // m that is 1
-or beats r - 1 at total M by the batch-count rule: r batches of a total x
-beat r - 1 exactly when (r - 1)*r*2*a*alpha < c*b*x**2, lam = a/b, and an
-interior total lies below M (``_interior_caps``).  The m of all interior
-batches sum to at most P - 1: L_count is the most batches that fit
-(``interior_limit``).  Each interior batch also costs more than its
-supplier's f = alpha + beta*m + c*m**2/(2*lam), and table 1 bounds the
-optimum v* from above, so L is the number of counts c in 1..L_count whose c
-smallest f sum to less than table 1's cost, at least 1: ``_count_bound`` at
-price 0, read strictly.  ``best_H`` still names the largest H up to H_top
-(n, or ``multi_h_limit``, never below L) whose grid reaches v*.
+most r interior batches, r the largest count up to (X - 1) // m that is 1
+or beats r - 1 at total X = max(m, min(M, P)) by the batch-count rule: r
+batches of a total x beat r - 1 exactly when (r - 1)*r*2*a*alpha <
+c*b*x**2, lam = a/b, and an interior total lies below M and at most P
+(``_interior_caps``).  The m of all interior batches sum to at most P - 1:
+L_count is the most batches that fit (``interior_limit``).  An optimum
+with c <= L_count interior batches lies on grid c, so each of its interior
+batches lies one step h = 1/(L_count*c_hold*den(lam)) or more inside its
+window and costs at least its supplier's f = alpha + beta*(m + h) +
+c_hold*(m + h)**2/(2*lam).  Table 1 bounds the optimum v* from above, so L
+is the number of counts c in 1..L_count whose c smallest f sum to no more
+than table 1's cost, at least 1: ``_count_bound`` at price 0.  ``best_H``
+still names the largest H up to H_top (n, or ``multi_h_limit``, never below
+L) whose grid reaches v*.
 Grid g lies inside grid H when g divides H, an optimum on two grids lies on
 the grid of their gcd, and every optimum lies on the grid of its own
 interior count c <= L, so the smallest grid of an optimum divides its c.
 Table H can add an optimum only through one with H | c.  The sweep fills
 table 1 (cost v1) and then prices the suppliers once: ``_count_bound``
 returns one bound list per price, at price 0, which reads L, and in single
-mode, where a price on the demand bounds every plan with exactly c interior
-suppliers from below, at v1/P, 3*v1/(2P) and 2*v1/P too, unless L_count = 1
-leaves no table 2..L to decide.  It fills each
+mode, where a price on the demand bounds every optimum with exactly c
+interior suppliers from below, at (24, 27, 31)/20 * v1/P too, unless
+L_count = 1 leaves no table 2..L to decide.  It fills each
 table H in 2..L unless every multiple c <= L of H is priced above the
 cheapest table so far at one of the positive prices; multi mode fills every
 table 1..L, as there the bound cost more time than the fills it saved.
@@ -58,8 +61,8 @@ best_H exactly when its largest multiple is best_H, so the tables kept at
 the end are those that reach v* and divide best_H, in fill order.  The sweep
 walks the plan of each kept table once (``DPTable.plan``), and backtracks
 the one whose plan, scaled to grid best_H, is smallest.  It checks the bound
-on the plan it returns: its interior count (``_interior_count``) is at most
-L.
+on the plan it returns, with an explicit raise: its interior count
+(``_interior_count``) is at most L.
 
 Pricing and the fill never build a Fraction.  With lam = a/b, every candidate
 cost on the grid of denominator den is an integer over B = 2*a*den**2 (single
@@ -784,21 +787,28 @@ class SolveReport:
 
 def _interior_caps(inst: Instance) -> list[int]:
     """The most interior batches each supplier can hold: 1 if M > m, else 0,
-    in single mode.  In multi mode, the largest r <= (M - 1) // m (so r*m <
-    M) that is 1 or has (r - 1)*r*2*a*alpha < c_hold*b*M**2, lam = a/b.
-    That r is best_batch_count(2*a*alpha, c_hold*b*M**2, (M - 1) // m): the
-    smallest r with r*(r + 1)*2*a*alpha >= c_hold*b*M**2, within the window.
+    in single mode.  In multi mode, with X = max(m, min(M, P)), the largest
+    r <= (X - 1) // m that is 1 or has (r - 1)*r*2*a*alpha < c_hold*b*X**2,
+    lam = a/b.  That r is best_batch_count(2*a*alpha, c_hold*b*X**2, (X -
+    1) // m): the smallest r with r*(r + 1)*2*a*alpha >= c_hold*b*X**2,
+    within the window.
 
     r batches of a total x beat r - 1 exactly when (r - 1)*r*2*a*alpha <
     c_hold*b*x**2.  A plan's count is the smallest best one, so r >= 2
-    batches strictly beat r - 1, and an interior total lies below M.  Where
-    two counts tie, the cost has a concave kink, and no optimum sits there
-    unless its total is the integer residual: every optimum still lies on
-    the grid of its own interior count."""
+    batches strictly beat r - 1.  An interior total x lies below M, and at
+    most P, as a plan with an interior group covers exactly P: so r*m < x
+    <= min(M, P), and X = m leaves no interior batch.  Where two counts
+    tie, the cost has a concave kink, and no optimum sits there unless its
+    total is the integer residual: every optimum still lies on the grid of
+    its own interior count."""
     if inst.mode != MULTI:
         return [int(s.M > s.m) for s in inst.suppliers]
     a, cb = inst.lam.numerator, inst.c_hold * inst.lam.denominator
-    return [best_batch_count(2 * a * s.alpha, cb * s.M * s.M, (s.M - 1) // s.m) for s in inst.suppliers]
+    caps = []
+    for s in inst.suppliers:
+        X = max(s.m, min(s.M, inst.P))
+        caps.append(best_batch_count(2 * a * s.alpha, cb * X * X, (X - 1) // s.m))
+    return caps
 
 
 def interior_limit(inst: Instance) -> int:
@@ -809,13 +819,14 @@ def interior_limit(inst: Instance) -> int:
     strictly between r*m and M (multi mode).
 
     Supplier i holds at most :func:`_interior_caps` interior batches: in
-    multi mode, no more than total M would take, held to (M - 1) // m.  A
-    plan with an interior group covers exactly P, since shrinking an
-    interior volume would save cost, and each interior batch exceeds its m,
-    so the m of the interior batches sum to at most P - 1.  L_count is the
-    most batches that fit, the lightest first, and at least 1, the grid of
-    the plans with no interior volume.  The sweep's L also bounds their cost
-    (:func:`_count_bound` at price 0) and never exceeds L_count."""
+    multi mode, no more than a total of min(M, P) would take.  A plan with
+    an interior group covers exactly P, since shrinking an interior volume
+    would save cost, and each interior batch exceeds its m, so the m of the
+    interior batches sum to at most P - 1.  L_count is the most batches that
+    fit, the lightest first, and at least 1, the grid of the plans with no
+    interior volume.  The sweep's L also bounds their cost, each interior
+    batch one step of grid L_count inside its window (:func:`_count_bound`
+    at price 0), and never exceeds L_count."""
     count, budget = 0, max(inst.P - 1, 0)
     for m, cap in sorted(zip((s.m for s in inst.suppliers), _interior_caps(inst))):
         take = min(cap, budget // m)
@@ -842,48 +853,65 @@ def _interior_count(inst: Instance, solution: Solution) -> int:
 
 
 def _count_bound(inst: Instance, ens: tuple[int, ...], ed: int, L: int) -> tuple[int, list[list[int]]]:
-    """A lower bound on the cost of every plan with exactly c interior
-    batches, for c = 0..L, at each price ell = en/ed >= 0 for en in ``ens``:
-    (S, [D for each price]), D[c] the bound's numerator over S =
-    2*a*c_hold*b*ed**2 for lam = a/b.  Each supplier counts up to its
+    """A lower bound on the cost of every optimum with exactly c interior
+    batches, for c = 0..L (L >= 1), at each price ell = en/ed >= 0 for en in
+    ``ens``: (S, [D for each price]), D[c] the bound's numerator over S =
+    2*a*c_hold*b*ed**2*L**2 for lam = a/b.  Each supplier counts up to its
     :func:`_interior_caps` interior batches (in multi mode the batch-count
     rule's cap), and never more than L, so each D has at most L + 1
     entries.
 
-    A price ell on the demand (Lagrangian relaxation, Fisher 1981) bounds a
-    single-mode plan covering P from below by ell*P + sum_i g_i(x_i), with
-    g_i(x) = cost_i(x) - ell*x = alpha + (beta - ell)*x + c_hold*x**2/(2*lam)
-    and g_i(0) = 0.  A supplier at 0, m or M gives at least e = min(0, g(m),
-    g(M)), and an interior one (m < x < M) at least e + d, d = min g over
-    [m, M] - e.  So D(c) = ell*P + the sum of e + the c smallest d.  A
-    positive price bounds single-mode plans only.
+    An optimum with c interior batches lies on grid c, of step 1/(c*C) with
+    C = c_hold*b, and m and M are integers, so for c <= L each interior
+    batch lies in [m + h, M - h] with h = 1/(L*C); a supplier whose window
+    holds no such point is never interior on the grids 1..L.  A price ell
+    on the demand (Lagrangian relaxation, Fisher 1981) bounds a single-mode
+    plan covering P from below by ell*P + sum_i g_i(x_i), with g_i(x) =
+    cost_i(x) - ell*x = alpha + (beta - ell)*x + c_hold*x**2/(2*lam) and
+    g_i(0) = 0.  A supplier at 0, m or M gives at least e = min(0, g(m),
+    g(M)), and an interior one at least e + d, d = min g over [m + h, M - h]
+    - e.  So D(c) = ell*P + the sum of e + the c smallest d.  A positive
+    price bounds single-mode plans only.
 
-    At price 0, in either mode, e = 0 and d is f = alpha + beta*m +
-    c_hold*m**2/(2*lam), one batch of m: an interior batch costs more than
-    its f (a multi-mode total x in r batches, r*m < x, costs r batches of
-    x/r > m), and every other batch at least 0.  So D(c) is S times the sum
-    of the c smallest f, and rises strictly with c, as every f > 0.  Table 1
-    costs at least v*, so the sweep reads L as the number of c >= 1 with
-    D(c) below S times table 1's cost, at least 1.
+    At price 0, in either mode, e = 0 and d is f(m + h), f(x) = alpha +
+    beta*x + c_hold*x**2/(2*lam) the cost of one batch: a multi-mode total x
+    in r batches, r*m < x, costs r batches of x/r > m, and the equal-marginal
+    rule puts x/r on grid c too.  Every other batch costs at least 0.  So
+    D(c) is S times the sum of the c smallest f(m + h), and rises strictly
+    with c, as every f > 0.  A plan may cost D(c) exactly, and table 1 costs
+    at least v*, so the sweep reads L as the number of c >= 1 with D(c) at
+    most S times table 1's cost, at least 1.
 
-    Times S every term is an integer: with A = S*alpha and lin =
-    2*a*q*(beta*ed - en), q = c_hold*b*ed, S*g(x) = A + (lin + q*q*x)*x,
-    whose least value over the reals, at x* = y/q with y = a*(en -
-    beta*ed), is A - y*y."""
-    a, q = inst.lam.numerator, inst.c_hold * inst.lam.denominator * ed
-    S, slope = 2 * a * q * ed, 2 * a * q  # S*ell = slope*en
-    caps = [min(cap, L) for cap in _interior_caps(inst)]
+    Times S every term is an integer: at X = x*L*C, with A = S*alpha, lin =
+    2*a*ed*L*(beta*ed - en) and sq = ed**2, S*g(x) = A + (lin + sq*X)*X,
+    whose least value over the reals, at X = y*L/ed with y = a*(en -
+    beta*ed), is A - L*L*y*y.  The interior ends are X = m*L*C + 1 and
+    M*L*C - 1."""
+    a = inst.lam.numerator
+    LC = L * inst.c_hold * inst.lam.denominator
+    unit, sq = 2 * a * ed * L, ed * ed
+    S = unit * LC * ed
+    # per supplier: A, beta*ed, the window's ends m*L*C and M*L*C, its count
+    terms = [
+        (S * s.alpha, s.beta * ed, s.m * LC, s.M * LC, min(cap, L))
+        for s, cap in zip(inst.suppliers, _interior_caps(inst))
+    ]
     bounds = []
     for en in ens:
-        base, extras = slope * en * inst.P, []
-        for s, count in zip(inst.suppliers, caps):
-            A, lin = S * s.alpha, slope * (s.beta * ed - en)
-            at_m, at_M = A + (lin + q * q * s.m) * s.m, A + (lin + q * q * s.M) * s.M
-            e = min(0, at_m, at_M)
+        base, extras = unit * LC * en * inst.P, []
+        for A, bed, m, M, count in terms:
+            lin = unit * (bed - en)
+            e = min(0, A + (lin + sq * m) * m, A + (lin + sq * M) * M)
             base += e
-            if count:
-                y = a * (en - s.beta * ed)
-                extras += [(at_m if y < q * s.m else A - y * y if y <= q * s.M else at_M) - e] * count
+            if count and m + 1 < M:
+                lo, hi, yL = m + 1, M - 1, a * (en - bed) * L  # y*L
+                if yL < ed * lo:
+                    d = A + (lin + sq * lo) * lo
+                elif yL > ed * hi:
+                    d = A + (lin + sq * hi) * hi
+                else:
+                    d = A - yL * yL
+                extras += [d - e] * count
         bounds.append(list(accumulate(sorted(extras)[:L], initial=base)))
     return S, bounds
 
@@ -914,16 +942,18 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     best_H among H = 1..H_top with the backtrack of its table.
 
     After table 1, of cost v1, the suppliers are priced once:
-    :func:`_count_bound` at price 0 and, in single mode with L_count > 1
-    (so P >= 3), at v1/P, 3*v1/(2P) and 2*v1/P.  L is the number of c in
-    1..L_count whose price-0 bound lies below v1, at least 1.  Table H in
-    2..L is filled unless, for every multiple c <= L of H, the largest
-    positive-price bound lies above the cheapest table so far; multi mode
-    fills them all.  The module docstring shows why the cheapest table is
-    the optimum v*, why best_H is the largest multiple up to H_top of a
-    filled table that reaches v*, and why the plan returned, the smallest of
-    the kept tables' plans scaled to grid best_H, is the backtrack of grid
-    best_H.
+    :func:`_count_bound` with K = L_count, so each interior batch one step
+    1/(L_count*c_hold*den(lam)) inside its window, at price 0 and, in single
+    mode with L_count > 1 (so P >= 3), at (24, 27, 31)/20 * v1/P, the prices
+    near which the bound binds on the benchmark's narrow pools.  L is the
+    number of c in 1..L_count whose price-0 bound is at most v1, at least 1:
+    an optimum may cost its bound exactly.  Table H in 2..L is filled
+    unless, for every multiple c <= L of H, the largest positive-price bound
+    lies above the cheapest table so far; multi mode fills them all.  The
+    module docstring shows why the cheapest table is the optimum v*, why
+    best_H is the largest multiple up to H_top of a filled table that
+    reaches v*, and why the plan returned, the smallest of the kept tables'
+    plans scaled to grid best_H, is the backtrack of grid best_H.
 
     Expects an instance that passed require_valid, as ``solve`` and
     ``solve_multi`` check; on one whose windows cannot cover P the fill of
@@ -932,9 +962,9 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     tables 1..L_count hold more than max_cells cells.
 
     The plan returned is checked: its objective, recomputed by make_solution,
-    must be the cheapest table's, an explicit raise that ``python -O`` keeps;
-    its interior count is at most L and its totals lie on grid best_H, two
-    asserts that ``-O`` drops."""
+    must be the cheapest table's, and its interior count must be at most L,
+    two explicit raises that ``python -O`` keeps; its totals lie on grid
+    best_H, an assert that ``-O`` drops."""
     t_start = time.perf_counter()
     L_count = interior_limit(inst)
     _require_sweep_budget(inst, L_count, max_cells)
@@ -955,14 +985,14 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
 
     fill(1)
     v1 = least[0]
-    if inst.mode == SINGLE and L_count > 1:  # 0, v1/P, 3*v1/(2P) and 2*v1/P over one denominator
-        ens, ed = tuple(k * v1.numerator for k in (0, 2, 3, 4)), 2 * v1.denominator * inst.P
+    if inst.mode == SINGLE and L_count > 1:  # 0 and (24, 27, 31)/20 * v1/P over one denominator
+        ens, ed = tuple(k * v1.numerator for k in (0, 24, 27, 31)), 20 * v1.denominator * inst.P
     else:
         ens, ed = (0,), 1
     S, (D, *priced) = _count_bound(inst, ens, ed, L_count)
-    # L counts the c >= 1 with D[c] < S*v1, the integers up to ceil(S*v1) - 1;
+    # L counts the c >= 1 with D[c] <= S*v1, the integers up to floor(S*v1);
     # the price-0 list D rises strictly from D[0] = 0
-    L = max(1, bisect_right(D, (S * v1.numerator - 1) // v1.denominator) - 1)
+    L = max(1, bisect_right(D, S * v1.numerator // v1.denominator) - 1)
     skip = [max(col) for col in zip(*priced)]  # empty in multi mode: fill every table
     for H in range(2, L + 1):
         # table H adds an optimum only through one whose interior count c is
@@ -986,7 +1016,8 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
     den = best_H * inst.c_hold * inst.lam.denominator
     assert all(den % t.denominator == 0 for t in solution.per_supplier_totals), f"totals off grid {best_H}"
     interior = _interior_count(inst, solution)
-    assert interior <= L, f"the plan has {interior} interior batches, above L = {L}"
+    if interior > L:
+        raise AssertionError(f"the plan has {interior} interior batches, above L = {L}")
     return SolveReport(
         best_H=best_H,
         solution=solution,

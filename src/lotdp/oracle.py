@@ -110,32 +110,35 @@ def structural_oracle(inst: Instance) -> Solution:
 def grid_oracle(inst: Instance) -> Solution:
     """Exact optimum by exhausting every combination of grid volumes.
 
-    Each supplier may take volume 0 or any point of [m, M] whose denominator
-    divides H * c_hold * den(lam) for some H in 1..n: an optimum's interior
-    group has at most n suppliers, so one of these grids holds it.
+    Each supplier may take volume 0 or any point of [m, min(M, max(P, m))]
+    whose denominator divides H * c_hold * den(lam) for some H in 1..n: an
+    optimum's interior group has at most n suppliers, so one of these grids
+    holds it, and a volume above max(P, m) can be cut back to it and still
+    cover P alone, for less, as a batch's cost rises with its volume.
     Depth-first search with two safe prunes (a partial plan already costing at
-    least the incumbent, or one that cannot reach the demand even with every
-    remaining cap) keeps it exhaustive in effect.  Menus whose product exceeds
-    ``MAX_CANDIDATES`` plans raise ResourceLimitError before the search, and
-    before any menu that cannot fit is built: each menu holds 0 and the
-    finest grid, H = n, so the menus built so far times those grids of the
-    rest bound the product from below.
+    least the incumbent, or one that cannot reach the demand even with the
+    top of every remaining menu) keeps it exhaustive in effect.  Menus whose
+    product exceeds ``MAX_CANDIDATES`` plans raise ResourceLimitError before
+    the search, and before any menu that cannot fit is built: each menu
+    holds 0 and the finest grid, H = n, so the menus built so far times
+    those grids of the rest bound the product from below.
     """
     require_valid(inst)
     _require_single(inst, "grid_oracle")
 
     finest = inst.n * inst.c_hold * inst.lam.denominator
-    least = [(s.M - s.m) * finest + 2 for s in inst.suppliers]
+    tops = [min(s.M, max(inst.P, s.m)) for s in inst.suppliers]
+    least = [(top - s.m) * finest + 2 for s, top in zip(inst.suppliers, tops)]
     too_many = f"grid enumeration needs more than {MAX_CANDIDATES} candidate plans"
     menus = []
     total = 1
-    for k, s in enumerate(inst.suppliers):
+    for k, (s, top) in enumerate(zip(inst.suppliers, tops)):
         if total * math.prod(least[k:]) > MAX_CANDIDATES:
             raise ResourceLimitError(too_many)
         volumes = {Fraction(0)}
         for H in range(1, inst.n + 1):
             den = H * inst.c_hold * inst.lam.denominator
-            volumes.update(Fraction(i, den) for i in range(s.m * den, s.M * den + 1))
+            volumes.update(Fraction(i, den) for i in range(s.m * den, top * den + 1))
         menu = [
             (v, delivery_cost(s, v) + holding_cost(v, inst.lam, inst.c_hold) if v else Fraction(0))
             for v in sorted(volumes)
@@ -147,12 +150,16 @@ def grid_oracle(inst: Instance) -> Solution:
 
     rest_cap = [0] * (inst.n + 1)
     for i in range(inst.n - 1, -1, -1):
-        rest_cap[i] = rest_cap[i + 1] + inst.suppliers[i].M
+        rest_cap[i] = rest_cap[i + 1] + tops[i]
 
-    # feasible incumbent to prune against: everyone at the cap
-    best_volumes = [Fraction(s.M) for s in inst.suppliers]
+    # feasible incumbent to prune against: everyone at the top of its menu,
+    # which covers P (one top is at least P, or every top is the window's M)
+    best_volumes = [Fraction(top) for top in tops]
     best_cost = sum(
-        (delivery_cost(s, s.M) + holding_cost(s.M, inst.lam, inst.c_hold) for s in inst.suppliers),
+        (
+            delivery_cost(s, top) + holding_cost(top, inst.lam, inst.c_hold)
+            for s, top in zip(inst.suppliers, tops)
+        ),
         Fraction(0),
     )
     demand = inst.P

@@ -133,8 +133,8 @@ class TestSolve:
 
     def test_report_names_the_grids_the_count_bound_leaves_out(self, tmp_path, capsys):
         # three wide windows: the optimum puts each supplier at 13/3 on grid
-        # 3, and at the prices v1/P..2*v1/P every plan with exactly two
-        # interior suppliers costs more than table 1's 163/2
+        # 3, and at the prices (24, 27, 31)/20 * v1/P every optimum with
+        # exactly two interior suppliers would cost more than table 1's 163/2
         inst = Instance(
             suppliers=(Supplier(4, 3, 1, 14), Supplier(5, 3, 2, 13), Supplier(5, 3, 2, 12)),
             P=13,
@@ -293,8 +293,8 @@ class TestVerify:
         # single mode runs the fill against the structural oracle, and frac's
         # n = 3, P = 11 and c_hold = 2 admit the grid oracle too; multi mode
         # runs the aggregated sweep against the duplication oracle.
-        # long-window's windows reach M = 10**5: the grid oracle is admitted
-        # by size but refuses its menus, a note on stderr
+        # long-window's windows reach M = 10**5, but its menus end at P = 5,
+        # so the grid oracle runs there too
         monkeypatch.delenv("LOTDP_MAX_CELLS", raising=False)
         path = SOLVE_STDOUT / f"{name}.json"
         assert cli.main(["verify", str(path)]) == 0
@@ -302,26 +302,27 @@ class TestVerify:
             "single": ["dp", "structural"],
             "multi": ["aggregated", "duplication"],
         }[json.loads(path.read_text())["mode"]]
-        if name == "frac":
+        if name in ("frac", "long-window"):
             solvers.append("grid")
         solved = json.loads((SOLVE_STDOUT / f"{name}.out").read_text())
         objective = model.rational_from_json(solved["objective"])
         expected = "".join(f"{solver}: {objective}\n" for solver in solvers)
         out = capsys.readouterr()
         assert out.out == expected + "agreement: yes\n"
-        refused = "note: grid oracle left out: grid enumeration needs more than 2000000 candidate plans\n"
-        assert out.err == (refused if name == "long-window" else "")
+        assert out.err == ""
 
     @pytest.mark.parametrize(
         "lam, c_hold, M, objective",
-        [(F(1, 7), 2, 11, "4983/14"), (F(1), 1, 200, "43")],
+        [(F(1, 7), 2, 11, "4983/14"), (F(1, 2), 2, 200, "463/4")],
         ids=["lambda-1/7", "windows-1-200"],
     )
     def test_grid_oracle_over_its_cap_is_left_out(
         self, tmp_path, capsys, monkeypatch, lam, c_hold, M, objective
     ):
         # n = 3, P = 12 and c_hold <= 2 admit the grid oracle, but den(lambda)
-        # or the window widths put its enumeration above its candidate cap
+        # puts its enumeration above its candidate cap: at lambda = 1/2 the
+        # menus, though cut at P = 12 from windows up to 200, hold 134
+        # volumes each, and 134**3 > 2,000,000
         suppliers = (Supplier(3, 1, 1, M), Supplier(0, 2, 1, M), Supplier(5, 0, 1, M))
         inst = Instance(suppliers, P=12, lam=lam, c_hold=c_hold)
         path = write_instance(tmp_path / "small.json", inst)

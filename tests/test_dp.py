@@ -422,7 +422,7 @@ def test_fine_grid_draws_keep_their_answers_and_computed_cells():
         report = solve(replace(bench_instance(rng, 6 + i % 5, 30, 2 + i % 2), lam=lam))
         assert (report.solution.objective, report.best_H) == want, i
         computed += report.cells_computed
-    assert computed == 110360
+    assert computed == 110224
 
 
 # --- the interior-count bound against enumerated plans -------------------------
@@ -473,22 +473,28 @@ def windows_instance(rng, lam):
     ),
 )
 def test_count_bound_is_below_every_plan_of_its_count(seed, a, b, drawn):
-    # the bound at each of the sweep's prices 0, v1/P, 3*v1/(2P), 2*v1/P and
-    # at each drawn one never exceeds the cheapest enumerated plan of a
-    # count, and every grid 2..L the sweep leaves out has each multiple
-    # priced above v*
+    # the bound at each of the sweep's prices 0 and (24, 27, 31)/20 * v1/P
+    # and at each drawn one never exceeds the cheapest enumerated plan of a
+    # count.  An enumerated plan of c interior suppliers lies on grid c, so
+    # each interior volume is one step 1/(K*c_hold*den(lam)) inside its
+    # window for every K >= c: here the largest count enumerated (at least
+    # 1, the least K the sweep passes) and the sweep's own K, L_count.
+    # Every grid 2..L the sweep leaves out has each multiple priced above v*
     inst = windows_instance(random.Random(seed), F(a, b))
     minima = structural_minima(inst)
     v1 = solve_fixed_H(inst, 1).final
-    prices = [(tuple(k * v1.numerator for k in (0, 2, 3, 4)), 2 * v1.denominator * max(inst.P, 1)), *drawn]
-    L = max(minima)
-    for ens, ed in prices:
-        S, bounds = dp._count_bound(inst, ens, ed, L)
-        assert len(bounds) == len(ens)
-        for D in bounds:
-            assert len(D) == L + 1
-            for c, cheapest in minima.items():
-                assert F(D[c], S) <= cheapest
+    prices = [(tuple(k * v1.numerator for k in (0, 24, 27, 31)), 20 * v1.denominator * max(inst.P, 1)), *drawn]
+    top = max(minima)
+    for K in {max(top, 1), dp.interior_limit(inst)}:
+        assert K >= top
+        for ens, ed in prices:
+            S, bounds = dp._count_bound(inst, ens, ed, K)
+            assert len(bounds) == len(ens)
+            for D in bounds:
+                # every count enumerated has its bound, and none past K
+                assert top < len(D) <= K + 1
+                for c, cheapest in minima.items():
+                    assert F(D[c], S) <= cheapest
     report = solve(inst)
     v = report.solution.objective
     filled = {t.H for t in report.trace}
@@ -497,17 +503,108 @@ def test_count_bound_is_below_every_plan_of_its_count(seed, a, b, drawn):
             assert all(minima.get(c, v + 1) > v for c in range(H, report.L + 1, H))
 
 
+def multi_count_minima(inst):
+    """The cheapest multi-mode plan of each interior count c in
+    1..L_count, enumerated on grid c.  Each supplier takes 0, its M, r
+    batches of m (when r is the best count there), or an interior total: r
+    batches of a volume y on grid c with m < y, r*y < M and r*y <= P, r the
+    best count at r*y.  A plan of c interior batches covers exactly P."""
+    step = inst.c_hold * inst.lam.denominator
+    best = {}
+    for c in range(1, dp.interior_limit(inst) + 1):
+        plans = {(0, 0): F(0)}  # (total, interior batches) -> least cost
+        for s in inst.suppliers:
+            def cost(x):
+                return multi_delivery_cost(s, x, inst.lam, inst.c_hold)
+
+            menu = [(0, 0, F(0)), (s.M, 0, cost(s.M)[1])]
+            menu += [(r * s.m, 0, cost(r * s.m)[1]) for r in range(1, s.M // s.m + 1) if cost(r * s.m)[0] == r]
+            for r in range(1, c + 1):
+                y = s.m + F(1, c * step)
+                while r * y < s.M and r * y <= inst.P:
+                    count, price = cost(r * y)
+                    if count == r:
+                        menu.append((r * y, r, price))
+                    y += F(1, c * step)
+            nxt = {}
+            for (total, k), v in plans.items():
+                for x, r, price in menu:
+                    if k + r <= c and total + x <= inst.P:
+                        key = (total + x, k + r)
+                        nxt[key] = min(nxt.get(key, v + price), v + price)
+            plans = nxt
+        if (inst.P, c) in plans:
+            best[c] = plans[inst.P, c]
+    return best
+
+
+def multi_windows_instance(rng):
+    """One or two multi-mode suppliers with m = 1 or 2 and windows up to 6
+    wide, demand up to 8: plans of one to five interior batches."""
+    suppliers = []
+    for _ in range(rng.randint(1, 2)):
+        m = rng.randint(1, 2)
+        suppliers.append(Supplier(rng.randint(0, 10), rng.randint(0, 5), m, m + rng.randint(1, 6)))
+    P = rng.randint(2, min(8, sum(s.M for s in suppliers)))
+    lam = rng.choice([1, 2, F(1, 2), F(3, 2)])
+    return Instance(suppliers=tuple(suppliers), P=P, lam=lam, c_hold=rng.randint(1, 2), mode=MULTI)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_multi_count_bound_is_below_every_plan_of_its_count(seed):
+    # at price 0, in multi mode, D[c] never exceeds the cheapest enumerated
+    # plan of c interior batches on grid c, and a count whose cheapest plan
+    # is an optimum is never cut above L
+    inst = multi_windows_instance(random.Random(seed))
+    minima = multi_count_minima(inst)
+    S, [D] = dp._count_bound(inst, (0,), 1, dp.interior_limit(inst))
+    for c, cheapest in minima.items():
+        assert c < len(D) and F(D[c], S) <= cheapest
+    report = solve_multi(inst)
+    assert all(c <= report.L for c, cheapest in minima.items() if cheapest == report.solution.objective)
+
+
+def test_multi_count_minima_reach_interior_counts():
+    # the enumeration above finds plans of one to five interior batches,
+    # optima among those of one to three, so the check is not vacuous
+    rng = random.Random(7)
+    counts, optimal = set(), set()
+    for _ in range(40):
+        inst = multi_windows_instance(rng)
+        minima = multi_count_minima(inst)
+        counts |= set(minima)
+        v = solve_multi(inst).solution.objective
+        optimal |= {c for c, cheapest in minima.items() if cheapest == v}
+    assert counts == {1, 2, 3, 4, 5} and {1, 2, 3} <= optimal
+
+
 def test_a_count_priced_exactly_at_the_running_best_is_filled():
-    # alpha = beta = 0: the optimum 25/2 puts both suppliers at 5/2, on grid
-    # 1 too, and its marginal cost 5 is the price 2*v1/P, where the bound is
-    # exact: D(2) = 25/2, the cheapest table so far.  A tie never rules a
-    # count out, so table 2 is filled, and L, read at price 0, stays 2
-    inst = Instance(suppliers=(Supplier(0, 0, 1, 4),) * 2, P=5, c_hold=2)
-    S, [D] = dp._count_bound(inst, (4 * 25,), 2 * 2 * 5, 2)
-    assert F(D[2], S) == F(25, 2)
+    # alpha = 0, beta = 2, lam = 2: the optimum 10 puts both suppliers at 2,
+    # on grid 1 too, and its marginal cost 2 + 2/2 = 3 is the sweep's price
+    # (24/20)*v1/P, where the bound is exact: D(2) = 10, the cheapest table
+    # so far.  A tie never rules a count out, so table 2 is filled, and L,
+    # read at price 0, stays 2
+    inst = Instance(suppliers=(Supplier(0, 2, 1, 4),) * 2, P=4, lam=2)
+    S, [D] = dp._count_bound(inst, (24 * 10,), 20 * 4, 2)
+    assert F(D[2], S) == 10
     report = solve(inst)
-    assert objectives(report) == [(1, F(25, 2)), (2, F(25, 2))]
+    assert objectives(report) == [(1, 10), (2, 10)]
     assert report.L == 2
+
+
+def test_a_count_whose_bound_equals_v1_is_kept_in_L():
+    # L_count = 3, c_hold = den(lam) = 1 and lam = 2: the three interior
+    # batches at m + 1/3 cost 115/9 + 337/36 + 589/36 = 77/2, table 1's cost.
+    # An optimum may cost its bound exactly, so count 3 stays: L = 3
+    inst = Instance(
+        suppliers=(Supplier(3, 7, 1, 8), Supplier(8, 0, 2, 9), Supplier(8, 3, 2, 7)), P=10, lam=2
+    )
+    S, [D] = dp._count_bound(inst, (0,), 1, dp.interior_limit(inst))
+    assert F(D[3], S) == F(115, 9) + F(337, 36) + F(589, 36) == F(77, 2)
+    report = assert_matches_full_sweep(inst)
+    assert objectives(report)[0] == (1, F(77, 2))
+    assert (report.L, report.L_count) == (3, 3)
 
 
 def test_interior_limit():
@@ -537,25 +634,42 @@ def test_interior_limit_counts_only_batches_a_window_can_hold():
 
 def cost_cut(inst, bound):
     """L as the sweep reads it from a bound on v*: the counts c >= 1 whose
-    price-0 count bound lies strictly below it, at least 1."""
+    price-0 count bound lies at or below it, at least 1."""
     S, [D] = dp._count_bound(inst, (0,), 1, dp.interior_limit(inst))
-    return max(1, sum(F(d, S) < bound for d in D[1:]))
+    return max(1, sum(F(d, S) <= bound for d in D[1:]))
 
 
 def test_interior_limit_cost_bound():
-    # each interior batch costs more than f = 20 + 1/2, and the f of the
-    # interior batches sum to less than the bound
+    # L_count = K = 3 and c_hold = den(lam) = 1: each interior batch lies on
+    # a grid of step 1/c, c <= 3, so it is at least 1 + 1/3 and costs at least
+    # f = 20 + (4/3)**2/2 = 188/9; L counts the c whose c*f reach no higher
+    # than the bound
     inst = Instance(suppliers=(Supplier(20, 0, 1, 9),) * 3, P=9)
     assert dp.interior_limit(inst) == 3
-    bounds = [0, F(41, 2), F(83, 2), 41, F(123, 2), F(124, 2)]
-    assert [cost_cut(inst, b) for b in bounds] == [1, 1, 2, 1, 2, 3]
+    bounds = [0, F(188, 9), F(375, 9), F(376, 9), F(563, 9), F(564, 9)]
+    assert [cost_cut(inst, b) for b in bounds] == [1, 1, 1, 2, 2, 3]
     # in a solve, table 1's cost 121/2 (one batch of 9, or 4 + 5) cuts L to 2
     report = assert_matches_full_sweep(inst)
     assert objectives(report)[0] == (1, F(121, 2))
     assert (report.L, report.L_count) == (2, 3)
-    # lam = 3/2: f = 9 / 3 = 3 for m = 3, and three m = 3 fit P - 1 = 9
+    # lam = 3/2 and c_hold = 1: three m = 3 fit P - 1 = 9, and the step
+    # 1/(3*2) puts each batch at 19/6 or above, f = (19/6)**2/3 = 361/108
     inst = Instance(suppliers=(Supplier(0, 0, 3, 9),) * 3, P=10, lam=F(3, 2))
-    assert [cost_cut(inst, b) for b in (6, F(601, 100), 9, F(901, 100))] == [1, 2, 2, 3]
+    assert [cost_cut(inst, b) for b in (6, F(722, 108), F(1082, 108), F(1083, 108))] == [1, 2, 2, 3]
+
+
+def test_only_the_grid_step_rules_out_a_count():
+    # three batches of 1 cost v1 = 3/2 on grid 1, and L_count = 2.  Two
+    # batches at m = 1 would cost 1/2 each, below v1 together, but two
+    # interior batches lie on grid 2, at 1 + 1/2 or above: 2 * 9/8 = 9/4 > v1,
+    # so L = 1 and table 2 is never filled
+    inst = Instance(suppliers=(Supplier(0, 0, 1, 4),) * 3, P=3)
+    assert dp.interior_limit(inst) == 2
+    S, [D] = dp._count_bound(inst, (0,), 1, 2)
+    assert [F(d, S) for d in D] == [0, F(9, 8), F(9, 4)]
+    report = assert_matches_full_sweep(inst)
+    assert objectives(report) == [(1, F(3, 2))]
+    assert 2 * F(1, 2) < F(3, 2) and report.L == 1
 
 
 @pytest.mark.parametrize(
@@ -566,38 +680,48 @@ def test_interior_limit_cost_bound():
             suppliers=(Supplier(3, 1, 2, 6), Supplier(0, 2, 1, 5), Supplier(5, 0, 3, 3), Supplier(1, 0, 1, 4)),
             P=9, lam=F(3, 2), c_hold=2,
         ),
-        # multi mode: caps 999,999, 3 and 0; the first counts at most L times
+        # multi mode: caps 8, 3 and 0 (the first from its total up to P = 9,
+        # not M); the first counts at most L times
         Instance(
             suppliers=(Supplier(3, 1, 1, 10**6), Supplier(0, 2, 2, 7), Supplier(5, 0, 3, 3)),
             P=9, lam=F(1, 3), c_hold=3, mode=MULTI,
         ),
+        # c_hold = den(lam) = 1: M = m + 1 holds no point of grid 1 strictly
+        # inside, so at L = 1 supplier 1 counts no interior batch
+        Instance(suppliers=(Supplier(2, 1, 2, 3), Supplier(1, 0, 1, 4)), P=5),
     ],
 )
 @pytest.mark.parametrize("L", [1, 3, 7])
 def test_count_bound_at_price_0_sums_the_smallest_f(inst, L):
-    # f = alpha + beta*m + c_hold*m**2/(2*lam), each supplier's counted up to
-    # its interior cap and at most L times: D[c] = S times the c smallest
+    # f = alpha + beta*x + c_hold*x**2/(2*lam) at x = m + h, one grid step
+    # h = 1/(L*c_hold*den(lam)) inside the window, each supplier's counted
+    # up to its interior cap and at most L times, and not at all when no
+    # step fits strictly below M: D[c] = S times the c smallest
     caps = ref_interior_caps(inst)
-    f = [s.alpha + s.beta * s.m + inst.c_hold * s.m**2 / (2 * inst.lam) for s in inst.suppliers]
+    h = F(1, L * inst.c_hold * inst.lam.denominator)
+    f = [s.alpha + s.beta * (s.m + h) + inst.c_hold * (s.m + h) ** 2 / (2 * inst.lam) for s in inst.suppliers]
+    caps = [cap if s.m + h < s.M else 0 for s, cap in zip(inst.suppliers, caps)]
     smallest = sorted(itertools.chain.from_iterable([fi] * min(cap, L) for fi, cap in zip(f, caps)))[:L]
     S, [D] = dp._count_bound(inst, (0,), 1, L)
     assert D == [S * total for total in itertools.accumulate(smallest, initial=0)]
 
 
 def ref_interior_caps(inst):
-    """Each supplier's interior cap, searched from the top: in multi mode the
-    largest r <= (M - 1) // m with r = 1 or (r - 1)*r*2*a*alpha <
-    c_hold*b*M**2, for lam = a/b."""
+    """Each supplier's interior cap, searched from the top: in multi mode,
+    with X = max(m, min(M, P)) the largest interior total, the largest r <=
+    (X - 1) // m with r = 1 or (r - 1)*r*2*a*alpha < c_hold*b*X**2, for lam
+    = a/b."""
     if inst.mode != MULTI:
         return [int(s.M > s.m) for s in inst.suppliers]
     a, b = inst.lam.numerator, inst.lam.denominator
-    return [
-        next(
-            (r for r in range((s.M - 1) // s.m, 1, -1) if (r - 1) * r * 2 * a * s.alpha < inst.c_hold * b * s.M**2),
-            min(1, (s.M - 1) // s.m),
-        )
-        for s in inst.suppliers
-    ]
+    caps = []
+    for s in inst.suppliers:
+        X = max(s.m, min(s.M, inst.P))
+        caps.append(next(
+            (r for r in range((X - 1) // s.m, 1, -1) if (r - 1) * r * 2 * a * s.alpha < inst.c_hold * b * X**2),
+            min(1, (X - 1) // s.m),
+        ))
+    return caps
 
 
 def capped_instance(rng, lams=(F(1, 2), F(2, 3), F(3, 2), F(2, 5))):
@@ -619,17 +743,29 @@ def test_interior_caps_follow_the_batch_count_rule():
         inst = capped_instance(rng, lams=(1, F(1, 2), F(2, 3), F(3, 2), 3, F(2, 5)))
         caps = dp._interior_caps(inst)
         assert caps == ref_interior_caps(inst)
-        binds += caps != [(s.M - 1) // s.m for s in inst.suppliers]
-        # every grid total strictly inside (r*m, M) whose best count is r
-        # has r <= the cap, on the grids 1..6
+        binds += caps != [(min(s.M, inst.P) - 1) // s.m for s in inst.suppliers]
+        # every grid total strictly inside (r*m, M), and at most P, whose
+        # best count is r has r <= the cap, on the grids 1..6
         for s, cap in zip(inst.suppliers, caps):
             for H in range(1, 7):
                 den = H * inst.c_hold * inst.lam.denominator
-                for i in range(s.m * den + 1, s.M * den):
+                for i in range(s.m * den + 1, min(s.M * den - 1, inst.P * den) + 1):
                     x = F(i, den)
                     r, _ = multi_delivery_cost(s, x, inst.lam, inst.c_hold)
                     assert r * s.m >= x or r <= cap, (inst, s, x, r, cap)
     assert binds >= 100
+
+
+def test_interior_caps_count_totals_up_to_P():
+    # an interior total covers at most P = 10: at M = 20 the batch-count
+    # rule would allow 5 batches (5*6*16 >= 400 > 4*5*16), at 10 it allows 3
+    # (3*4*16 >= 100 > 2*3*16), so L_count falls from 5 to 3
+    inst = Instance(suppliers=(Supplier(8, 0, 1, 20),), P=10, mode=MULTI)
+    assert dp._interior_caps(inst) == [3]
+    assert dp._interior_caps(replace(inst, P=20)) == [5]
+    report = solve_multi(inst)
+    assert (report.L_count, report.L) == (3, 3)
+    assert report.solution.objective == duplication_oracle(inst).objective
 
 
 def test_capped_sweep_matches_the_duplication_oracle():
@@ -662,9 +798,9 @@ def count_fills(monkeypatch):
 
 
 def test_best_H_plan_comes_from_the_smaller_grids(monkeypatch):
-    # L = 5 and best_H = H_top = 20: the grids 1 and 5 backtrack to (5, 5, 0)
-    # and the grids 2 and 4 to (15/2, 5/2, 0), which is smaller from supplier
-    # n down; best_H's plan is the smallest, and its table is never filled
+    # L = 4 and best_H = H_top = 20: the grid 1 backtracks to (5, 5, 0) and
+    # the grids 2 and 4 to (15/2, 5/2, 0), which is smaller from supplier n
+    # down; best_H's plan is the smallest, and its table is never filled
     inst = Instance(
         suppliers=(Supplier(3, 3, 2, 9), Supplier(3, 3, 2, 9), Supplier(3, 3, 1, 2)),
         P=10,
@@ -677,8 +813,8 @@ def test_best_H_plan_comes_from_the_smaller_grids(monkeypatch):
     best_H, solution = ref_sweep(inst)
     filled = count_fills(monkeypatch)
     report = solve_multi(inst)
-    assert (report.L, report.best_H, report.H_top) == (5, 20, 20)
-    assert filled == [1, 2, 3, 4, 5]
+    assert (report.L, report.best_H, report.H_top) == (4, 20, 20)
+    assert filled == [1, 2, 3, 4]
     assert report.best_H == best_H
     assert report.solution == solution
     assert report.solution.per_supplier_totals == (F(15, 2), F(5, 2), 0)
@@ -687,11 +823,11 @@ def test_best_H_plan_comes_from_the_smaller_grids(monkeypatch):
 @pytest.mark.parametrize(
     "inst, L, interior",
     [
-        (random_instance(random.Random(36), n_max=6, p_max=24, c_max=2, bound_max=10), 2, 0),
+        (random_instance(random.Random(170), n_max=6, p_max=24, c_max=2, bound_max=10), 2, 0),
         (
-            random_instance(random.Random(624), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
-            3,
-            2,
+            random_instance(random.Random(981), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
+            4,
+            4,
         ),
     ],
     ids=["single", "multi"],
@@ -744,10 +880,10 @@ def test_solve_walks_only_the_kept_tables_that_divide_best_H(monkeypatch, mode):
 @pytest.mark.parametrize(
     "inst, best_H, eligible",
     [
-        (random_instance(random.Random(63), n_max=6, p_max=24, c_max=2, bound_max=10), 4, [2, 4]),
+        (random_instance(random.Random(580), n_max=6, p_max=24, c_max=2, bound_max=10), 4, [2, 4]),
         # H_top = 7 + 1 = 8, so grid 6 is the largest multiple of grid 3
         (
-            Instance(suppliers=(Supplier(0, 5, 2, 15), Supplier(3, 1, 10, 11)), P=15, lam=2, mode=MULTI),
+            Instance(suppliers=(Supplier(0, 5, 2, 15), Supplier(10, 1, 10, 11)), P=15, lam=2, mode=MULTI),
             6,
             [3, 6],
         ),

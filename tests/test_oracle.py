@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -90,11 +91,12 @@ def test_candidate_budget():
 
 @pytest.mark.parametrize("windows", [(100, 2000), (10**6, 10**6)], ids=["100-2000", "1e6"])
 def test_candidate_budget_refuses_before_pricing_a_menu(monkeypatch, windows):
-    # with c_hold = 2 and n = 2 each menu holds the grid of step 1/4: about
-    # 400 and 8,000 volumes, or 4 * 10**6 each, more than the cap together
+    # with c_hold = 2 and n = 2 each menu holds the grid of step 1/4 up to
+    # min(M, P), P the larger M: about 400 and 8,000 volumes, or 4 * 10**6
+    # each, more than the cap together
     priced = []
     monkeypatch.setattr(oracle, "delivery_cost", lambda s, v: priced.append(s.M) or delivery_cost(s, v))
-    inst = Instance(suppliers=tuple(Supplier(0, 1, 2, M) for M in windows), P=5, c_hold=2)
+    inst = Instance(suppliers=tuple(Supplier(0, 1, 2, M) for M in windows), P=windows[1], c_hold=2)
     with pytest.raises(ResourceLimitError, match="^grid enumeration needs more than 2000000 candidate plans$"):
         grid_oracle(inst)
     assert priced == []
@@ -104,13 +106,34 @@ def test_candidate_budget_refuses_the_next_menu_unpriced(monkeypatch):
     # n = 3 and c_hold = 1: a menu holds the grids of steps 1, 1/2 and 1/3, 4
     # volumes per unit, and the finest grid alone 3.  The finest grids
     # multiply to 302 * 3002 * 2 plans, under the cap, so the first menu is
-    # built, 402 volumes; then 402 * 3002 * 2 is over it
+    # built, 402 volumes; then 402 * 3002 * 2 is over it.  P = 1001 lets
+    # every menu run up to its M
     priced = []
     monkeypatch.setattr(oracle, "delivery_cost", lambda s, v: priced.append(s.M) or delivery_cost(s, v))
-    inst = Instance(suppliers=(Supplier(0, 1, 1, 101), Supplier(0, 1, 1, 1001), Supplier(0, 1, 1, 1)), P=5)
+    inst = Instance(suppliers=(Supplier(0, 1, 1, 101), Supplier(0, 1, 1, 1001), Supplier(0, 1, 1, 1)), P=1001)
     with pytest.raises(ResourceLimitError, match="2000000 candidate plans"):
         grid_oracle(inst)
     assert priced == [101] * 401  # volume 0 costs nothing and is not priced
+
+
+def test_grid_oracle_menus_end_at_the_demand(monkeypatch):
+    # a volume above max(P, m) alone covers P, and cutting it back to that
+    # costs less, so each menu ends there.  With windows up to 10**5, the
+    # grids of steps 1/2, 1/4 and 1/6 put 8 volumes in each unit up to P = 5:
+    # 4*8 + 1 for m = 1, 3*8 + 1 for m = 2, and m alone for m = 6 > P, each
+    # priced once more for the incumbent plan at the menus' tops
+    priced = []
+    monkeypatch.setattr(oracle, "delivery_cost", lambda s, v: priced.append(s.m) or delivery_cost(s, v))
+    inst = Instance(
+        suppliers=(Supplier(3, 1, 2, 10**5), Supplier(1, 2, 1, 10**5), Supplier(2, 0, 6, 10**5)),
+        P=5,
+        c_hold=2,
+    )
+    wide = grid_oracle(inst)
+    assert sorted(Counter(priced).items()) == [(1, 34), (2, 26), (6, 2)]
+    assert wide.objective == structural_oracle(inst).objective
+    cut = replace(inst, suppliers=tuple(replace(s, M=max(s.m, 5)) for s in inst.suppliers))
+    assert grid_oracle(cut) == wide
 
 
 def test_oracles_are_deterministic(golden):
