@@ -19,9 +19,11 @@ pricing too: each supplier's priced volumes end at min(M, P + m), so no
 cost row is longer than a table row.  The fill computes
 only part of each table's cells (``computed`` in the report's ``per_H`` and
 in the ``bench`` CSV).  The report's ``skip_reason`` sorts the grids left
-out: ``"H > L"``, and ``"count bound"`` for those of 2..L whose every
-multiple up to L is an interior count priced above a cheaper table, each
-interior volume one grid step inside its window (single mode only).  A
+out: ``"H > L"``; ``"covered"`` for those of 2..L that lie inside a filled
+grid with the same largest multiple up to the top of the H range; and
+``"count bound"`` for the other grids of 2..L, whose every multiple up to L
+is an interior count priced above a cheaper table, each interior volume one
+grid step inside its window.  A
 solve over the cap is refused with exit code 1 before any table is filled;
 a ``verify --seed-batch`` run stops at the first instance over the cap, and
 its error line names the instance's index.
@@ -144,7 +146,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def report_to_json(report: SolveReport) -> dict:
-    skipped = report.skipped_H
+    skipped, covered = report.skipped_H, report.covered_H
     return {
         "best_H": report.best_H,
         "objective": rational_to_json(report.solution.objective),
@@ -157,7 +159,8 @@ def report_to_json(report: SolveReport) -> dict:
         "skipped_H": list(skipped),
         "skip_reason": {
             "H > L": [H for H in skipped if H > report.L],
-            "count bound": [H for H in skipped if H <= report.L],
+            "covered": list(covered),
+            "count bound": [H for H in skipped if H <= report.L and H not in covered],
         },
         "per_H": [
             {

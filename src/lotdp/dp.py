@@ -35,28 +35,37 @@ the grid of their gcd, and every optimum lies on the grid of its own
 interior count c <= L, so the smallest grid of an optimum divides its c.
 Table H can add an optimum only through one with H | c.  The sweep fills
 table 1 (cost v1) and then prices the suppliers once: ``_count_bound``
-returns one bound list per price, at price 0, which reads L, and in single
-mode, where a price on the demand bounds every optimum with exactly c
-interior suppliers from below, at (24, 27, 31)/20 * v1/P too, unless
-L_count = 1 leaves no table 2..L to decide.  It fills each
-table H in 2..L unless every multiple c <= L of H is priced above the
-cheapest table so far at one of the positive prices; multi mode fills every
-table 1..L, as there the bound cost more time than the fills it saved.
-Every optimum's smallest grid is filled, the cheapest table is the exact
-optimum v*, and grid H reaches v* exactly when H is a multiple of some
-filled table that reaches v*: best_H is the largest multiple up to H_top of
-such a table.
+returns one bound list per price, at price 0, which reads L, and, unless
+L_count = 1 leaves no table 2..L to decide, at positive prices on the
+demand, which bound every optimum with exactly c interior batches from
+below: (24, 27, 31)/20 * v1/P in single mode, and in multi mode rho
+(``_demand_price``), at or below every batch's cost per unit volume, so
+that no batch is priced below 0.  It then decides the grids from L down to
+2.  With LM(H) = H_top - H_top % H, the largest multiple of H up to H_top,
+grid H is covered when a filled table H2 has H | H2 and H2 | LM(H)
+(``_covered``): grid H lies inside grid H2, so table H2 reaches v* whenever
+table H does, LM(H2) = LM(H), and H2's plan comes no later in the tie order
+below; a covered grid is left out.  Any other table H is filled unless every
+multiple c <= L of H is priced above the cheapest table so far at one of
+the positive prices.  An optimum's smallest grid is never priced out, so it
+is filled or covered: every optimum lies on a filled grid with the same
+largest multiple up to H_top.  The cheapest table is the exact optimum v*,
+grid H reaches v* exactly when H is a multiple of the smallest grid of some
+optimum, and best_H is the largest LM(H) of a filled table H that reaches
+v*.
 
 The fill computes phi only.  The backtrack decides each step with one tie
 rule, ``_choice``: a supplier is skipped when skipping costs the same, and
 otherwise takes the smallest volume that attains the cell.  So each table's
 backtrack is the lexicographically smallest optimal plan on its grid (volumes
-compared from supplier n down, a skip counting as 0).  The optimal plans on
-grid best_H are those of the filled reaching tables that divide best_H, so
-best_H's plan is the smallest of theirs, and no table above L is ever
-filled.  The sweep ranks each table H it fills by (its objective, minus the
-largest multiple of H up to H_top) and keeps only the tables of least rank
-so far, dropping each other table once it loses: a reaching table g divides
+compared from supplier n down, a skip counting as 0).  An optimal plan on
+grid best_H has its smallest grid g | best_H, so LM(g) = best_H, and it lies
+on g or on the filled table that covers g, which divides best_H.  So the
+optimal plans on grid best_H are those of the filled reaching tables that
+divide best_H, best_H's plan is the smallest of theirs, and no table above
+L is ever filled.  The sweep ranks each table H it fills by (its objective,
+minus the largest multiple of H up to H_top) and keeps only the tables of
+least rank so far, dropping each other table once it loses: a reaching table g divides
 best_H exactly when its largest multiple is best_H, so the tables kept at
 the end are those that reach v* and divide best_H, in fill order.  The sweep
 walks the plan of each kept table once (``DPTable.plan``), and backtracks
@@ -636,9 +645,12 @@ def _fill(
     ub = _upper_bound(grid, costs, incs, lb, merged[-1] if total else None)
     prev = [0] + [ub + 1] * total
     phi_rows, bands = [prev], [EMPTY]
+    # row n has no suppliers after it, so its band is the one residual P*den,
+    # or EMPTY at P = 0
+    last_band = (total, total) if total else EMPTY
     for k in range(1, n + 1):
         lo, hi = grid.spans[k - 1]
-        band = _band(pre[k], suf[k], total, lb, ub)
+        band = _band(pre[k], suf[k], total, lb, ub) if k < n else last_band
         prev = _fill_row(prev, bands[-1], lo, hi, costs[k - 1], band, costs.convex)
         phi_rows.append(prev)
         bands.append(band)
@@ -744,14 +756,16 @@ class HTrace:
 class SolveReport:
     """Outcome of one H sweep.
 
-    ``trace`` holds one entry per table filled, in fill order: grid 1 and
-    those of the grids 2..L that the count bound does not leave out (all of
-    them in multi mode).
+    ``trace`` holds one entry per table filled, in fill order: grid 1, then
+    those of the grids L, L - 1, ..., 2 that no filled table covers and the
+    count bound does not leave out.
     ``skipped_H`` lists the other grids up to ``H_top``: each lies above
-    ``L``, or every multiple c <= L of it is an interior count whose plans
-    all cost more than a table filled before it (see ``_sweep``), so no
-    optimum needs it.  ``interior`` is the returned plan's interior count,
-    which the sweep checks is at most ``L``.
+    ``L``, or a filled table covers it (``covered_H``), or every multiple c
+    <= L of it is an interior count whose plans all cost more than a table
+    filled before it (see ``_sweep``).  Every optimum lies on a filled grid
+    with the same largest multiple up to ``H_top`` as its own smallest grid.
+    ``interior`` is the returned plan's interior count, which the sweep
+    checks is at most ``L``.
 
     ``elapsed_seconds`` is the wall time from the cell-budget check through
     pricing and filling every table, backtracking the winner and
@@ -780,9 +794,18 @@ class SolveReport:
     @property
     def skipped_H(self) -> tuple[int, ...]:
         """Every grid up to H_top without a table: those above L, and those
-        of 2..L that the count bound left out."""
+        of 2..L that a filled table covers or the count bound left out."""
         filled = {t.H for t in self.trace}
         return tuple(H for H in range(1, self.H_top + 1) if H not in filled)
+
+    @property
+    def covered_H(self) -> tuple[int, ...]:
+        """The grids of 2..L left out because a filled table covers them
+        (:func:`_covered`), read from ``trace``: the sweep decides the grids
+        from L down, so every filled multiple of grid H was filled before
+        grid H was decided."""
+        filled = [t.H for t in self.trace]
+        return tuple(H for H in self.skipped_H if H <= self.L and _covered(H, filled, self.H_top))
 
 
 def _interior_caps(inst: Instance) -> list[int]:
@@ -855,7 +878,8 @@ def _interior_count(inst: Instance, solution: Solution) -> int:
 def _count_bound(inst: Instance, ens: tuple[int, ...], ed: int, L: int) -> tuple[int, list[list[int]]]:
     """A lower bound on the cost of every optimum with exactly c interior
     batches, for c = 0..L (L >= 1), at each price ell = en/ed >= 0 for en in
-    ``ens``: (S, [D for each price]), D[c] the bound's numerator over S =
+    ``ens``, in multi mode each at most rho (:func:`_demand_price`): (S, [D
+    for each price]), D[c] the bound's numerator over S =
     2*a*c_hold*b*ed**2*L**2 for lam = a/b.  Each supplier counts up to its
     :func:`_interior_caps` interior batches (in multi mode the batch-count
     rule's cap), and never more than L, so each D has at most L + 1
@@ -870,8 +894,13 @@ def _count_bound(inst: Instance, ens: tuple[int, ...], ed: int, L: int) -> tuple
     cost_i(x) - ell*x = alpha + (beta - ell)*x + c_hold*x**2/(2*lam) and
     g_i(0) = 0.  A supplier at 0, m or M gives at least e = min(0, g(m),
     g(M)), and an interior one at least e + d, d = min g over [m + h, M - h]
-    - e.  So D(c) = ell*P + the sum of e + the c smallest d.  A positive
-    price bounds single-mode plans only.
+    - e.  So D(c) = ell*P + the sum of e + the c smallest d.  In multi mode
+    a supplier's total x in r batches costs ell*x + r*g(x/r), g taken per
+    batch.  At a price at or below every batch's cost per unit volume (rho,
+    :func:`_demand_price`) every g(y) over [m, M] is at least 0, so e = 0,
+    and each interior batch adds at least d: the same D(c) bounds every
+    multi-mode plan with c interior batches.  A higher price could put r
+    batches at m below 0 each, which one e per supplier does not bound.
 
     At price 0, in either mode, e = 0 and d is f(m + h), f(x) = alpha +
     beta*x + c_hold*x**2/(2*lam) the cost of one batch: a multi-mode total x
@@ -916,6 +945,37 @@ def _count_bound(inst: Instance, ens: tuple[int, ...], ed: int, L: int) -> tuple
     return S, bounds
 
 
+def _demand_price(inst: Instance) -> Fraction:
+    """rho, the multi-mode demand price: at or below every batch's cost per
+    unit volume, the least over the suppliers of min f(y)/y over y in [m,
+    M], f(y) = alpha + beta*y + c_hold*y**2/(2*lam) the cost of one batch.
+    f(y)/y = alpha/y + beta + c_hold*y/(2*lam) is convex, least at y* with
+    y*^2 = 2*alpha*lam/c_hold: the value is f(m)/m when y* <= m, f(M)/M when
+    y* >= M, and else beta + sqrt(2*alpha*c_hold/lam).  With lam = a/b that
+    root is sqrt(2*a*b*c_hold*alpha)/a, floored here to a multiple of 1/(a*P)
+    by math.isqrt, so rho*P lies less than 1/a below P times the least."""
+    a, b, c = inst.lam.numerator, inst.lam.denominator, inst.c_hold
+    Q = max(inst.P, 1)
+    prices = []
+    for s in inst.suppliers:
+        if 2 * a * s.alpha <= c * b * s.m * s.m:
+            y = s.m
+        elif 2 * a * s.alpha >= c * b * s.M * s.M:
+            y = s.M
+        else:
+            prices.append(s.beta + Fraction(math.isqrt(2 * a * b * c * s.alpha * Q * Q), a * Q))
+            continue
+        prices.append(Fraction(2 * a * (s.alpha + s.beta * y) + c * b * y * y, 2 * a * y))
+    return min(prices)
+
+
+def _covered(H: int, filled: list[int], H_top: int) -> bool:
+    """Whether a filled table G covers grid H: H | G and G | LM(H), LM(H) =
+    H_top - H_top % H the largest multiple of H up to H_top."""
+    top = H_top - H_top % H
+    return any(G % H == 0 and top % G == 0 for G in filled)
+
+
 def _sweep_cells(inst: Instance, L_count: int) -> int:
     """Cells the sweep may fill, from the grid definition alone: the tables
     H = 1..L_count.  The sweep fills tables up to L only, and L <= L_count.
@@ -943,17 +1003,21 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
 
     After table 1, of cost v1, the suppliers are priced once:
     :func:`_count_bound` with K = L_count, so each interior batch one step
-    1/(L_count*c_hold*den(lam)) inside its window, at price 0 and, in single
-    mode with L_count > 1 (so P >= 3), at (24, 27, 31)/20 * v1/P, the prices
-    near which the bound binds on the benchmark's narrow pools.  L is the
-    number of c in 1..L_count whose price-0 bound is at most v1, at least 1:
-    an optimum may cost its bound exactly.  Table H in 2..L is filled
-    unless, for every multiple c <= L of H, the largest positive-price bound
-    lies above the cheapest table so far; multi mode fills them all.  The
-    module docstring shows why the cheapest table is the optimum v*, why
-    best_H is the largest multiple up to H_top of a filled table that
-    reaches v*, and why the plan returned, the smallest of the kept tables'
-    plans scaled to grid best_H, is the backtrack of grid best_H.
+    1/(L_count*c_hold*den(lam)) inside its window, at price 0 and, when
+    L_count > 1, at positive prices: (24, 27, 31)/20 * v1/P in single mode
+    (P >= 3 there), the prices near which the bound binds on the
+    benchmark's narrow pools, and rho (:func:`_demand_price`) in multi
+    mode.  L is the number of c in 1..L_count whose price-0 bound is at most
+    v1, at least 1: an optimum may cost its bound exactly.  The grids L, L -
+    1, ..., 2 are decided in turn.  Grid H is left out when a filled table
+    covers it (:func:`_covered`); else table H is filled unless, for every
+    multiple c <= L of H, the largest positive-price bound lies above the
+    cheapest table so far.  The module docstring shows why every optimum
+    lies on a filled grid with the same largest multiple up to H_top, why
+    the cheapest table is the optimum v*, why best_H is the largest multiple
+    up to H_top of a filled table that reaches v*, and why the plan
+    returned, the smallest of the kept tables' plans scaled to grid best_H,
+    is the backtrack of grid best_H.
 
     Expects an instance that passed require_valid, as ``solve`` and
     ``solve_multi`` check; on one whose windows cannot cover P the fill of
@@ -985,21 +1049,27 @@ def _sweep(inst: Instance, H_top: int, max_cells: int | None) -> SolveReport:
 
     fill(1)
     v1 = least[0]
-    if inst.mode == SINGLE and L_count > 1:  # 0 and (24, 27, 31)/20 * v1/P over one denominator
-        ens, ed = tuple(k * v1.numerator for k in (0, 24, 27, 31)), 20 * v1.denominator * inst.P
-    else:
+    if L_count == 1:  # no table 2..L to decide
         ens, ed = (0,), 1
+    elif inst.mode == SINGLE:  # 0 and (24, 27, 31)/20 * v1/P over one denominator
+        ens, ed = tuple(k * v1.numerator for k in (0, 24, 27, 31)), 20 * v1.denominator * inst.P
+    else:  # 0 and rho, below every batch's cost per unit volume
+        rho = _demand_price(inst)
+        ens, ed = (0, rho.numerator), rho.denominator
     S, (D, *priced) = _count_bound(inst, ens, ed, L_count)
     # L counts the c >= 1 with D[c] <= S*v1, the integers up to floor(S*v1);
     # the price-0 list D rises strictly from D[0] = 0
     L = max(1, bisect_right(D, S * v1.numerator // v1.denominator) - 1)
-    skip = [max(col) for col in zip(*priced)]  # empty in multi mode: fill every table
-    for H in range(2, L + 1):
-        # table H adds an optimum only through one whose interior count c is
-        # a multiple of H: fill it unless every such c is priced above the
-        # cheapest table so far
+    skip = [max(col) for col in zip(*priced)]
+    for H in range(L, 1, -1):
+        # a filled multiple with the same largest multiple up to H_top holds
+        # every plan of grid H; else table H adds an optimum only through one
+        # whose interior count c is a multiple of H: fill it unless every
+        # such c is priced above the cheapest table so far
+        if _covered(H, [t.H for t in traces], H_top):
+            continue
         v_num, v_den = least[0].numerator, least[0].denominator
-        if not skip or any(skip[c] * v_den <= S * v_num for c in range(H, L + 1, H)):
+        if any(skip[c] * v_den <= S * v_num for c in range(H, L + 1, H)):
             fill(H)
     best_val, best_H = least[0], -least[1]
     # each plan as (supplier, index on grid best_H) pairs from supplier n down:

@@ -119,16 +119,18 @@ class TestSolve:
 
     def test_report_names_the_skipped_grids(self, tmp_path, capsys):
         # at most (9 - 1) // 2 = 4 interior batches, while best_H ranges up to
-        # 9 // 2 + 9 // 2 = 8; the sweep fills the grids up to 4 and takes
-        # best_H's plan from them: four batches of 9/4, all interior
+        # 9 // 2 + 9 // 2 = 8; the sweep decides the grids from 4 down and
+        # takes best_H's plan from them: four batches of 9/4, all interior.
+        # Grid 2 lies inside grid 4, and both have the largest multiple 8 up
+        # to H_top, so the filled table 4 covers it
         inst = Instance(suppliers=(Supplier(1, 1, 2, 12),) * 2, P=9, mode=MULTI)
         assert cli.main(["solve", write_instance(tmp_path / "m.json", inst)]) == 0
         report = json.loads(capsys.readouterr().err)
         assert (report["L"], report["interior"], report["L_count"]) == (4, 4, 4)
-        assert [h["H"] for h in report["per_H"]] == [1, 2, 3, 4]
+        assert [h["H"] for h in report["per_H"]] == [1, 4, 3]
         assert report["best_H"] == 8
-        assert report["skipped_H"] == [5, 6, 7, 8]
-        assert report["skip_reason"] == {"H > L": [5, 6, 7, 8], "count bound": []}
+        assert report["skipped_H"] == [2, 5, 6, 7, 8]
+        assert report["skip_reason"] == {"H > L": [5, 6, 7, 8], "covered": [2], "count bound": []}
         assert report["table_cells_filled"] == sum(h["cells"] for h in report["per_H"])
 
     def test_report_names_the_grids_the_count_bound_leaves_out(self, tmp_path, capsys):
@@ -144,7 +146,7 @@ class TestSolve:
         assert (report["L"], report["best_H"], report["objective"]) == (3, 3, {"num": 487, "den": 6})
         assert [h["H"] for h in report["per_H"]] == [1, 3]
         assert report["skipped_H"] == [2]
-        assert report["skip_reason"] == {"H > L": [], "count bound": [2]}
+        assert report["skip_reason"] == {"H > L": [], "covered": [], "count bound": [2]}
         assert structural_oracle(inst).objective == F(487, 6)
 
     def test_report_counts_the_computed_cells(self, golden_file, capsys):

@@ -296,13 +296,12 @@ def assert_matches_full_sweep(inst):
     assert report.best_H == best_H
     assert report.solution == solution
     assert report.solution.objective == solution.objective
-    # table 1 and some of the tables 2..L, in order, and the rest of the H
-    # range skipped
+    # table 1, then some of the tables 2..L from the top down, and the rest
+    # of the H range skipped
     filled = [t.H for t in report.trace]
-    assert filled[:1] == [1] and filled == sorted(set(filled)) and filled[-1] <= report.L
+    assert filled[0] == 1 and filled[1:] == sorted(set(filled[1:]), reverse=True)
+    assert all(1 < H <= report.L for H in filled[1:])
     assert report.skipped_H == tuple(H for H in range(1, report.H_top + 1) if H not in filled)
-    if inst.mode == MULTI:  # the count bound runs in single mode only
-        assert filled == list(range(1, report.L + 1))
     # the guard bounds the sweep, the sweep's rank needs every table filled
     # at most H_top, and the plan keeps the interior bound
     assert report.L <= report.L_count
@@ -422,7 +421,7 @@ def test_fine_grid_draws_keep_their_answers_and_computed_cells():
         report = solve(replace(bench_instance(rng, 6 + i % 5, 30, 2 + i % 2), lam=lam))
         assert (report.solution.objective, report.best_H) == want, i
         computed += report.cells_computed
-    assert computed == 110224
+    assert computed == 100778
 
 
 # --- the interior-count bound against enumerated plans -------------------------
@@ -495,12 +494,18 @@ def test_count_bound_is_below_every_plan_of_its_count(seed, a, b, drawn):
                 assert top < len(D) <= K + 1
                 for c, cheapest in minima.items():
                     assert F(D[c], S) <= cheapest
+    # a grid 2..L the sweep leaves out is covered, grid H inside a filled
+    # grid G with the same largest multiple up to H_top, or has each
+    # multiple c <= L priced above v*
     report = solve(inst)
     v = report.solution.objective
     filled = {t.H for t in report.trace}
     for H in range(2, report.L + 1):
         if H not in filled:
-            assert all(minima.get(c, v + 1) > v for c in range(H, report.L + 1, H))
+            top = report.H_top // H * H
+            covered = any(G % H == 0 and top % G == 0 for G in filled)
+            assert covered == (H in report.covered_H)
+            assert covered or all(minima.get(c, v + 1) > v for c in range(H, report.L + 1, H))
 
 
 def multi_count_minima(inst):
@@ -565,18 +570,92 @@ def test_multi_count_bound_is_below_every_plan_of_its_count(seed):
     assert all(c <= report.L for c, cheapest in minima.items() if cheapest == report.solution.objective)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_multi_count_bound_at_rho_is_below_every_plan_of_its_count(seed):
+    # at the sweep's multi-mode price rho no batch costs less than rho times
+    # its volume, so every supplier's e is 0: D[0] = S*rho*P, and D[c] never
+    # exceeds the cheapest enumerated plan of c interior batches on grid c.
+    # A grid 2..L the sweep leaves out is covered by a filled multiple or
+    # has every multiple c <= L priced above v*
+    inst = multi_windows_instance(random.Random(seed))
+    minima = multi_count_minima(inst)
+    rho = dp._demand_price(inst)
+    S, [D] = dp._count_bound(inst, (rho.numerator,), rho.denominator, dp.interior_limit(inst))
+    assert F(D[0], S) == rho * inst.P
+    for c, cheapest in minima.items():
+        assert c < len(D) and F(D[c], S) <= cheapest
+    report = solve_multi(inst)
+    v = report.solution.objective
+    filled = {t.H for t in report.trace}
+    for H in set(range(2, report.L + 1)) - filled:
+        assert H in report.covered_H or all(minima.get(c, v + 1) > v for c in range(H, report.L + 1, H))
+
+
+def least_unit_cost(inst, s, H):
+    """min cost(v)/v over the volumes v of supplier s's window [m, M] on
+    grid H, one batch each."""
+    den = H * inst.c_hold * inst.lam.denominator
+    return min(
+        (s.alpha + s.beta * v + inst.c_hold * v * v / (2 * inst.lam)) / v
+        for v in (F(i, den) for i in range(s.m * den, s.M * den + 1))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sups=st.lists(
+        st.tuples(st.integers(0, 60), st.integers(0, 10), st.integers(1, 6), st.integers(0, 8)),
+        min_size=1, max_size=3,
+    ),
+    a=st.integers(1, 5),
+    b=st.integers(1, 4),
+    c_hold=st.integers(1, 3),
+    P=st.integers(0, 20),
+    multi=st.booleans(),
+)
+def test_demand_price_is_below_every_batch_cost_per_unit(sups, a, b, c_hold, P, multi):
+    # rho never exceeds cost(v)/v at a volume of any grid, and equals the
+    # least of them when every supplier's cost per unit is least at m or M:
+    # f(y)/y is least at y* with y*^2 = 2*alpha*lam/c_hold
+    suppliers = tuple(Supplier(alpha, beta, m, m + w) for alpha, beta, m, w in sups)
+    inst = Instance(suppliers=suppliers, P=P, lam=F(a, b), c_hold=c_hold, mode=MULTI if multi else "single")
+    rho = dp._demand_price(inst)
+    least = [min(least_unit_cost(inst, s, H) for H in (1, 2, 3)) for s in suppliers]
+    assert 0 < rho <= min(least)
+    y2 = [2 * s.alpha * inst.lam / c_hold for s in suppliers]
+    if all(y <= s.m**2 or y >= s.M**2 for y, s in zip(y2, suppliers)):
+        assert rho == min(least)
+
+
+def test_a_filled_multiple_covers_a_grid():
+    # H_top = 9 // 2 + 9 // 2 = 8 and L = 4: grid 2 lies inside grid 4, and
+    # both have the largest multiple 8 up to H_top, so once table 4 is filled
+    # grid 2 can add no optimum, no better best_H and no smaller plan
+    inst = Instance(suppliers=(Supplier(1, 1, 2, 12),) * 2, P=9, mode=MULTI)
+    report = assert_matches_full_sweep(inst)
+    assert (report.L, report.H_top, report.best_H) == (4, 8, 8)
+    assert [t.H for t in report.trace] == [1, 4, 3]
+    assert report.covered_H == (2,)
+    assert solve_fixed_H(inst, 4).final <= solve_fixed_H(inst, 2).final
+
+
 def test_multi_count_minima_reach_interior_counts():
     # the enumeration above finds plans of one to five interior batches,
-    # optima among those of one to three, so the check is not vacuous
+    # optima among those of one to three, and the bound at rho leaves out
+    # grids that no filled multiple covers, so the checks are not vacuous
     rng = random.Random(7)
-    counts, optimal = set(), set()
+    counts, optimal, priced_out = set(), set(), 0
     for _ in range(40):
         inst = multi_windows_instance(rng)
         minima = multi_count_minima(inst)
         counts |= set(minima)
-        v = solve_multi(inst).solution.objective
+        report = solve_multi(inst)
+        v = report.solution.objective
         optimal |= {c for c, cheapest in minima.items() if cheapest == v}
+        priced_out += len(set(range(2, report.L + 1)) - {t.H for t in report.trace} - set(report.covered_H))
     assert counts == {1, 2, 3, 4, 5} and {1, 2, 3} <= optimal
+    assert priced_out >= 3
 
 
 def test_a_count_priced_exactly_at_the_running_best_is_filled():
@@ -800,7 +879,9 @@ def count_fills(monkeypatch):
 def test_best_H_plan_comes_from_the_smaller_grids(monkeypatch):
     # L = 4 and best_H = H_top = 20: the grid 1 backtracks to (5, 5, 0) and
     # the grids 2 and 4 to (15/2, 5/2, 0), which is smaller from supplier n
-    # down; best_H's plan is the smallest, and its table is never filled
+    # down; best_H's plan is the smallest, and its table is never filled.
+    # Table 4 covers grid 2 (both have the largest multiple 20), so the
+    # sweep fills 1, then 4 and 3
     inst = Instance(
         suppliers=(Supplier(3, 3, 2, 9), Supplier(3, 3, 2, 9), Supplier(3, 3, 1, 2)),
         P=10,
@@ -814,29 +895,32 @@ def test_best_H_plan_comes_from_the_smaller_grids(monkeypatch):
     filled = count_fills(monkeypatch)
     report = solve_multi(inst)
     assert (report.L, report.best_H, report.H_top) == (4, 20, 20)
-    assert filled == [1, 2, 3, 4]
+    assert filled == [1, 4, 3]
+    assert report.covered_H == (2,)
     assert report.best_H == best_H
     assert report.solution == solution
     assert report.solution.per_supplier_totals == (F(15, 2), F(5, 2), 0)
 
 
 @pytest.mark.parametrize(
-    "inst, L, interior",
+    "inst, L, interior, tables",
     [
-        (random_instance(random.Random(170), n_max=6, p_max=24, c_max=2, bound_max=10), 2, 0),
+        (random_instance(random.Random(170), n_max=6, p_max=24, c_max=2, bound_max=10), 2, 0, [1, 2]),
+        # H_top = 5: table 4 covers grid 2
         (
             random_instance(random.Random(981), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
             4,
             4,
+            [1, 4, 3],
         ),
     ],
     ids=["single", "multi"],
 )
-def test_best_H_one_above_L_is_named_without_its_table(monkeypatch, inst, L, interior):
+def test_best_H_one_above_L_is_named_without_its_table(monkeypatch, inst, L, interior, tables):
     # best_H = L + 1 takes its plan from the grids up to L like any H > L
     filled = count_fills(monkeypatch)
     report = solve_multi(inst) if inst.mode == MULTI else solve(inst)
-    assert filled == list(range(1, L + 1))
+    assert filled == tables
     assert (report.L, report.best_H, report.interior) == (L, L + 1, interior)
     assert_matches_full_sweep(inst)
 
@@ -878,46 +962,46 @@ def test_solve_walks_only_the_kept_tables_that_divide_best_H(monkeypatch, mode):
 
 
 @pytest.mark.parametrize(
-    "inst, best_H, eligible",
+    "inst",
     [
-        (random_instance(random.Random(580), n_max=6, p_max=24, c_max=2, bound_max=10), 4, [2, 4]),
-        # H_top = 7 + 1 = 8, so grid 6 is the largest multiple of grid 3
-        (
-            Instance(suppliers=(Supplier(0, 5, 2, 15), Supplier(10, 1, 10, 11)), P=15, lam=2, mode=MULTI),
-            6,
-            [3, 6],
-        ),
+        random_instance(random.Random(2441), n_max=6, p_max=24, c_max=2, bound_max=10),
+        Instance(suppliers=(Supplier(5, 8, 2, 9),), P=9, c_hold=2, mode=MULTI),
     ],
     ids=["single", "multi"],
 )
-def test_best_H_at_most_L_ranks_its_own_table_with_its_divisors(monkeypatch, inst, best_H, eligible):
-    # best_H <= L, so best_H's own table is filled and kept, next to a smaller
-    # grid that divides best_H and reaches v* too; each is walked once, and the
-    # smallest plan among them is the one best_H's own table backtracks to
+def test_best_H_at_most_L_ranks_its_own_table_with_its_divisors(monkeypatch, inst):
+    # best_H = L = H_top = 4, so best_H's own table is filled and kept, next
+    # to table 1, which divides best_H and reaches v* too; each is walked
+    # once, and the smallest plan among them is the one best_H's own table
+    # backtracks to.  Grid 2 reaches v* as well, and table 4 covers it
     assert_matches_full_sweep(inst)
-    own_plan = backtrack(solve_fixed_H(inst, best_H), inst)
+    own_plan = backtrack(solve_fixed_H(inst, 4), inst)
     walked = count_walks(monkeypatch)
     report = solve_multi(inst) if inst.mode == MULTI else solve(inst)
-    assert (report.best_H, report.L) == (best_H, best_H)
-    assert walked == eligible
+    assert (report.best_H, report.L, report.H_top) == (4, 4, 4)
+    assert walked == [1, 4]
+    assert report.covered_H == (2,)
+    assert solve_fixed_H(inst, 2).final == report.solution.objective
     assert report.solution == own_plan
 
 
 @pytest.mark.parametrize(
-    "inst, kept",
+    "inst, tables, kept",
     [
         # tables 1 and 3 lie above v*, and table 4 reaches it but does not
         # divide best_H = 6: only table 2 stays
-        (random_instance(random.Random(24), n_max=6, p_max=24, c_max=2, bound_max=10), [2]),
-        # tables 1..7 all reach v* and best_H = H_top = 18: 4, 5 and 7 go
+        (random_instance(random.Random(24), n_max=6, p_max=24, c_max=2, bound_max=10), [1, 4, 3, 2], [2]),
+        # tables 1, 6, 5 and 4 all reach v* and best_H = H_top = 18: 5 and 4
+        # go; table 6 covers grids 2 and 3, and count 7 is priced above v*
         (
             random_instance(random.Random(25), n_max=3, p_max=16, c_max=2, bound_max=8, mode=MULTI),
-            [1, 2, 3, 6],
+            [1, 6, 5, 4],
+            [1, 6],
         ),
     ],
     ids=["single", "multi"],
 )
-def test_sweep_frees_each_table_outside_the_least_rank(monkeypatch, inst, kept):
+def test_sweep_frees_each_table_outside_the_least_rank(monkeypatch, inst, tables, kept):
     # a table ranks by its objective, then by its largest multiple up to
     # H_top, largest first; when the sweep fills a table or walks a plan, every
     # table filled before and outside the least rank so far is already freed
@@ -948,7 +1032,7 @@ def test_sweep_frees_each_table_outside_the_least_rank(monkeypatch, inst, kept):
     monkeypatch.setattr(dp, "solve_fixed_H", tracked_fill)
     monkeypatch.setattr(dp, "_chosen_indices", tracked_walk)
     report = solve_multi(inst) if inst.mode == MULTI else solve(inst)
-    assert [t.H for t in report.trace] == list(range(1, report.L + 1))
+    assert [t.H for t in report.trace] == tables
     assert -min(ranks.values())[1] == report.best_H
     assert [H for H in ranks if ranks[H] == min(ranks.values())] == kept
 
