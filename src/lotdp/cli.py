@@ -4,6 +4,13 @@ Subcommands: ``solve`` an instance file, ``verify`` a file (or a seeded random
 batch) against the brute-force oracles, ``gen`` a random instance, ``bench``
 the table sizes and wall time across a parameter sweep.
 
+``main`` builds the parser on each call and adds arguments only to the
+subcommand that its argv names: the first argument that does not start with
+``-``, since the top-level parser has no option that takes a value.  Every
+subcommand stays registered with its help line, so usage, help, error text
+and exit codes are those of ``build_parser()``, which without a command adds
+every subcommand's arguments.
+
 Exit codes: 0 success, 1 bad input (a usage error included) or a size-guard
 refusal, 2 infeasible instance, 3 solver disagreement: the solvers and oracles
 of ``verify`` disagree, or a solver's own check of its plan fails in any
@@ -323,51 +330,85 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path", help="instance JSON file")
+    p.add_argument("--mode", choices=[SINGLE, MULTI], help="override the instance mode")
+    p.add_argument("--out", help="write the solution JSON here instead of stdout")
+    p.add_argument("--pretty", action="store_true", help="add decimal approximations")
+    p.set_defaults(func=cmd_solve)
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path", nargs="?", help="instance JSON file")
+    p.add_argument("--seed-batch", type=_at_least(1), metavar="N", help="verify N random instances")
+    p.add_argument("--seed", type=int, help="seed for --seed-batch (default 0)")
+    p.set_defaults(func=cmd_verify)
+
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_at_least(1), help="supplier count (default: random 1..4)")
+    p.add_argument("--pmax", type=_at_least(0), default=20, help="largest demand to draw")
+    p.add_argument("--cmax", type=_at_least(1), default=3, help="largest holding rate to draw")
+    p.add_argument("--bound-max", type=_at_least(1), default=12, help="largest volume bound to draw")
+    p.add_argument("--alpha-max", type=_at_least(0), default=10)
+    p.add_argument("--beta-max", type=_at_least(0), default=10)
+    p.add_argument("--mode", choices=[SINGLE, MULTI], default=SINGLE)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--infeasible", action="store_true", help="draw demand above capacity")
+    p.add_argument("--out", help="write here instead of stdout")
+    p.set_defaults(func=cmd_gen)
+
+
+def _bench_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sweep", choices=["P", "n", "c"], required=True)
+    p.add_argument("--values", help="comma-separated sweep values (optional)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="write the CSV here instead of stdout")
+    p.set_defaults(func=cmd_bench)
+
+
+# each subcommand's help line and the function that adds its arguments
+_SUBCOMMANDS = {
+    "solve": ("solve an instance file", _solve_arguments),
+    "verify": ("cross-check solvers and oracles", _verify_arguments),
+    "gen": ("generate a seeded random instance", _gen_arguments),
+    "bench": ("table sizes and wall time across a sweep", _bench_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``lotdp`` parser, every subcommand registered with its help line.
+    Without ``command``, or with a name that is no subcommand, every
+    subparser gets its arguments; otherwise only ``command``'s does.  The
+    top-level usage, help and error text name the subcommands only, so on
+    an argv whose subcommand is ``command`` the usage, help, error text and
+    exit codes are those of the parser with every subcommand's arguments."""
     parser = _Parser(
         prog="lotdp",
         description="Exact procurement lot-sizing: fixed-plus-linear delivery "
         "costs, quadratic holding, two-sided volume limits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve an instance file")
-    p_solve.add_argument("path", help="instance JSON file")
-    p_solve.add_argument("--mode", choices=[SINGLE, MULTI], help="override the instance mode")
-    p_solve.add_argument("--out", help="write the solution JSON here instead of stdout")
-    p_solve.add_argument("--pretty", action="store_true", help="add decimal approximations")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_verify = sub.add_parser("verify", help="cross-check solvers and oracles")
-    p_verify.add_argument("path", nargs="?", help="instance JSON file")
-    p_verify.add_argument("--seed-batch", type=_at_least(1), metavar="N", help="verify N random instances")
-    p_verify.add_argument("--seed", type=int, help="seed for --seed-batch (default 0)")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_gen = sub.add_parser("gen", help="generate a seeded random instance")
-    p_gen.add_argument("--n", type=_at_least(1), help="supplier count (default: random 1..4)")
-    p_gen.add_argument("--pmax", type=_at_least(0), default=20, help="largest demand to draw")
-    p_gen.add_argument("--cmax", type=_at_least(1), default=3, help="largest holding rate to draw")
-    p_gen.add_argument("--bound-max", type=_at_least(1), default=12, help="largest volume bound to draw")
-    p_gen.add_argument("--alpha-max", type=_at_least(0), default=10)
-    p_gen.add_argument("--beta-max", type=_at_least(0), default=10)
-    p_gen.add_argument("--mode", choices=[SINGLE, MULTI], default=SINGLE)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--infeasible", action="store_true", help="draw demand above capacity")
-    p_gen.add_argument("--out", help="write here instead of stdout")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="table sizes and wall time across a sweep")
-    p_bench.add_argument("--sweep", choices=["P", "n", "c"], required=True)
-    p_bench.add_argument("--values", help="comma-separated sweep values (optional)")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", help="write the CSV here instead of stdout")
-    p_bench.set_defaults(func=cmd_bench)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command == name or command not in _SUBCOMMANDS:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the ``lotdp`` command line on ``argv`` (``sys.argv[1:]`` when
+    None) and return its exit code.  The parser is built on each call, with
+    arguments only for the subcommand that ``argv`` names: its first
+    argument that does not start with ``-``, since the top-level parser has
+    no option that takes a value.  Usage, help, error text and exit codes
+    are those of ``build_parser()``, which adds every subcommand's
+    arguments.  Built per call, the parser reads each ``cmd_*`` function
+    when ``main`` runs, so a patched one is the one called."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (AssertionError, FeasibilityError) as exc:

@@ -649,6 +649,78 @@ class TestUsageErrors:
         assert "usage: lotdp" in capsys.readouterr().out
 
 
+class TestCommandLineSurface:
+    """``main`` adds arguments only to the subcommand its argv names; what
+    it prints, returns and parses is that of ``build_parser()``, which adds
+    every subcommand's arguments."""
+
+    @staticmethod
+    def outcome(run, capsys):
+        try:
+            result = ("returned", run())
+        except SystemExit as exc:
+            result = ("exited", exc.code)
+        out = capsys.readouterr()
+        return result, out.out, out.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["-h", "solve"],
+            ["solve", "--help"],
+            ["verify", "--help"],
+            ["gen", "--help"],
+            ["bench", "--help"],
+            [],
+            ["frobnicate"],
+            ["sol", "FILE"],
+            ["--pretty", "solve", "FILE"],
+            ["--mode", "single", "solve", "FILE"],
+            ["--", "solve", "FILE"],
+            ["solve", "FILE", "extra"],
+            ["solve"],
+            ["bench"],
+            ["verify", "--seed-batch"],
+            ["solve", "--mode", "bogus", "FILE"],
+            ["solve", "--trace", "FILE"],
+            ["gen", "--n", "x"],
+            ["verify", "--seed-batch", "0"],
+            ["solve", "FILE"],
+            ["solve", "--pretty", "--mode", "multi", "--out", "x.json", "FILE"],
+            ["verify", "FILE"],
+            ["verify", "--seed-batch", "3", "--seed", "2"],
+            ["gen"],
+            ["gen", "--n", "2", "--mode", "multi", "--infeasible", "--seed", "5"],
+            ["bench", "--sweep", "P", "--values", "1,2"],
+        ],
+    )
+    def test_main_parses_as_the_full_parser(self, argv, golden_file, capsys, monkeypatch):
+        # each command hands back what it was parsed with
+        for name in ("solve", "verify", "gen", "bench"):
+            monkeypatch.setattr(cli, f"cmd_{name}", lambda args: vars(args))
+        argv = [golden_file if arg == "FILE" else arg for arg in argv]
+
+        def full():
+            args = cli.build_parser().parse_args(argv)
+            return args.func(args)
+
+        assert self.outcome(lambda: cli.main(argv), capsys) == self.outcome(full, capsys)
+
+    def test_a_parser_for_one_command_leaves_the_others_bare(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser("solve").parse_args(["gen", "--pmax", "3"])
+        assert "unrecognized arguments: --pmax 3" in capsys.readouterr().err
+
+    def test_dispatch_reads_the_patched_command(self, golden_file, monkeypatch):
+        calls = []
+        for name in ("cmd_solve", "cmd_gen"):
+            monkeypatch.setattr(cli, name, lambda args, name=name: calls.append((name, args.command)) or 0)
+        assert cli.main(["solve", golden_file]) == 0
+        assert cli.main(["gen"]) == 0
+        assert calls == [("cmd_solve", "solve"), ("cmd_gen", "gen")]
+
+
 def test_module_entry_point(golden, tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(instance_to_json(golden)))
