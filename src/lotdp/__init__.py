@@ -4,7 +4,7 @@ A single product with constant consumption intensity must be procured from a
 set of suppliers, each charging a fixed cost per delivery plus a linear unit
 price, with per-supplier volume limits {0} union [m, M].  Holding a batch in
 stock costs quadratically in its size.  The solvers here return exact rational
-optima, cross-checked by independent brute-force oracles.
+optima, cross-checked by independent oracles.
 """
 
 from .closed_form import (

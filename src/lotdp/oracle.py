@@ -1,20 +1,20 @@
 """Independent solvers used to cross-check the dynamic program.
 
-The two single-delivery oracles are exponential brute force, meant for small
-instances only, and share no table machinery with :mod:`lotdp.dp`.  Two module
-constants bound them: ``structural_oracle`` refuses more than ``MAX_SUPPLIERS``
-suppliers (``lotdp verify`` reads the same cap), and ``grid_oracle`` refuses
-menus that multiply to more than ``MAX_CANDIDATES`` plans.  The
-multi-delivery duplication oracle shares the grid, the cell guard, the Bellman
-fill and the backtrack with its tie rule (``_choice``) of :mod:`lotdp.dp`, but
-not its pricing (every batch is forced onto the grid instead of priced by the
-closed-form split) nor its sweep bound (it fills every grid up to
-``multi_h_limit``).
+The two single-delivery oracles share no table machinery with
+:mod:`lotdp.dp`.  ``structural_oracle`` is a dynamic program over supplier
+labels (0, m, M or interior) in integers, polynomial in n, P and the sum of
+the betas; ``grid_oracle`` is exponential brute force over grid volumes,
+meant for small instances only.  One module constant, ``MAX_CANDIDATES``, bounds
+the work of both: the label states ``structural_oracle`` creates, and the
+plans ``grid_oracle``'s menus multiply to.  The multi-delivery duplication
+oracle shares the grid, the cell guard, the Bellman fill and the backtrack
+with its tie rule (``_choice``) of :mod:`lotdp.dp`, but not its pricing
+(every batch is forced onto the grid instead of priced by the closed-form
+split) nor its sweep bound (it fills every grid up to ``multi_h_limit``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -33,11 +33,7 @@ from .model import (
     require_valid,
 )
 
-ZERO, AT_MIN, AT_MAX, INTERIOR = "zero", "at_m", "at_M", "interior"
-LABELS = (ZERO, AT_MIN, AT_MAX, INTERIOR)
-
-MAX_SUPPLIERS = 8  # structural_oracle enumerates 4**n assignments
-MAX_CANDIDATES = 2_000_000  # grid_oracle's cap on the plans its menus multiply to
+MAX_CANDIDATES = 2_000_000  # cap on structural_oracle's label states and grid_oracle's plans
 
 
 def _require_single(inst: Instance, caller: str) -> None:
@@ -46,65 +42,83 @@ def _require_single(inst: Instance, caller: str) -> None:
 
 
 def structural_oracle(inst: Instance) -> Solution:
-    """Exact optimum by enumerating boundary assignments.
+    """Exact optimum by a dynamic program over the suppliers' labels.
 
-    At an optimum every volume is 0, m_i, M_i, or strictly interior, and the
-    interior group is pinned by the equal-marginal formula applied to whatever
-    demand the fixed volumes leave open.  Trying all 4**n assignments and
-    keeping the cheapest consistent candidate is therefore exhaustive.  The
-    enumeration order is deterministic, so ties resolve identically run to run.
-    More than ``MAX_SUPPLIERS`` suppliers raise ResourceLimitError.
+    At an optimum every volume is 0, m_i, M_i or strictly interior, and the
+    interior group shares one marginal cost mu, pinned by the equal-marginal
+    formula applied to the demand P - F that the fixed volumes F leave open.
+    With lam = a/b, c = c_hold and D = 2*a*b*c, D times a batch's cost is an
+    integer: D*(alpha + beta*v) + (c*b*v)**2 at v in {m, M}, and for an
+    interior supplier D*alpha - (a*beta)**2 plus its share of the group's
+    t**2/k, where k counts the group, B sums its betas and
+    t = c*b*(P - F) + a*B = k*a*mu.  So a state (F capped at P, k, B) keeps
+    the least cost of the labelings that reach it, supplier by supplier.
+
+    Supplier i can be interior at a*mu strictly between its window ends
+    a*beta_i + c*b*m_i and a*beta_i + c*b*M_i.  One pass per closed interval
+    [lo, hi] between consecutive distinct ends lets only the suppliers whose
+    ends enclose it be interior, and prices a group state only when P - F > 0
+    and k*lo <= t <= k*hi.  The closed ends are exact: there a supplier sits
+    at m or M with the same mu and cost.  One more pass has no group: the
+    {0, m, M} knapsack that reaches F = P.  The cheapest state wins, the
+    first found on a tie, so the plan is the same run to run.  Its volumes
+    come from the labels and ``lemma1_solution``, and an explicit raise,
+    kept under ``python -O``, checks that the plan recomputes to the state's
+    cost.  Creating more than ``MAX_CANDIDATES`` states raises
+    ResourceLimitError.
     """
     require_valid(inst)
     _require_single(inst, "structural_oracle")
-    if inst.n > MAX_SUPPLIERS:
-        raise ResourceLimitError(
-            f"{inst.n} suppliers means 4**{inst.n} assignments; cap is {MAX_SUPPLIERS}"
-        )
+    a, P = inst.lam.numerator, inst.P
+    cb = inst.c_hold * inst.lam.denominator
+    D = 2 * a * cb
+    ends = sorted({a * s.beta + cb * v for s in inst.suppliers for v in (s.m, s.M)})
+    too_many = f"structural oracle needs more than {MAX_CANDIDATES} label states"
+    created = 0
+    best = None  # (objective, the pass's layers, the final state)
+    for lo, hi in [(None, None), *zip(ends, ends[1:])]:
+        # (F, k, B) -> (cost times D, (previous state, label)); label None is interior
+        layers = [{(0, 0, 0): (0, None)}]
+        for s in inst.suppliers:
+            moves = [(0, 0)] + [(v, D * (s.alpha + s.beta * v) + (cb * v) ** 2) for v in (s.m, s.M)]
+            if lo is not None and a * s.beta + cb * s.m <= lo and hi <= a * s.beta + cb * s.M:
+                moves.append((None, D * s.alpha - (a * s.beta) ** 2))
+            layer = {}
+            for state, (cost, _) in layers[-1].items():
+                F, k, B = state
+                for v, price in moves:
+                    new = (F, k + 1, B + s.beta) if v is None else (min(F + v, P), k, B)
+                    if new not in layer:
+                        created += 1
+                        if created > MAX_CANDIDATES:
+                            raise ResourceLimitError(too_many)
+                    elif layer[new][0] <= cost + price:
+                        continue
+                    layer[new] = (cost + price, (state, v))
+            layers.append(layer)
+        for (F, k, B), (cost, _) in layers[-1].items():
+            t = cb * (P - F) + a * B  # k*a*mu
+            if (F < P and k * lo <= t <= k * hi) if k else F == P:
+                value = Fraction(cost * k + t * t, k * D) if k else Fraction(cost, D)
+                if best is None or value < best[0]:
+                    best = (value, layers, (F, k, B))
 
-    best_cost = None
-    best_volumes = None
-    for labels in itertools.product(LABELS, repeat=inst.n):
-        volumes = [Fraction(0)] * inst.n
-        interior = []
-        fixed_sum = 0
-        for i, (label, s) in enumerate(zip(labels, inst.suppliers)):
-            if label == AT_MIN:
-                volumes[i] = Fraction(s.m)
-                fixed_sum += s.m
-            elif label == AT_MAX:
-                volumes[i] = Fraction(s.M)
-                fixed_sum += s.M
-            elif label == INTERIOR:
-                interior.append(i)
-        if interior:
-            residual = inst.P - fixed_sum
-            if residual <= 0:
-                continue
-            group = lemma1_solution(
-                [inst.suppliers[i].beta for i in interior],
-                residual,
-                inst.lam,
-                inst.c_hold,
-            )
-            consistent = True
-            for i, x in zip(interior, group):
-                s = inst.suppliers[i]
-                if not s.m < x < s.M:
-                    consistent = False
-                    break
-                volumes[i] = x
-            if not consistent:
-                continue
-        elif fixed_sum < inst.P:
-            continue
-        cost = Fraction(0)
-        for s, v in zip(inst.suppliers, volumes):
-            if v:
-                cost += delivery_cost(s, v) + holding_cost(v, inst.lam, inst.c_hold)
-        if best_cost is None or cost < best_cost:
-            best_cost, best_volumes = cost, list(volumes)
-    return make_solution(inst, [(i + 1, v) for i, v in enumerate(best_volumes)])
+    value, layers, state = best
+    volumes = [None] * inst.n
+    for i in reversed(range(inst.n)):
+        state, volumes[i] = layers[i + 1][state][1]
+    group = [i for i, v in enumerate(volumes) if v is None]
+    if group:
+        betas = [inst.suppliers[i].beta for i in group]
+        fixed = sum(v for v in volumes if v is not None)
+        for i, x in zip(group, lemma1_solution(betas, P - fixed, inst.lam, inst.c_hold)):
+            volumes[i] = x
+    solution = make_solution(inst, [(i + 1, v) for i, v in enumerate(volumes)])
+    if solution.objective != value:
+        raise AssertionError(
+            f"structural oracle: plan recomputes to {solution.objective}, its state holds {value}"
+        )
+    return solution
 
 
 def grid_oracle(inst: Instance) -> Solution:

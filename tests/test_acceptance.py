@@ -49,7 +49,7 @@ def criterion(number: int, label: str):
 def sweep():
     """200 seeded instances from the stated family (n <= 4, P <= 20,
     c_hold <= 3, bounds <= 12, alpha/beta <= 10), each solved by the dynamic
-    program and independently by the boundary-enumeration oracle.  Shared by
+    program and independently by the structural oracle.  Shared by
     criteria 2, 5 and 6."""
     rng = random.Random(20_260_825)
     t0 = time.perf_counter()
@@ -79,7 +79,7 @@ def test_criterion_1_golden_instance():
 
 def test_criterion_2_dp_matches_structural_oracle(sweep):
     runs, elapsed = sweep
-    with criterion(2, "dp equals the boundary-enumeration oracle, 200/200"):
+    with criterion(2, "dp equals the structural oracle, 200/200"):
         agreements = sum(
             report.solution.objective == oracle.objective for _, report, oracle in runs
         )
@@ -88,7 +88,7 @@ def test_criterion_2_dp_matches_structural_oracle(sweep):
 
 
 def test_criterion_3_oracles_agree_on_tiny_instances():
-    with criterion(3, "boundary enumeration equals grid exhaustion, 50 instances"):
+    with criterion(3, "structural oracle equals grid exhaustion, 50 instances"):
         rng = random.Random(33)
         for _ in range(50):
             inst = random_instance(rng, n_max=3, p_max=12, c_max=2)

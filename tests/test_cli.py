@@ -20,7 +20,7 @@ from lotdp import (
     make_solution,
     structural_oracle,
 )
-from lotdp import cli, dp, model
+from lotdp import cli, dp, model, oracle
 
 
 def write_instance(path, inst):
@@ -384,22 +384,24 @@ class TestVerify:
     def test_needs_some_input(self, capsys):
         assert cli.main(["verify"]) == 1
 
-    def test_refuses_large_instances(self, tmp_path, capsys, monkeypatch):
-        # verify refuses with the structural oracle's own cap, before any solve
-        inst = Instance(suppliers=(Supplier(1, 1, 1, 3),) * 9, P=5)
-        with pytest.raises(ResourceLimitError, match="cap is 8"):
-            structural_oracle(inst)
-        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("verify solved"))
-        path = write_instance(tmp_path / "wide.json", inst)
+    def test_verifies_a_single_mode_instance_of_many_suppliers(self, tmp_path, capsys):
+        # the structural oracle's label states grow polynomially with n, so
+        # verify takes nine suppliers in single mode as it does in multi mode
+        suppliers = tuple(Supplier(alpha, 1, 1, 3) for alpha in range(1, 10))
+        path = write_instance(tmp_path / "wide.json", Instance(suppliers, P=7))
+        assert cli.main(["verify", path]) == 0
+        assert capsys.readouterr() == ("dp: 127/6\nstructural: 127/6\nagreement: yes\n", "")
+
+    def test_structural_state_cap_is_a_refusal(self, tmp_path, capsys, monkeypatch):
+        # past its cap on label states the structural oracle refuses: exit
+        # code 1 and one error line, no traceback
+        monkeypatch.setattr(oracle, "MAX_CANDIDATES", 50)
+        suppliers = tuple(Supplier(alpha, 1, 1, 3) for alpha in range(1, 10))
+        path = write_instance(tmp_path / "wide.json", Instance(suppliers, P=7))
         assert cli.main(["verify", path]) == 1
-        assert capsys.readouterr() == (
-            "",
-            "error: verify enumerates 4**n assignments in single mode and refuses n > 8\n",
-        )
+        assert capsys.readouterr() == ("", "error: structural oracle needs more than 50 label states\n")
 
     def test_verifies_a_multi_mode_instance_of_many_suppliers(self, tmp_path, capsys):
-        # neither solve_multi nor the duplication oracle enumerates
-        # assignments, so the single-mode size refusal does not apply
         suppliers = tuple(Supplier(alpha, 1, 1, 3) for alpha in range(1, 10))
         path = write_instance(tmp_path / "wide-multi.json", Instance(suppliers, P=7, mode=MULTI))
         assert cli.main(["verify", path]) == 0

@@ -18,7 +18,6 @@ from lotdp import (
     backtrack,
     build_grid,
     duplication_oracle,
-    lemma1_solution,
     make_solution,
     multi_delivery_cost,
     multi_h_limit,
@@ -30,6 +29,7 @@ from lotdp import (
 )
 from lotdp import dp, oracle
 from lotdp.generate import bench_instance
+from conftest import structural_minima
 from test_pricing import full_chain
 
 
@@ -425,29 +425,6 @@ def test_fine_grid_draws_keep_their_answers_and_computed_cells():
 
 
 # --- the interior-count bound against enumerated plans -------------------------
-
-
-def structural_minima(inst):
-    """The cheapest plan of each interior count c over the 0/m/M/interior
-    labelings, the interior volumes split by lemma1_solution as in
-    structural_oracle and kept when each lies strictly inside its window."""
-    best = {}
-    for labels in itertools.product((0, 1, 2, 3), repeat=inst.n):
-        chosen = [(s, (0, s.m, s.M)[x]) for x, s in zip(labels, inst.suppliers) if x < 3]
-        group = [s for x, s in zip(labels, inst.suppliers) if x == 3]
-        rest = inst.P - sum(x for _, x in chosen)
-        if group:
-            if rest <= 0:
-                continue
-            volumes = lemma1_solution([s.beta for s in group], rest, inst.lam, inst.c_hold)
-            if not all(s.m < x < s.M for s, x in zip(group, volumes)):
-                continue
-            chosen += zip(group, volumes)
-        elif rest > 0:
-            continue
-        cost = sum(s.alpha + s.beta * x + inst.c_hold * x * x / (2 * inst.lam) for s, x in chosen if x)
-        best[len(group)] = min(cost, best.get(len(group), cost))
-    return best
 
 
 def windows_instance(rng, lam):

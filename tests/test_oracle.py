@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lotdp import (
     MULTI,
@@ -14,10 +16,14 @@ from lotdp import (
     duplication_oracle,
     grid_oracle,
     random_instance,
+    solution_cost,
+    solve,
     structural_oracle,
 )
 from lotdp import oracle
+from lotdp.generate import bench_instance
 from lotdp.model import delivery_cost
+from conftest import structural_minima
 
 
 def test_golden_instance_both_ways(golden):
@@ -70,10 +76,23 @@ def test_multi_mode_is_rejected(golden):
         duplication_oracle(golden)
 
 
-def test_supplier_cap():
+def test_state_cap(monkeypatch):
+    # nine suppliers take no refusal at the cap of 2,000,000 label states, and
+    # a lower cap refuses them
     inst = Instance(suppliers=(Supplier(1, 1, 1, 2),) * 9, P=9)
-    with pytest.raises(ResourceLimitError, match="cap is 8"):
+    assert structural_oracle(inst).objective == solve(inst).solution.objective == F(87, 4)
+    monkeypatch.setattr(oracle, "MAX_CANDIDATES", 100)
+    with pytest.raises(ResourceLimitError, match="^structural oracle needs more than 100 label states$"):
         structural_oracle(inst)
+
+
+def test_structural_plan_is_checked_against_its_state(golden, monkeypatch):
+    # a split of the group other than the equal-marginal one is feasible
+    # here, (3, 2) in the windows [2, 3], but dearer than the state's 35/2:
+    # an explicit raise, which python -O keeps, refuses the plan
+    monkeypatch.setattr(oracle, "lemma1_solution", lambda betas, p, lam, c_hold: (F(3), p - 3))
+    with pytest.raises(AssertionError, match="^structural oracle: plan recomputes to 18, its state holds 35/2$"):
+        structural_oracle(golden)
 
 
 def test_candidate_budget():
@@ -155,3 +174,47 @@ def test_oracles_agree_with_rational_intensity():
     for _ in range(10):
         inst = random_instance(rng, n_max=2, p_max=8, c_max=2, bound_max=5, lam=F(3, 2))
         assert structural_oracle(inst).objective == grid_oracle(inst).objective
+
+
+@st.composite
+def label_instances(draw):
+    """Up to six suppliers, windows up to 8 wide (m == M among them), demand
+    0..capacity, lam = a/b with b up to 3 and c_hold up to 3."""
+    suppliers = []
+    for _ in range(draw(st.integers(1, 6))):
+        alpha, beta, m = draw(st.integers(0, 10)), draw(st.integers(0, 10)), draw(st.integers(1, 8))
+        suppliers.append(Supplier(alpha, beta, m, m + draw(st.integers(0, 8))))
+    return Instance(
+        suppliers=tuple(suppliers),
+        P=draw(st.integers(0, sum(s.M for s in suppliers))),
+        lam=F(draw(st.integers(1, 4)), draw(st.integers(1, 3))),
+        c_hold=draw(st.integers(1, 3)),
+    )
+
+
+PAIR = (Supplier(1, 2, 2, 5), Supplier(3, 0, 1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=label_instances())
+@example(inst=Instance((Supplier(2, 1, 3, 3), Supplier(0, 4, 2, 2)), P=4, lam=F(1, 2)))  # m == M
+@example(inst=Instance(PAIR, P=0, lam=F(2, 3), c_hold=3))
+@example(inst=Instance(PAIR, P=9, lam=F(3, 2), c_hold=2))  # capacity == P
+@example(inst=Instance((Supplier(1, 1, 7, 9), Supplier(0, 3, 6, 8)), P=4, lam=F(4, 3)))  # over-delivery
+def test_structural_oracle_matches_every_labeling(inst):
+    # the label states reach the cheapest of the 4**n labelings, and the plan
+    # built from them is feasible at that cost
+    sol = structural_oracle(inst)
+    assert sol.objective == min(structural_minima(inst).values())
+    assert solution_cost(inst, sol) == sol.objective
+
+
+def test_structural_oracle_matches_solve_past_eight_suppliers():
+    # the benchmark family at n = 9..14, and two draws of a grid finer than
+    # 1/H: c_hold * den(lam) = 4 and 9
+    rng = random.Random(9)
+    draws = [bench_instance(rng, n, 30, 1 + n % 3) for n in range(9, 15)]
+    draws.append(replace(bench_instance(rng, 10, 30, 2), lam=F(3, 2)))
+    draws.append(replace(bench_instance(rng, 11, 30, 3), lam=F(2, 3)))
+    for inst in draws:
+        assert structural_oracle(inst).objective == solve(inst).solution.objective, inst
