@@ -4,12 +4,13 @@ Subcommands: ``solve`` an instance file, ``verify`` a file (or a seeded random
 batch) against the oracles, ``gen`` a random instance, ``bench`` the table
 sizes and wall time across a parameter sweep.
 
-``main`` builds the parser on each call and adds arguments only to the
-subcommand that its argv names: the first argument that does not start with
-``-``, since the top-level parser has no option that takes a value.  Every
-subcommand stays registered with its help line, so usage, help, error text
-and exit codes are those of ``build_parser()``, which without a command adds
-every subcommand's arguments.
+``main`` builds the parser on each call.  When argv starts with a
+subcommand, only that subparser is registered, with its arguments; the
+top-level usage still names all four, so usage, help, error text and exit
+codes are those of ``build_parser()``, which registers every subcommand with
+its arguments.  An argv that starts with an option gets that full parser.
+``--`` cannot come before the subcommand: Python 3.11's argparse takes it as
+the subcommand's name, so ``lotdp -- solve FILE`` is an invalid choice.
 
 Exit codes: 0 success, 1 bad input (a usage error included) or a size-guard
 refusal, 2 infeasible instance, 3 solver disagreement: the solvers and oracles
@@ -369,38 +370,38 @@ _SUBCOMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``lotdp`` parser, every subcommand registered with its help line.
+    """The ``lotdp`` parser.  With ``command`` a subcommand, only that
+    subparser is registered, with its arguments, under a metavar that names
+    all four, so the top-level usage line is the full parser's; its one
+    top-level error left, ``unrecognized arguments``, names no subcommand.
     Without ``command``, or with a name that is no subcommand, every
-    subparser gets its arguments; otherwise only ``command``'s does.  The
-    top-level usage, help and error text name the subcommands only, so on
-    an argv whose subcommand is ``command`` the usage, help, error text and
-    exit codes are those of the parser with every subcommand's arguments."""
+    subparser is registered with its arguments and the usage, help and
+    errors (``invalid choice``, a missing command) name them by choice."""
     parser = _Parser(
         prog="lotdp",
         description="Exact procurement lot-sizing: fixed-plus-linear delivery "
         "costs, quadratic holding, two-sided volume limits.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if command == name or command not in _SUBCOMMANDS:
-            add_arguments(p)
+    named = command in _SUBCOMMANDS
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if named else _SUBCOMMANDS:
+        help_line, add_arguments = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
     """Run the ``lotdp`` command line on ``argv`` (``sys.argv[1:]`` when
-    None) and return its exit code.  The parser is built on each call, with
-    arguments only for the subcommand that ``argv`` names: its first
-    argument that does not start with ``-``, since the top-level parser has
-    no option that takes a value.  Usage, help, error text and exit codes
-    are those of ``build_parser()``, which adds every subcommand's
-    arguments.  Built per call, the parser reads each ``cmd_*`` function
-    when ``main`` runs, so a patched one is the one called."""
+    None) and return its exit code.  The parser is built on each call from
+    ``argv[0]``: a subcommand there registers only that subparser, and an
+    option there (``-h``, ``--pretty``, ``--``) or an empty argv registers
+    all four.  Usage, help, error text and exit codes are those of
+    ``build_parser()``.  Built per call, the parser reads each ``cmd_*``
+    function when ``main`` runs, so a patched one is the one called."""
     if argv is None:
         argv = sys.argv[1:]
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (AssertionError, FeasibilityError) as exc:

@@ -57,8 +57,9 @@ def structural_oracle(inst: Instance) -> Solution:
     Supplier i can be interior at a*mu strictly between its window ends
     a*beta_i + c*b*m_i and a*beta_i + c*b*M_i.  One pass per closed interval
     [lo, hi] between consecutive distinct ends lets only the suppliers whose
-    ends enclose it be interior, and prices a group state only when P - F > 0
-    and k*lo <= t <= k*hi.  The closed ends are exact: there a supplier sits
+    ends enclose it be interior, keeps no state with F = P (F never falls,
+    and a group state needs P - F > 0), and prices a group state only when
+    k*lo <= t <= k*hi.  The closed ends are exact: there a supplier sits
     at m or M with the same mu and cost.  One more pass has no group: the
     {0, m, M} knapsack that reaches F = P.  The cheapest state wins, the
     first found on a tie, so the plan is the same run to run.  Its volumes
@@ -88,6 +89,8 @@ def structural_oracle(inst: Instance) -> Solution:
                 F, k, B = state
                 for v, price in moves:
                     new = (F, k + 1, B + s.beta) if v is None else (min(F + v, P), k, B)
+                    if lo is not None and new[0] == P:
+                        continue  # F never falls, and a group state needs P - F > 0
                     if new not in layer:
                         created += 1
                         if created > MAX_CANDIDATES:
@@ -98,7 +101,7 @@ def structural_oracle(inst: Instance) -> Solution:
             layers.append(layer)
         for (F, k, B), (cost, _) in layers[-1].items():
             t = cb * (P - F) + a * B  # k*a*mu
-            if (F < P and k * lo <= t <= k * hi) if k else F == P:
+            if k * lo <= t <= k * hi if k else F == P:
                 value = Fraction(cost * k + t * t, k * D) if k else Fraction(cost, D)
                 if best is None or value < best[0]:
                     best = (value, layers, (F, k, B))

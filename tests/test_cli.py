@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -652,9 +653,9 @@ class TestUsageErrors:
 
 
 class TestCommandLineSurface:
-    """``main`` adds arguments only to the subcommand its argv names; what
-    it prints, returns and parses is that of ``build_parser()``, which adds
-    every subcommand's arguments."""
+    """``main`` registers only the subcommand that starts its argv; what it
+    prints, returns and parses is that of ``build_parser()``, which
+    registers every subcommand with its arguments."""
 
     @staticmethod
     def outcome(run, capsys):
@@ -695,6 +696,13 @@ class TestCommandLineSurface:
             ["gen"],
             ["gen", "--n", "2", "--mode", "multi", "--infeasible", "--seed", "5"],
             ["bench", "--sweep", "P", "--values", "1,2"],
+            ["solve", "FILE", "--bogus"],
+            ["solve", "FILE", "gen"],
+            ["solve", "--", "FILE"],
+            ["solve", "-h", "extra"],
+            ["gen", "--pmax", "3", "solve"],
+            ["--he", "solve", "FILE"],
+            ["-h", "verify"],
         ],
     )
     def test_main_parses_as_the_full_parser(self, argv, golden_file, capsys, monkeypatch):
@@ -709,10 +717,22 @@ class TestCommandLineSurface:
 
         assert self.outcome(lambda: cli.main(argv), capsys) == self.outcome(full, capsys)
 
-    def test_a_parser_for_one_command_leaves_the_others_bare(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.build_parser("solve").parse_args(["gen", "--pmax", "3"])
-        assert "unrecognized arguments: --pmax 3" in capsys.readouterr().err
+    def test_a_parser_for_one_command_registers_only_that_one(self):
+        def registered(parser):
+            # each subcommand's argument names, help included
+            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+
+        full = registered(cli.build_parser())
+        assert list(full) == ["solve", "verify", "gen", "bench"]
+        assert all(len(dests) > 1 for dests in full.values())
+        assert registered(cli.build_parser("frobnicate")) == full
+        solve = cli.build_parser("solve")
+        assert registered(solve) == {"solve": full["solve"]}
+        assert solve.format_usage() == cli.build_parser().format_usage()
+        with pytest.raises(SystemExit) as exc:
+            solve.parse_args(["gen"])
+        assert exc.value.code == cli.EXIT_INPUT
 
     def test_dispatch_reads_the_patched_command(self, golden_file, monkeypatch):
         calls = []
