@@ -4,11 +4,13 @@ Subcommands: ``solve`` an instance file, ``verify`` a file (or a seeded random
 batch) against the oracles, ``gen`` a random instance, ``bench`` the table
 sizes and wall time across a parameter sweep.
 
-``main`` builds the parser on each call.  When argv starts with a
-subcommand, only that subparser is registered, with its arguments; the
-top-level usage still names all four, so usage, help, error text and exit
-codes are those of ``build_parser()``, which registers every subcommand with
-its arguments.  An argv that starts with an option gets that full parser.
+``main`` builds its parser on each call.  When argv starts with a
+subcommand, the rest of argv parses with that subcommand's parser alone, and
+the full parser, ``build_parser()``, is built only to report arguments left
+over; so usage, help, error text and exit codes are those of
+``build_parser()``, which registers every subcommand with its arguments.
+Any other argv (an option first, an unknown name, an empty argv) parses with
+that full parser.
 ``--`` cannot come before the subcommand: Python 3.11's argparse takes it as
 the subcommand's name, so ``lotdp -- solve FILE`` is an invalid choice.
 
@@ -122,6 +124,10 @@ def _load_instance(path: str) -> Instance:
         raise SchemaError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}")
+    except (ValueError, RecursionError) as exc:
+        # an integer longer than sys.get_int_max_str_digits(), or nesting
+        # deeper than the recursion limit
+        raise SchemaError(f"{path}: {exc}")
     return instance_from_json(raw)
 
 
@@ -369,39 +375,43 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``lotdp`` parser.  With ``command`` a subcommand, only that
-    subparser is registered, with its arguments, under a metavar that names
-    all four, so the top-level usage line is the full parser's; its one
-    top-level error left, ``unrecognized arguments``, names no subcommand.
-    Without ``command``, or with a name that is no subcommand, every
-    subparser is registered with its arguments and the usage, help and
-    errors (``invalid choice``, a missing command) name them by choice."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``lotdp`` parser: every subcommand registered with its
+    arguments."""
     parser = _Parser(
         prog="lotdp",
         description="Exact procurement lot-sizing: fixed-plus-linear delivery "
         "costs, quadratic holding, two-sided volume limits.",
     )
-    named = command in _SUBCOMMANDS
-    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if named else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [command] if named else _SUBCOMMANDS:
-        help_line, add_arguments = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
     """Run the ``lotdp`` command line on ``argv`` (``sys.argv[1:]`` when
-    None) and return its exit code.  The parser is built on each call from
-    ``argv[0]``: a subcommand there registers only that subparser, and an
-    option there (``-h``, ``--pretty``, ``--``) or an empty argv registers
-    all four.  Usage, help, error text and exit codes are those of
-    ``build_parser()``.  Built per call, the parser reads each ``cmd_*``
-    function when ``main`` runs, so a patched one is the one called."""
+    None) and return its exit code.  When ``argv[0]`` is a subcommand, the
+    rest of argv parses with that subcommand's parser alone, and
+    ``build_parser()`` is built only to report arguments left over.  Any
+    other argv (``-h``, ``--pretty``, ``--``, an unknown name, an empty
+    argv) parses with ``build_parser()``.  Either way usage, help, error
+    text and exit codes are those of ``build_parser()``.  Built per call,
+    the parser reads each ``cmd_*`` function when ``main`` runs, so a
+    patched one is the one called."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    command = argv[0] if argv else None
+    if command in _SUBCOMMANDS:
+        parser = _Parser(prog=f"lotdp {command}")
+        _, add_arguments = _SUBCOMMANDS[command]
+        add_arguments(parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = command
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (AssertionError, FeasibilityError) as exc:

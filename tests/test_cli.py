@@ -598,6 +598,18 @@ class TestBadFiles:
         path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
         assert "not UTF-8" in self.refused([command, str(path)], capsys)
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_integer_of_too_many_digits_exits_1(self, command, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"P": ' + "9" * (sys.get_int_max_str_digits() + 1) + "}\n")
+        assert "digits" in self.refused([command, str(path)], capsys)
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_json_nested_past_the_recursion_limit_exits_1(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000 + "\n")
+        assert "recursion" in self.refused([command, str(path)], capsys)
+
     def test_verify_refuses_a_file_with_a_seed_batch(self, golden_file, capsys):
         err = self.refused(["verify", golden_file, "--seed-batch", "2"], capsys)
         assert "either" in err
@@ -653,9 +665,10 @@ class TestUsageErrors:
 
 
 class TestCommandLineSurface:
-    """``main`` registers only the subcommand that starts its argv; what it
-    prints, returns and parses is that of ``build_parser()``, which
-    registers every subcommand with its arguments."""
+    """``main`` parses an argv that starts with a subcommand with that
+    subcommand's parser alone; what it prints, returns and parses is that
+    of ``build_parser()``, which registers every subcommand with its
+    arguments."""
 
     @staticmethod
     def outcome(run, capsys):
@@ -703,6 +716,13 @@ class TestCommandLineSurface:
             ["gen", "--pmax", "3", "solve"],
             ["--he", "solve", "FILE"],
             ["-h", "verify"],
+            ["verify", "FILE", "extra"],
+            ["bench", "--sweep", "P", "junk"],
+            ["gen", "--seed", "1", "x"],
+            ["solve", "--pretty=1", "FILE"],
+            ["solve", "FILE", "--", "-x"],
+            ["solve", "--mo", "multi", "FILE"],
+            ["solve", "FILE", "--out"],
         ],
     )
     def test_main_parses_as_the_full_parser(self, argv, golden_file, capsys, monkeypatch):
@@ -717,22 +737,20 @@ class TestCommandLineSurface:
 
         assert self.outcome(lambda: cli.main(argv), capsys) == self.outcome(full, capsys)
 
-    def test_a_parser_for_one_command_registers_only_that_one(self):
-        def registered(parser):
-            # each subcommand's argument names, help included
-            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
-
-        full = registered(cli.build_parser())
-        assert list(full) == ["solve", "verify", "gen", "bench"]
-        assert all(len(dests) > 1 for dests in full.values())
-        assert registered(cli.build_parser("frobnicate")) == full
-        solve = cli.build_parser("solve")
-        assert registered(solve) == {"solve": full["solve"]}
-        assert solve.format_usage() == cli.build_parser().format_usage()
-        with pytest.raises(SystemExit) as exc:
-            solve.parse_args(["gen"])
-        assert exc.value.code == cli.EXIT_INPUT
+    def test_the_full_parser_is_built_only_to_report_leftovers(self, golden_file, capsys, monkeypatch):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        # each subcommand's argument names, help included
+        registered = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+        assert list(registered) == ["solve", "verify", "gen", "bench"]
+        assert all(len(dests) > 1 for dests in registered.values())
+        argv = ["solve", golden_file, "--bogus"]
+        full = self.outcome(lambda: cli.build_parser().parse_args(argv), capsys)
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the full parser was built"))
+        assert cli.main(["solve", golden_file]) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert self.outcome(lambda: cli.main(argv), capsys) == full
+        assert full[0] == ("exited", cli.EXIT_INPUT)
 
     def test_dispatch_reads_the_patched_command(self, golden_file, monkeypatch):
         calls = []
